@@ -1,10 +1,9 @@
 //! # ccr-bench — shared helpers and the benchmark harness.
 //!
-//! One bench target per reproduced table/figure (`benches/eXX_*.rs`) plus
-//! protocol microbenchmarks (`benches/microbench.rs`). Each experiment
-//! bench times the computational kernel that regenerates the corresponding
-//! table; the tables themselves are produced by the `ccr-experiments`
-//! binary (see EXPERIMENTS.md).
+//! Protocol microbenchmarks (`benches/microbench.rs`) and the single-shot
+//! throughput gauges under `src/bin/`. The layered, repeated benchmark of
+//! the whole stack is the separate `perfbench` package at the repository
+//! root.
 //!
 //! The [`harness`] module is a minimal, dependency-free replacement for the
 //! Criterion API surface the benches use (the workspace builds with no

@@ -6,8 +6,8 @@
 //! only timestamp the deterministic core accepts — so a capture is
 //! exactly a [`LoopbackBackend`] schedule serialised to bytes. Record a
 //! real overload session once, then soak it offline under any chaos
-//! config and any thread count; E22 pins the replay down to identical
-//! egress bytes and `==`-equal metrics.
+//! config; E22 pins the replay down to identical egress bytes and
+//! `==`-equal metrics.
 //!
 //! Layout (all integers big-endian, like the wire header):
 //!

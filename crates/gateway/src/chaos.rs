@@ -8,8 +8,8 @@
 //! stream and [`Gateway::ingress`], mangling frames exactly the way a
 //! lossy wire would — but from a [`DetRng`] and a slot-indexed
 //! [`ChaosScript`], so a chaotic run is still a pure function of
-//! `(config, schedule, chaos seed, script)` and replays bit-identically
-//! at any fabric thread count. The differential suites hold it to that.
+//! `(config, schedule, chaos seed, script)` and replays bit-identically.
+//! The differential suites hold it to that.
 //!
 //! Per offered frame the RNG draws one decision per impairment in a
 //! fixed order (loss, duplication, reorder, corruption), so the draw

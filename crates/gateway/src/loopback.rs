@@ -3,10 +3,9 @@
 //! from a slot-indexed schedule, with no sockets and no threads.
 //!
 //! This is the determinism anchor: a loopback run is a pure function of
-//! `(fabric config, gateway config, schedule, chaos)`, so two runs — or
-//! the same run at different fabric thread counts — must produce
-//! byte-identical egress, `==`-equal metrics, and identical control
-//! frames. The differential suites at the workspace root hold the
+//! `(fabric config, gateway config, schedule, chaos)`, so two runs must
+//! produce byte-identical egress, `==`-equal metrics, and identical
+//! control frames. The differential suites at the workspace root hold the
 //! gateway to exactly that.
 //!
 //! An optional [`WireChaos`] layer sits between the schedule and

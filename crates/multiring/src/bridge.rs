@@ -16,6 +16,7 @@
 //! needs on that ring), with the integer remainder pushed onto the
 //! earliest segments so the budgets always sum to exactly `D`.
 
+use crate::admission::FabricConnectionId;
 use ccr_edf::message::Message;
 use ccr_sim::{SimTime, TimeDelta};
 
@@ -64,6 +65,12 @@ pub struct PendingForward {
     /// Fabric-wide arrival sequence number — the deterministic EDF
     /// tie-break for equal deadlines.
     pub seq: u64,
+    /// The end-to-end connection the message belongs to.
+    pub fid: FabricConnectionId,
+    /// Route segment the message traverses after the bridge.
+    pub seg_idx: usize,
+    /// End-to-end latency accumulated over the previous segments.
+    pub accumulated: TimeDelta,
 }
 
 impl PendingForward {
@@ -203,6 +210,9 @@ mod tests {
             ),
             enqueued: SimTime::ZERO,
             seq,
+            fid: FabricConnectionId(seq),
+            seg_idx: 1,
+            accumulated: TimeDelta::ZERO,
         }
     }
 

@@ -32,12 +32,11 @@
 //! keeps the converged fixed point and [`CalculusAdmission::admit_batch`]
 //! warm-starts it, re-iterating only the dirty set of servers the batch
 //! touches; one fixed-point pass is amortised over the whole batch, with
-//! all-or-nothing rollback. Verdicts are bit-for-bit deterministic and
-//! thread-count-invariant: flows enter in admission-id order and every
-//! operator in the kernel is an exact closed form. The forced full-solve
-//! reference ([`CalculusAdmission::set_force_full`]) runs the same
-//! arithmetic with everything dirty, which is what the differential suite
-//! leans on.
+//! all-or-nothing rollback. Verdicts are bit-for-bit deterministic: flows
+//! enter in admission-id order and every operator in the kernel is an
+//! exact closed form. The forced full-solve reference
+//! ([`CalculusAdmission::set_force_full`]) runs the same arithmetic with
+//! everything dirty, which is what the differential suite leans on.
 
 use crate::admission::{ConnectionPlan, FabricConnectionId, SegmentEnv};
 use crate::bridge::BridgeConfig;

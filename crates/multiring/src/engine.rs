@@ -2,29 +2,24 @@
 //! inter-ring bridge exchange.
 //!
 //! One *fabric slot* advances every ring by exactly one MAC slot. The step
-//! has three phases:
+//! has three phases, all on the calling thread:
 //!
-//! 1. **Ring phase** (parallel) — every ring executes
-//!    [`ccr_edf::network::RingNetwork::step_slot`] independently. Rings
-//!    share no state within a slot (bridge traffic only moves *between*
-//!    slots), so the phase fans out over a persistent [`RingPool`]: worker
-//!    threads spawned once per fabric, each owning a fixed round-robin
-//!    subset of the rings. (A first implementation re-used the sweeps'
-//!    [`ccr_sim::parallel::parallel_map_chunked`], but spawning scoped
-//!    threads every slot costs tens of microseconds while a fabric slot's
-//!    ring work is itself microsecond-scale — the per-slot spawn made the
-//!    parallel path ~100× *slower* than serial; see DESIGN.md.) Each ring
-//!    is stepped by exactly one worker and the deliveries are re-ordered
-//!    by ring index before the exchange phase, so the phase is
-//!    deterministic for any thread count — the differential tests assert
-//!    the resulting metrics are bit-identical (`==`) between serial and
-//!    parallel runs.
-//! 2. **Exchange phase** (serial) — deliveries are scanned in ring-index
-//!    then delivery order. A delivery at a bridge port whose connection has
-//!    further segments is re-queued on the bridge's egress
-//!    [`crate::bridge::BridgeQueue`]; a delivery at its final destination
+//! 1. **Ring phase** — every ring executes
+//!    [`ccr_edf::network::RingNetwork::step_slot`] in ring-index order.
+//!    Rings share no state within a slot (bridge traffic only moves
+//!    *between* slots), and every ring steps before any delivery is
+//!    handled, because a bridge hand-off is stamped with its egress ring's
+//!    post-step clock. A ring slot simulates in about 0.2–2 µs, far less
+//!    than a thread hand-off, so the rings are stepped in place; the
+//!    parallelism that pays runs whole fabrics side by side (see
+//!    DESIGN.md §8).
+//! 2. **Exchange phase** — each ring's deliveries are read in place from
+//!    its last slot outcome, in ring-index then delivery order. A delivery
+//!    at a bridge port whose connection has further segments is re-queued
+//!    on the bridge's egress [`crate::bridge::BridgeQueue`], carrying its
+//!    end-to-end bookkeeping with it; a delivery at its final destination
 //!    closes the end-to-end record.
-//! 3. **Injection phase** (serial) — each queue, in index order, pops up to
+//! 3. **Injection phase** — each queue, in index order, pops up to
 //!    [`crate::bridge::BridgeConfig::forward_per_slot`] earliest-deadline
 //!    forwards and submits them into the egress ring.
 //!
@@ -58,8 +53,6 @@ use ccr_edf::network::RingNetwork;
 use ccr_edf::NodeId;
 use ccr_sim::{SimTime, TimeDelta};
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
 /// Why a fabric could not be constructed.
 #[derive(Debug)]
@@ -152,9 +145,6 @@ pub struct FabricConfig {
     pub ring_configs: Vec<NetworkConfig>,
     /// Bridge buffer policy (shared by every bridge direction).
     pub bridge: BridgeConfig,
-    /// Worker threads for the ring phase (1 = serial). More threads than
-    /// rings are never spawned.
-    pub threads: usize,
     /// Scripted fabric-level fault injection. Ring-local events are
     /// distributed into the per-ring fault scripts at build time (lockstep
     /// keeps ring slot counters equal to the fabric's); bridge kills and
@@ -195,17 +185,10 @@ impl FabricConfig {
             topology,
             ring_configs,
             bridge: BridgeConfig::default(),
-            threads: 1,
             fault_script: FabricFaultScript::default(),
             calculus: false,
             calculus_force_full: false,
         })
-    }
-
-    /// Set the ring-phase thread count.
-    pub fn threads(mut self, t: usize) -> Self {
-        self.threads = t;
-        self
     }
 
     /// Set the bridge buffer policy.
@@ -381,16 +364,6 @@ impl std::fmt::Display for InjectError {
     }
 }
 
-/// Bookkeeping for a forward sitting in (or just popped from) a queue.
-#[derive(Debug, Clone, Copy)]
-struct ForwardMeta {
-    fid: FabricConnectionId,
-    /// Segment the message is about to traverse.
-    seg_idx: usize,
-    /// End-to-end latency accumulated over the previous segments.
-    accumulated: TimeDelta,
-}
-
 /// A message in flight on segment `seg_idx` of a connection, awaiting its
 /// delivery record. FIFO per (connection, segment): successive messages of
 /// one connection carry strictly increasing deadlines, so EDF preserves
@@ -403,94 +376,10 @@ struct Inflight {
     accumulated: TimeDelta,
 }
 
-/// A persistent worker pool for the ring phase.
-///
-/// Scoped fork-join (spawn N threads, step, join) costs tens of
-/// microseconds per slot — more than the ring work it distributes. The
-/// pool amortises that: workers are spawned once per fabric and park on a
-/// channel between slots. Worker `w` of `t` owns rings `{i : i mod t = w}`
-/// — a static assignment, so every ring is stepped by exactly one worker
-/// and no two workers contend on a ring lock. Results carry their ring
-/// index and are re-ordered by the caller, which makes the phase
-/// deterministic regardless of scheduling.
-struct RingPool {
-    /// One command channel per worker; a `()` means "step your rings".
-    /// Dropping the senders shuts the workers down.
-    cmd_txs: Vec<mpsc::Sender<()>>,
-    /// Shared result channel: `(ring index, that slot's deliveries)`.
-    result_rx: mpsc::Receiver<(usize, Vec<Delivery>)>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl RingPool {
-    fn spawn(rings: &Arc<Vec<Mutex<RingNetwork>>>, threads: usize) -> Self {
-        let (result_tx, result_rx) = mpsc::channel();
-        let mut cmd_txs = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (cmd_tx, cmd_rx) = mpsc::channel::<()>();
-            let rings = Arc::clone(rings);
-            let result_tx = result_tx.clone();
-            let mine: Vec<usize> = (w..rings.len()).step_by(threads).collect();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ring-pool-{w}"))
-                    .spawn(move || {
-                        while cmd_rx.recv().is_ok() {
-                            for &i in &mine {
-                                let deliveries = {
-                                    let mut ring = rings[i].lock().expect("ring lock");
-                                    ring.step_slot().deliveries.clone()
-                                };
-                                if result_tx.send((i, deliveries)).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn ring worker"),
-            );
-            cmd_txs.push(cmd_tx);
-        }
-        RingPool {
-            cmd_txs,
-            result_rx,
-            handles,
-        }
-    }
-
-    /// Step every ring once, returning deliveries in ring-index order.
-    fn step_all(&self, n_rings: usize, out: &mut Vec<Vec<Delivery>>) {
-        out.clear();
-        // ccr-verify: allow(alloc-in-hot-path) -- empty-Vec placeholders; the workers swap in their reused per-ring buffers
-        out.resize(n_rings, Vec::new());
-        for tx in &self.cmd_txs {
-            tx.send(()).expect("ring worker alive");
-        }
-        for _ in 0..n_rings {
-            let (i, deliveries) = self
-                .result_rx
-                // ccr-verify: allow(blocking-in-hot-path) -- pool barrier: the fabric slot is complete only when every ring worker reports; the 120 s watchdog bounds a crashed worker
-                .recv_timeout(std::time::Duration::from_secs(120))
-                .expect("ring worker finished its slot");
-            out[i] = deliveries;
-        }
-    }
-}
-
-impl Drop for RingPool {
-    fn drop(&mut self) {
-        self.cmd_txs.clear(); // hang up: workers exit their recv loop
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// A multi-ring CCR-EDF fabric.
 pub struct Fabric {
     topo: FabricTopology,
-    rings: Arc<Vec<Mutex<RingNetwork>>>,
+    rings: Vec<RingNetwork>,
     envs: Vec<SegmentEnv>,
     bridge_cfg: BridgeConfig,
     /// Two queues per bridge: `2·b` carries a→b traffic, `2·b + 1` b→a.
@@ -506,14 +395,9 @@ pub struct Fabric {
     connections: HashMap<FabricConnectionId, ActiveConnection>,
     by_ring_conn: HashMap<(u16, ConnectionId), (FabricConnectionId, usize)>,
     inflight: HashMap<(FabricConnectionId, usize), VecDeque<Inflight>>,
-    fwd_meta: HashMap<u64, ForwardMeta>,
     metrics: FabricMetrics,
     next_fid: u64,
     fwd_seq: u64,
-    /// Ring-phase workers; `None` steps the rings serially in-place.
-    pool: Option<RingPool>,
-    // scratch reused across slots
-    delivery_buf: Vec<Vec<Delivery>>,
     /// Per-ring recovering flags filled by the health scan each slot.
     health_scratch: Vec<bool>,
     /// End-to-end certifier: present when the topology allows cycles with
@@ -605,16 +489,13 @@ impl Fabric {
             .iter()
             .map(|rc| vec![true; rc.n_nodes as usize])
             .collect();
-        let rings: Arc<Vec<Mutex<RingNetwork>>> = Arc::new(
-            ring_cfgs
-                .iter()
-                .map(|rc| Mutex::new(RingNetwork::new_ccr_edf(rc.clone())))
-                .collect(),
-        );
+        let rings: Vec<RingNetwork> = ring_cfgs
+            .iter()
+            .map(|rc| RingNetwork::new_ccr_edf(rc.clone()))
+            .collect();
         let envs: Vec<SegmentEnv> = rings
             .iter()
             .map(|r| {
-                let r = r.lock().expect("ring lock");
                 let a = r.analytic();
                 SegmentEnv {
                     slot: a.slot(),
@@ -625,8 +506,6 @@ impl Fabric {
             .collect();
         let n_queues = cfg.topology.n_queues();
         let queue_egress: Vec<usize> = cfg.topology.queue_egress();
-        let threads = cfg.threads.clamp(1, rings.len());
-        let pool = (threads > 1).then(|| RingPool::spawn(&rings, threads));
         let n_bridges = cfg.topology.bridges().len();
         let want_calculus =
             cfg.calculus || cfg.topology.cycle_bound() == Some(CycleBound::Calculus);
@@ -653,12 +532,9 @@ impl Fabric {
             connections: HashMap::new(),
             by_ring_conn: HashMap::new(),
             inflight: HashMap::new(),
-            fwd_meta: HashMap::new(),
             metrics: FabricMetrics::new(),
             next_fid: 1,
             fwd_seq: 0,
-            pool,
-            delivery_buf: Vec::new(),
             health_scratch: Vec::new(),
             calculus,
             observed_e2e: HashMap::new(),
@@ -692,13 +568,9 @@ impl Fabric {
         self.metrics.flush_ring_health(last);
     }
 
-    /// Snapshot of ring `r`'s metrics (cloned out of the ring lock).
+    /// Snapshot of ring `r`'s metrics.
     pub fn ring_metrics(&self, r: RingId) -> Metrics {
-        self.rings[r.0 as usize]
-            .lock()
-            .expect("ring lock")
-            .metrics()
-            .clone()
+        self.rings[r.0 as usize].metrics().clone()
     }
 
     /// Per-ring timing environments (indexed by ring id).
@@ -710,24 +582,18 @@ impl Fabric {
     /// runs in lockstep, so this is the canonical fabric time external
     /// producers (gateways) should stamp injections with.
     pub fn now(&self) -> SimTime {
-        self.rings[0].lock().expect("ring lock").now()
+        self.rings[0].now()
     }
 
-    /// Inspect ring `r` under its lock (e.g. to read
-    /// [`RingNetwork::last_outcome`] for slot tracing between fabric
-    /// steps).
+    /// Inspect ring `r` (e.g. to read [`RingNetwork::last_outcome`] for
+    /// slot tracing between fabric steps).
     pub fn with_ring<T>(&self, r: RingId, f: impl FnOnce(&RingNetwork) -> T) -> T {
-        f(&self.rings[r.0 as usize].lock().expect("ring lock"))
+        f(&self.rings[r.0 as usize])
     }
 
     /// Number of admitted end-to-end connections.
     pub fn active_connections(&self) -> usize {
         self.connections.len()
-    }
-
-    /// Total occupancy of all bridge buffers right now.
-    pub fn bridge_occupancy(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
     }
 
     /// The bridge-queue index crossed when leaving `segment` over bridge
@@ -912,8 +778,7 @@ impl Fabric {
             let mut ring_conns: Vec<ConnectionId> = Vec::with_capacity(plan.segments.len());
             let mut failed: Option<(usize, _)> = None;
             for (i, seg) in plan.segments.iter().enumerate() {
-                let ring_idx = seg.segment.ring.0 as usize;
-                let mut ring = self.rings[ring_idx].lock().expect("ring lock");
+                let ring = &mut self.rings[seg.segment.ring.0 as usize];
                 let res = if class == ConnClass::BestEffort {
                     ring.reserve_best_effort(seg.spec.clone())
                 } else if i == 0 && class == ConnClass::Periodic {
@@ -921,7 +786,6 @@ impl Fabric {
                 } else {
                     ring.reserve_connection(seg.spec.clone())
                 };
-                drop(ring);
                 match res {
                     Ok(id) => ring_conns.push(id),
                     Err(error) => {
@@ -933,18 +797,12 @@ impl Fabric {
             if let Some((segment, error)) = failed {
                 for (j, id) in ring_conns.into_iter().enumerate() {
                     let rj = plan.segments[j].segment.ring.0 as usize;
-                    self.rings[rj]
-                        .lock()
-                        .expect("ring lock")
-                        .close_connection(id);
+                    self.rings[rj].close_connection(id);
                 }
                 for (qi, conns) in admitted.into_iter().enumerate() {
                     for (j, id) in conns.into_iter().enumerate() {
                         let rj = plans[qi].segments[j].segment.ring.0 as usize;
-                        self.rings[rj]
-                            .lock()
-                            .expect("ring lock")
-                            .close_connection(id);
+                        self.rings[rj].close_connection(id);
                     }
                 }
                 if class != ConnClass::BestEffort {
@@ -1013,11 +871,7 @@ impl Fabric {
             .zip(active.plan.segments.iter())
             .enumerate()
         {
-            let ring_idx = seg.segment.ring.0 as usize;
-            self.rings[ring_idx]
-                .lock()
-                .expect("ring lock")
-                .close_connection(rc);
+            self.rings[seg.segment.ring.0 as usize].close_connection(rc);
             self.by_ring_conn.remove(&(seg.segment.ring.0, rc));
             self.inflight.remove(&(fid, i));
         }
@@ -1076,8 +930,7 @@ impl Fabric {
         let rel_deadline = seg.spec.effective_deadline();
         let size = seg.spec.size_slots;
         let conn = active.ring_conns[0];
-        // ccr-verify: allow(blocking-in-hot-path) -- the gateway pump and the slot engine share one thread; the per-ring mutex is uncontended at inject time
-        let mut ring = self.rings[ring_idx].lock().expect("ring lock");
+        let ring = &mut self.rings[ring_idx];
         let now = ring.now();
         let msg = if class == ConnClass::BestEffort {
             let mut m = Message::best_effort(
@@ -1100,7 +953,6 @@ impl Fabric {
             )
         };
         ring.submit_message(now, msg);
-        drop(ring);
         if class == ConnClass::BestEffort {
             self.metrics.be_injected.incr();
         } else {
@@ -1133,12 +985,6 @@ impl Fabric {
     /// one fails with [`InjectError::UnknownConnection`] forever.
     pub fn drain_connection_events(&mut self, out: &mut Vec<ConnectionEvent>) {
         out.append(&mut self.conn_events);
-    }
-
-    /// Is `fid` a currently admitted connection? `false` for ids that
-    /// were closed, rerouted (the new route has a new id), or revoked.
-    pub fn connection_open(&self, fid: FabricConnectionId) -> bool {
-        self.connections.contains_key(&fid)
     }
 
     /// Is the network-calculus certifier active on this fabric?
@@ -1198,12 +1044,10 @@ impl Fabric {
         self.metrics.bridges_killed.incr();
         // Flush both direction queues — those messages have no path now.
         for qi in [2 * bridge, 2 * bridge + 1] {
-            while let Some(pf) = self.queues[qi].pop_earliest() {
-                self.fwd_meta.remove(&pf.seq);
+            while self.queues[qi].pop_earliest().is_some() {
                 self.metrics.fault_dropped_forwards.incr();
             }
-            while let Some(pf) = self.be_queues[qi].pop_earliest() {
-                self.fwd_meta.remove(&pf.seq);
+            while self.be_queues[qi].pop_earliest().is_some() {
                 self.metrics.fault_dropped_forwards.incr();
             }
         }
@@ -1225,7 +1069,7 @@ impl Fabric {
             return;
         }
         self.ring_alive[r][n] = false;
-        self.rings[r].lock().expect("ring lock").fail_node(g.node);
+        self.rings[r].fail_node(g.node);
         let cascade: Vec<usize> = self
             .topo
             .bridges()
@@ -1257,8 +1101,6 @@ impl Fabric {
                         .zip(a.plan.segments.iter())
                         .any(|(&rc, seg)| {
                             !self.rings[seg.segment.ring.0 as usize]
-                                .lock()
-                                .expect("ring lock")
                                 .admission()
                                 .is_admitted(rc)
                         })
@@ -1341,8 +1183,7 @@ impl Fabric {
         if held_down {
             return;
         }
-        // ccr-verify: allow(blocking-in-hot-path) -- serial phase: ring workers are parked between pool rounds; the per-ring mutex is uncontended by construction
-        if self.rings[r].lock().expect("ring lock").repair_node(g.node) {
+        if self.rings[r].repair_node(g.node) {
             self.ring_alive[r][n] = true;
         }
     }
@@ -1433,9 +1274,7 @@ impl Fabric {
         // ccr-verify: allow(alloc-in-hot-path) -- empty Vec, allocates only on a death event
         let mut deaths: Vec<GlobalNodeId> = Vec::new();
         self.health_scratch.clear();
-        for r in 0..self.rings.len() {
-            // ccr-verify: allow(blocking-in-hot-path) -- serial phase: ring workers are parked between pool rounds; the per-ring mutex is uncontended by construction
-            let ring = self.rings[r].lock().expect("ring lock");
+        for (r, ring) in self.rings.iter().enumerate() {
             let recovering = ring.last_outcome().recovering;
             self.health_scratch.push(recovering);
             if recovering {
@@ -1466,8 +1305,7 @@ impl Fabric {
     /// Execute one fabric slot (every ring advances one MAC slot).
     pub fn step_slot(&mut self) {
         // Phase 0 — scripted bridge kills and repairs land at the slot
-        // boundary, before any ring steps; serial, so the outcome is
-        // identical for any ring-phase thread count.
+        // boundary, before any ring steps.
         let slot = self.metrics.slots.get();
         while self.event_cursor < self.bridge_events.len()
             && self.bridge_events[self.event_cursor].0 <= slot
@@ -1487,38 +1325,30 @@ impl Fabric {
                 }
             }
         }
-        // Phase 1 — ring stepping. With a pool, each ring is stepped by its
-        // owning worker and deliveries are re-ordered by ring index; the
-        // serial path steps rings in index order directly.
-        let n = self.rings.len();
-        let mut delivered = std::mem::take(&mut self.delivery_buf);
-        match &self.pool {
-            Some(pool) => pool.step_all(n, &mut delivered),
-            None => {
-                delivered.clear();
-                for i in 0..n {
-                    // ccr-verify: allow(blocking-in-hot-path) -- serial phase: ring workers are parked between pool rounds; the per-ring mutex is uncontended by construction
-                    let mut ring = self.rings[i].lock().expect("ring lock");
-                    // ccr-verify: allow(alloc-in-hot-path) -- serial fallback copies each ring's delivery list; the pooled path reuses buffers
-                    delivered.push(ring.step_slot().deliveries.clone());
-                }
-            }
+        // Phase 1 — every ring steps, in index order, before any delivery
+        // is handled: a bridge hand-off is stamped with its egress ring's
+        // post-step clock.
+        for ring in &mut self.rings {
+            ring.step_slot();
         }
 
-        // Phase 1.5 — health scan, fault runs only (serial).
+        // Phase 1.5 — health scan, fault runs only.
         if self.track_faults {
             self.scan_ring_health();
         }
 
-        // Phase 2 — serial exchange: ring-index order, then delivery order.
-        for (ring_idx, deliveries) in delivered.iter().enumerate() {
-            for d in deliveries {
-                self.handle_delivery(ring_idx as u16, d);
+        // Phase 2 — exchange: ring-index order, then delivery order. The
+        // rings are set aside for the scan so each one's delivery list is
+        // read in place while the fabric's bookkeeping changes.
+        let rings = std::mem::take(&mut self.rings);
+        for (r, ring) in rings.iter().enumerate() {
+            for d in &ring.last_outcome().deliveries {
+                self.handle_delivery(&rings, r as u16, d);
             }
         }
-        self.delivery_buf = delivered;
+        self.rings = rings;
 
-        // Phase 3 — serial injection, queue-index order. The guaranteed
+        // Phase 3 — injection, queue-index order. The guaranteed
         // queue is drained first; best-effort forwards consume only
         // whatever is left of the per-slot budget, so they can never
         // delay a certified forward at the bridge.
@@ -1560,28 +1390,24 @@ impl Fabric {
     /// Submit one popped forward into its egress ring — the phase-3
     /// tail shared by the guaranteed and best-effort queue drains.
     fn submit_forward(&mut self, qi: usize, pf: PendingForward) {
-        let meta = self
-            .fwd_meta
-            .remove(&pf.seq)
-            .expect("every queued forward has metadata");
-        let ring_idx = self.queue_egress[qi];
-        // ccr-verify: allow(blocking-in-hot-path) -- serial phase: ring workers are parked between pool rounds; the per-ring mutex is uncontended by construction
-        let mut ring = self.rings[ring_idx].lock().expect("ring lock");
+        let ring = &mut self.rings[self.queue_egress[qi]];
         let now = ring.now();
         let wait = now.saturating_since(pf.enqueued);
         ring.submit_message(now, pf.msg);
-        drop(ring);
         self.metrics.record_forward(wait);
         self.inflight
-            .entry((meta.fid, meta.seg_idx))
+            .entry((pf.fid, pf.seg_idx))
             .or_default()
             .push_back(Inflight {
                 entered: pf.enqueued,
-                accumulated: meta.accumulated,
+                accumulated: pf.accumulated,
             });
     }
 
-    fn handle_delivery(&mut self, ring: u16, d: &Delivery) {
+    /// Route one delivery of ring `ring`: close its end-to-end record or
+    /// queue it at the next bridge. `rings` is the fabric's ring set, read
+    /// for the hand-off clock.
+    fn handle_delivery(&mut self, rings: &[RingNetwork], ring: u16, d: &Delivery) {
         let Some(conn) = d.msg.connection else {
             return;
         };
@@ -1663,8 +1489,7 @@ impl Fabric {
             Some((qi, egress_ring, from, to, rel_deadline, egress_conn)) => {
                 // Hand off to the bridge: timestamp and sub-deadline on the
                 // egress ring's clock.
-                // ccr-verify: allow(blocking-in-hot-path) -- serial phase: ring workers are parked between pool rounds; the per-ring mutex is uncontended by construction
-                let now = self.rings[egress_ring].lock().expect("ring lock").now();
+                let now = rings[egress_ring].now();
                 let size = d.msg.size_slots;
                 let msg = if class == ConnClass::BestEffort {
                     let mut m = Message::best_effort(
@@ -1686,28 +1511,21 @@ impl Fabric {
                         egress_conn,
                     )
                 };
-                let seq = self.fwd_seq;
-                self.fwd_seq += 1;
-                self.fwd_meta.insert(
-                    seq,
-                    ForwardMeta {
-                        fid,
-                        seg_idx: seg_idx + 1,
-                        accumulated: total,
-                    },
-                );
                 let pending = PendingForward {
                     msg,
                     enqueued: now,
-                    seq,
+                    seq: self.fwd_seq,
+                    fid,
+                    seg_idx: seg_idx + 1,
+                    accumulated: total,
                 };
+                self.fwd_seq += 1;
                 let dropped = if class == ConnClass::BestEffort {
                     self.be_queues[qi].push(pending, &self.bridge_cfg)
                 } else {
                     self.queues[qi].push(pending, &self.bridge_cfg)
                 };
-                if let Some(dp) = dropped {
-                    self.fwd_meta.remove(&dp.seq);
+                if dropped.is_some() {
                     if class == ConnClass::BestEffort {
                         self.metrics.be_bridge_drops.incr();
                     } else {
@@ -1930,15 +1748,12 @@ mod tests {
     }
 
     #[test]
-    fn calculus_verdicts_are_identical_across_thread_counts() {
-        let mut bounds_by_threads = Vec::new();
-        for threads in [1usize, 4] {
+    fn calculus_verdicts_replay_pinned_bounds() {
+        let run = || {
             let topo = triangle(8, CycleBound::Calculus);
-            let cfg = FabricConfig::uniform(topo, 2048, 3)
-                .unwrap()
-                .threads(threads);
+            let cfg = FabricConfig::uniform(topo, 2048, 3).unwrap();
             let mut fabric = Fabric::new(cfg).unwrap();
-            let mut run = Vec::new();
+            let mut bounds = Vec::new();
             for (src, dst) in [
                 (GlobalNodeId::new(0, 2), GlobalNodeId::new(1, 3)),
                 (GlobalNodeId::new(1, 4), GlobalNodeId::new(2, 3)),
@@ -1950,13 +1765,16 @@ mod tests {
                     )
                     .unwrap();
                 fabric.run_slots(50);
-                run.push(fabric.e2e_bound(fid).unwrap());
+                bounds.push(fabric.e2e_bound(fid).unwrap().as_ps());
             }
-            bounds_by_threads.push(run);
-        }
+            bounds
+        };
+        let bounds = run();
+        assert_eq!(bounds, run(), "certified bounds replay bit for bit");
         assert_eq!(
-            bounds_by_threads[0], bounds_by_threads[1],
-            "certified bounds must be bit-identical for any thread count"
+            bounds,
+            [43_089_156, 48_612_369, 54_112_024],
+            "certified bounds moved"
         );
     }
 
@@ -2139,24 +1957,18 @@ mod tests {
         // connections until one bounces, leaving headroom < 0.05.
         let slot = fabric.segment_envs()[1].slot;
         let period = slot.times(20);
-        {
-            let mut r1 = fabric.rings[1].lock().unwrap();
-            while r1
-                .open_connection(
-                    ccr_edf::connection::ConnectionSpec::unicast(
-                        ccr_phys::NodeId(2),
-                        ccr_phys::NodeId(4),
-                    )
-                    .period(period)
-                    .size_slots(1),
+        while fabric.rings[1]
+            .open_connection(
+                ccr_edf::connection::ConnectionSpec::unicast(
+                    ccr_phys::NodeId(2),
+                    ccr_phys::NodeId(4),
                 )
-                .is_ok()
-            {}
-        }
-        let before: usize = {
-            let r0 = fabric.rings[0].lock().unwrap();
-            r0.admission().admitted_count()
-        };
+                .period(period)
+                .size_slots(1),
+            )
+            .is_ok()
+        {}
+        let before = fabric.rings[0].admission().admitted_count();
         let err = fabric
             .open_connection(
                 FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 2))
@@ -2170,10 +1982,7 @@ mod tests {
             ),
             "unexpected: {err:?}"
         );
-        let after: usize = {
-            let r0 = fabric.rings[0].lock().unwrap();
-            r0.admission().admitted_count()
-        };
+        let after = fabric.rings[0].admission().admitted_count();
         assert_eq!(before, after, "ring 0's admission rolled back");
         assert_eq!(fabric.active_connections(), 0);
     }

@@ -7,8 +7,7 @@
 //! the engine steps every ring in lockstep (fabric slot *k* is ring slot
 //! *k* on every ring), ring-local events distribute losslessly into the
 //! per-ring scripts at build time; only bridge kills need a fabric-level
-//! cursor, applied in the serial portion of the step so the outcome is
-//! bit-identical for any ring-phase thread count.
+//! cursor, applied at the top of the step before any ring moves.
 
 use crate::topology::RingId;
 use ccr_edf::fault::{FaultKind, FaultScript};
@@ -66,7 +65,7 @@ pub struct FabricFaultEvent {
 ///
 /// Like the ring-level script, events are kept sorted by slot and the same
 /// script always replays bit-for-bit: the differential tests assert that
-/// one seed + one script yields `==` metrics for any thread count.
+/// one seed + one script yields `==` metrics on every run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FabricFaultScript {
     events: Vec<FabricFaultEvent>,

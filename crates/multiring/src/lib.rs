@@ -22,9 +22,9 @@
 //! - [`admission`] — the pure end-to-end planner: floors from each ring's
 //!   analytic worst-case latency, slack split proportionally to slot time,
 //!   one per-ring sub-connection per segment.
-//! - [`engine`] — the lockstep fabric stepper: parallel per-ring slot
-//!   execution (deterministic for any thread count), serial bridge
-//!   exchange between slots, end-to-end admission with rollback.
+//! - [`engine`] — the lockstep fabric stepper: every ring steps one slot
+//!   in place, then bridges exchange between slots; end-to-end admission
+//!   with rollback.
 //! - [`fault`] — fabric-level fault scripting: ring-local fault events
 //!   aimed at specific rings plus bridge kills, replayed bit-for-bit; the
 //!   engine reroutes or revokes affected end-to-end connections.

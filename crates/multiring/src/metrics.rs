@@ -2,9 +2,8 @@
 //!
 //! Like [`ccr_edf::metrics::Metrics`], [`FabricMetrics`] is purely a
 //! function of the simulated schedule — no wall-clock state — so two runs
-//! of the same fabric scenario must compare equal with `==` regardless of
-//! thread count. The determinism tests rely on this to prove parallel
-//! per-ring stepping is bit-identical to serial stepping.
+//! of the same fabric scenario must compare equal with `==`. The
+//! determinism tests rely on this to prove fabric runs replay bit for bit.
 
 use ccr_sim::stats::{Counter, Histogram, Series};
 use ccr_sim::TimeDelta;

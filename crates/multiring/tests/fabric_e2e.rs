@@ -1,20 +1,21 @@
 //! End-to-end fabric acceptance tests: bridge-crossing delivery within
 //! decomposed deadlines, admission rejection of infeasible sets, and
-//! bit-identical serial-vs-parallel stepping.
+//! same-seed runs that replay bit for bit and match recorded values.
+
+mod common;
 
 use ccr_multiring::prelude::*;
+use common::{all_ring_metrics, ring_counts, segment_maxima};
 
-fn chain_fabric(rings: u16, nodes: u16, threads: usize, seed: u64) -> Fabric {
+fn chain_fabric(rings: u16, nodes: u16, seed: u64) -> Fabric {
     let topo = FabricTopology::chain(rings, nodes);
-    let cfg = FabricConfig::uniform(topo, 2048, seed)
-        .unwrap()
-        .threads(threads);
+    let cfg = FabricConfig::uniform(topo, 2048, seed).unwrap();
     Fabric::new(cfg).unwrap()
 }
 
 #[test]
 fn two_ring_smoke_crosses_the_bridge_within_deadline() {
-    let mut fabric = chain_fabric(2, 6, 1, 101);
+    let mut fabric = chain_fabric(2, 6, 101);
     let slot = fabric.segment_envs()[0].slot;
     fabric
         .open_connection(
@@ -42,7 +43,7 @@ fn two_ring_smoke_crosses_the_bridge_within_deadline() {
 
 #[test]
 fn three_ring_two_bridge_set_admits_and_meets_deadlines() {
-    let mut fabric = chain_fabric(3, 8, 1, 202);
+    let mut fabric = chain_fabric(3, 8, 202);
     let slot = fabric.segment_envs()[0].slot;
     // A cross-ring set spanning one and two bridges, plus a local stream.
     let set = [
@@ -71,7 +72,7 @@ fn three_ring_two_bridge_set_admits_and_meets_deadlines() {
 
 #[test]
 fn infeasible_set_rejected_at_admission() {
-    let mut fabric = chain_fabric(2, 6, 1, 303);
+    let mut fabric = chain_fabric(2, 6, 303);
     let slot = fabric.segment_envs()[0].slot;
     // Deadline below the segment floors: rejected before touching a ring.
     let too_tight = FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 3))
@@ -106,9 +107,9 @@ fn infeasible_set_rejected_at_admission() {
 }
 
 #[test]
-fn parallel_stepping_is_bit_identical_to_serial() {
-    let run = |threads: usize| {
-        let mut fabric = chain_fabric(3, 8, threads, 404);
+fn three_ring_stepping_replays_pinned_values() {
+    let run = || {
+        let mut fabric = chain_fabric(3, 8, 404);
         let slot = fabric.segment_envs()[0].slot;
         let set = [
             FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(2, 3))
@@ -122,33 +123,35 @@ fn parallel_stepping_is_bit_identical_to_serial() {
             fabric.open_connection(spec).unwrap();
         }
         fabric.run_slots(8_000);
-        let per_ring: Vec<_> = (0..3).map(|r| fabric.ring_metrics(RingId(r))).collect();
-        (fabric.metrics().clone(), per_ring)
+        (fabric.metrics().clone(), all_ring_metrics(&fabric))
     };
-    let (serial, serial_rings) = run(1);
-    assert!(serial.e2e_delivered.get() > 0, "scenario produces traffic");
-    for threads in [2usize, 4, 8] {
-        let (parallel, parallel_rings) = run(threads);
-        assert_eq!(
-            serial, parallel,
-            "fabric metrics diverge at {threads} threads"
-        );
-        assert_eq!(
-            serial_rings, parallel_rings,
-            "per-ring metrics diverge at {threads} threads"
-        );
-    }
+    let first = run();
+    assert_eq!(first, run(), "same seed, same run");
+    let (m, rings) = &first;
+    assert!(m.e2e_delivered.get() > 0, "scenario produces traffic");
+    assert_eq!(
+        (m.e2e_delivered.get(), m.forwarded.get(), segment_maxima(m)),
+        (145, 199, vec![15_550, 16_060, 10_590]),
+        "fabric counters moved"
+    );
+    assert_eq!(
+        ring_counts(rings),
+        [
+            [102, 102, 96, 208_896],
+            [145, 145, 144, 296_960],
+            [97, 97, 85, 198_656],
+        ],
+        "per-ring counters moved"
+    );
 }
 
 #[test]
 fn faulty_rings_keep_fabric_deterministic() {
     // Token-loss fault injection exercises each ring's RNG; determinism
     // must still hold because every ring owns an independent seeded RNG.
-    let run = |threads: usize| {
+    let run = || {
         let topo = FabricTopology::chain(2, 6);
-        let mut cfg = FabricConfig::uniform(topo, 2048, 505)
-            .unwrap()
-            .threads(threads);
+        let mut cfg = FabricConfig::uniform(topo, 2048, 505).unwrap();
         for rc in &mut cfg.ring_configs {
             rc.faults.token_loss_prob = 0.02;
             rc.faults.recovery_timeout_slots = 3;
@@ -162,10 +165,22 @@ fn faulty_rings_keep_fabric_deterministic() {
             )
             .unwrap();
         fabric.run_slots(6_000);
-        fabric.metrics().clone()
+        (fabric.metrics().clone(), all_ring_metrics(&fabric))
     };
-    let serial = run(1);
-    let parallel = run(4);
-    assert_eq!(serial, parallel);
-    assert!(serial.e2e_delivered.get() > 0);
+    let first = run();
+    assert_eq!(first, run(), "same seed, same run");
+    let (m, rings) = &first;
+    assert!(m.e2e_delivered.get() > 0);
+    assert_eq!(
+        (m.e2e_delivered.get(), m.forwarded.get(), segment_maxima(m)),
+        (60, 60, vec![32_770, 20_630]),
+        "fabric counters moved"
+    );
+    let tokens_lost: Vec<u64> = rings.iter().map(|r| r.tokens_lost.get()).collect();
+    assert_eq!(tokens_lost, [124, 109], "token losses moved");
+    assert_eq!(
+        ring_counts(rings),
+        [[60, 60, 57, 122_880], [60, 60, 0, 122_880]],
+        "per-ring counters moved"
+    );
 }

@@ -4,15 +4,20 @@
 //!   budgets sum back *exactly*, to the picosecond, for arbitrary hop
 //!   counts, weights and deadlines — the e2e guarantee composes from the
 //!   per-segment guarantees only if nothing is lost to rounding.
-//! * The restart-node election composed with a fault-cascaded bridge kill
-//!   must stay bit-identical across ring-phase thread counts.
+//! * The restart-node election composed with a fault-cascaded bridge kill,
+//!   and a kill → repair → reclaim story, must replay bit for bit and
+//!   match their recorded values.
+
+mod common;
 
 use ccr_edf::fault::FaultKind;
+use ccr_edf::metrics::Metrics;
 use ccr_multiring::bridge::decompose_deadline;
 use ccr_multiring::prelude::*;
 use ccr_phys::NodeId;
 use ccr_sim::rng::DetRng;
 use ccr_sim::TimeDelta;
+use common::{all_ring_metrics, ring_counts, segment_maxima};
 
 #[test]
 fn deadline_decomposition_sums_exactly_for_random_inputs() {
@@ -70,9 +75,8 @@ fn degenerate_decompositions_are_rejected() {
 /// Triangle fabric where ring 0's node 0 is both the designated restart
 /// node and a bridge endpoint: failing it cascades into a bridge kill, and
 /// the follow-up token loss forces the restart-successor election. The
-/// whole composition must replay bit-identically for any ring-phase thread
-/// count.
-fn election_with_bridge_kill(threads: usize) -> (FabricMetrics, Vec<ccr_edf::metrics::Metrics>) {
+/// whole composition must replay bit-identically.
+fn election_with_bridge_kill() -> (FabricMetrics, Vec<Metrics>) {
     let mut b = FabricTopology::builder();
     for _ in 0..3 {
         b.ring(6);
@@ -87,7 +91,7 @@ fn election_with_bridge_kill(threads: usize) -> (FabricMetrics, Vec<ccr_edf::met
     for rc in &mut cfg.ring_configs {
         rc.faults.recovery_timeout_slots = 6;
     }
-    let cfg = cfg.threads(threads).fault_script(
+    let cfg = cfg.fault_script(
         FabricFaultScript::new()
             // Kills the designated restart node; its bridge dies with it.
             .ring_at(100, RingId(0), FaultKind::FailNode(NodeId(0)))
@@ -104,54 +108,65 @@ fn election_with_bridge_kill(threads: usize) -> (FabricMetrics, Vec<ccr_edf::met
         .unwrap();
     fabric.run_slots(20_000);
     fabric.flush_health_series();
-    let rings = (0..3).map(|r| fabric.ring_metrics(RingId(r))).collect();
-    (fabric.metrics().clone(), rings)
+    (fabric.metrics().clone(), all_ring_metrics(&fabric))
 }
 
 #[test]
-fn restart_election_with_bridge_kill_is_thread_count_invariant() {
-    let (serial, serial_rings) = election_with_bridge_kill(1);
+fn restart_election_with_bridge_kill_replays_pinned_values() {
+    let first = election_with_bridge_kill();
+    assert_eq!(first, election_with_bridge_kill(), "same seed, same run");
+    let (m, rings) = &first;
 
     // The story actually happened: the node death took its bridge down,
     // the ring lost and recovered its clock, and the crossing connection
     // failed over to the detour through ring 2.
-    assert_eq!(serial.bridges_killed.get(), 1, "cascaded bridge kill");
-    assert!(serial.e2e_rerouted.get() >= 1, "detour reroute happened");
-    assert!(
-        serial.degraded_slots.get() > 0,
-        "recovery dead time counted"
-    );
-    assert!(serial.e2e_delivered.get() > 0, "traffic resumed");
-    assert_eq!(serial_rings[0].nodes_failed.get(), 1);
-    assert!(serial_rings[0].tokens_lost.get() >= 1);
-    assert!(serial_rings[0].recovery_slots.get() > 0);
+    assert_eq!(m.bridges_killed.get(), 1, "cascaded bridge kill");
+    assert!(m.e2e_rerouted.get() >= 1, "detour reroute happened");
+    assert!(m.degraded_slots.get() > 0, "recovery dead time counted");
+    assert!(m.e2e_delivered.get() > 0, "traffic resumed");
+    assert_eq!(rings[0].nodes_failed.get(), 1);
+    assert!(rings[0].tokens_lost.get() >= 1);
+    assert!(rings[0].recovery_slots.get() > 0);
     // The per-ring availability series localises the damage: both bridge-0
     // endpoint rings (0: node death + clock loss, 1: peer station bypass)
     // spent recovery slots degraded, while untouched ring 2 stayed at 1.0.
-    assert!(serial.ring_availability_total(0) < 1.0);
-    assert!(serial.ring_availability_total(1) < 1.0);
-    assert_eq!(serial.ring_availability_total(2), 1.0);
-    assert!(!serial.ring_availability.is_empty());
+    assert!(m.ring_availability_total(0) < 1.0);
+    assert!(m.ring_availability_total(1) < 1.0);
+    assert_eq!(m.ring_availability_total(2), 1.0);
+    assert!(!m.ring_availability.is_empty());
 
-    for threads in [2usize, 4] {
-        let (parallel, parallel_rings) = election_with_bridge_kill(threads);
-        assert_eq!(
-            serial, parallel,
-            "fabric metrics diverge at {threads} threads"
-        );
-        assert_eq!(
-            serial_rings, parallel_rings,
-            "per-ring metrics diverge at {threads} threads"
-        );
-    }
+    assert_eq!(
+        (
+            m.e2e_rerouted.get(),
+            m.degraded_slots.get(),
+            m.e2e_delivered.get(),
+            m.forwarded.get(),
+            segment_maxima(m),
+        ),
+        (1, 12, 22, 43, vec![15_340, 10_540, 20_580]),
+        "fabric counters moved"
+    );
+    assert_eq!(
+        (rings[0].tokens_lost.get(), rings[0].recovery_slots.get()),
+        (1, 6),
+        "ring 0 recovery moved"
+    );
+    assert_eq!(
+        ring_counts(rings),
+        [
+            [22, 22, 2, 45_056],
+            [22, 22, 0, 45_056],
+            [21, 21, 1, 43_008],
+        ],
+        "per-ring counters moved"
+    );
 }
 
 /// Kill → repair → reclaim on a cyclic fabric: bridge 0 dies at slot 200
 /// (the crossing connection detours through ring 2), comes back at slot
 /// 6_000 (the connection is reclaimed onto the direct route), and the
-/// whole story must replay bit-identically for any ring-phase thread
-/// count.
-fn kill_repair_reclaim(threads: usize) -> (FabricMetrics, Vec<ccr_edf::metrics::Metrics>) {
+/// whole story must replay bit-identically.
+fn kill_repair_reclaim() -> (FabricMetrics, Vec<Metrics>) {
     let mut b = FabricTopology::builder();
     for _ in 0..3 {
         b.ring(6);
@@ -166,7 +181,7 @@ fn kill_repair_reclaim(threads: usize) -> (FabricMetrics, Vec<ccr_edf::metrics::
     for rc in &mut cfg.ring_configs {
         rc.faults.recovery_timeout_slots = 6;
     }
-    let cfg = cfg.threads(threads).fault_script(
+    let cfg = cfg.fault_script(
         FabricFaultScript::new()
             .kill_bridge_at(200, 0)
             .repair_bridge_at(6_000, 0),
@@ -180,35 +195,46 @@ fn kill_repair_reclaim(threads: usize) -> (FabricMetrics, Vec<ccr_edf::metrics::
         .unwrap();
     fabric.run_slots(20_000);
     fabric.flush_health_series();
-    let rings = (0..3).map(|r| fabric.ring_metrics(RingId(r))).collect();
-    (fabric.metrics().clone(), rings)
+    (fabric.metrics().clone(), all_ring_metrics(&fabric))
 }
 
 #[test]
-fn kill_repair_reclaim_is_thread_count_invariant() {
-    let (serial, serial_rings) = kill_repair_reclaim(1);
+fn kill_repair_reclaim_replays_pinned_values() {
+    let first = kill_repair_reclaim();
+    assert_eq!(first, kill_repair_reclaim(), "same seed, same run");
+    let (m, rings) = &first;
 
-    assert_eq!(serial.bridges_killed.get(), 1);
-    assert_eq!(serial.bridges_repaired.get(), 1, "repair landed");
-    assert!(serial.e2e_rerouted.get() >= 1, "detour on the kill");
+    assert_eq!(m.bridges_killed.get(), 1);
+    assert_eq!(m.bridges_repaired.get(), 1, "repair landed");
+    assert!(m.e2e_rerouted.get() >= 1, "detour on the kill");
     assert!(
-        serial.e2e_reclaimed.get() >= 1,
+        m.e2e_reclaimed.get() >= 1,
         "direct route reclaimed after the repair"
     );
-    assert!(serial.e2e_delivered.get() > 0, "traffic kept flowing");
+    assert!(m.e2e_delivered.get() > 0, "traffic kept flowing");
     // The repaired ports rejoined their rings.
-    assert!(serial_rings[0].nodes_repaired.get() >= 1);
-    assert!(serial_rings[1].nodes_repaired.get() >= 1);
+    assert!(rings[0].nodes_repaired.get() >= 1);
+    assert!(rings[1].nodes_repaired.get() >= 1);
 
-    for threads in [2usize, 4] {
-        let (parallel, parallel_rings) = kill_repair_reclaim(threads);
-        assert_eq!(
-            serial, parallel,
-            "fabric metrics diverge at {threads} threads"
-        );
-        assert_eq!(
-            serial_rings, parallel_rings,
-            "per-ring metrics diverge at {threads} threads"
-        );
-    }
+    assert_eq!(
+        (
+            m.e2e_rerouted.get(),
+            m.e2e_reclaimed.get(),
+            m.e2e_delivered.get(),
+            m.forwarded.get(),
+            segment_maxima(m),
+        ),
+        (1, 1, 22, 28, vec![15_240, 10_640, 20_580]),
+        "fabric counters moved"
+    );
+    assert_eq!(
+        (rings[0].nodes_repaired.get(), rings[1].nodes_repaired.get()),
+        (1, 1),
+        "port repairs moved"
+    );
+    assert_eq!(
+        ring_counts(rings),
+        [[22, 22, 1, 45_056], [22, 22, 1, 45_056], [6, 6, 1, 12_288]],
+        "per-ring counters moved"
+    );
 }

@@ -14,10 +14,10 @@
 //!    resident crossing connections, not the offered load).
 //!
 //! A slot-level JSON-lines trace of ring 0 (the busiest ingress) from the
-//! largest fabric is written to `results/e17_ring0_trace.jsonl` via
-//! [`crate::trace::TraceRecorder::to_jsonl`].
+//! largest fabric is written to `results/e17_ring0_trace.jsonl` (full runs
+//! only) via [`crate::trace::TraceRecorder::to_jsonl`].
 
-use super::{ExpOptions, ExperimentResult};
+use super::{write_results, ExpOptions, ExperimentResult};
 use crate::sweep::parallel_map;
 use crate::trace::TraceRecorder;
 use ccr_multiring::prelude::*;
@@ -178,17 +178,12 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     }
     let jsonl = recorder.to_jsonl();
     assert_eq!(jsonl.lines().count(), recorder.records().count());
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/e17_ring0_trace.jsonl", &jsonl))
-    {
-        Ok(()) => notes.push(format!(
-            "wrote results/e17_ring0_trace.jsonl — {} slot records ({} bytes) of ring 0 \
-             on the {rings}x{nodes} fabric",
-            recorder.records().count(),
-            jsonl.len()
-        )),
-        Err(e) => notes.push(format!("trace export skipped ({e})")),
-    }
+    notes.push(format!(
+        "ring 0 trace: {} slot records ({} bytes) on the {rings}x{nodes} fabric",
+        recorder.records().count(),
+        jsonl.len()
+    ));
+    write_results(opts, &[("e17_ring0_trace.jsonl", &jsonl)], &mut notes);
 
     ExperimentResult {
         tables: vec![table],

@@ -21,13 +21,14 @@
 //!    station mid-run; the affected end-to-end connection is re-admitted
 //!    over the surviving detour and traffic resumes.
 //!
-//! CSV artefacts (best-effort, skipped on read-only checkouts):
+//! CSV artefacts (full runs only; best-effort, skipped on read-only
+//! checkouts):
 //! `results/e18_soak.csv`, `results/e18_selfheal.csv`,
 //! `results/e18_bridge.csv`, and the windowed per-ring availability of the
 //! failover fabric as `results/e18_ring_availability.csv` /
 //! `results/e18_ring_availability.jsonl`.
 
-use super::{base_config, ExpOptions, ExperimentResult};
+use super::{base_config, write_results, ExpOptions, ExperimentResult};
 use crate::sweep::parallel_map;
 use ccr_edf::config::FaultConfig;
 use ccr_edf::connection::ConnectionSpec;
@@ -294,28 +295,17 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
             .to_string(),
     );
 
-    // Best-effort CSV/JSONL artefacts.
-    for (path, table) in [
-        ("results/e18_soak.csv", &soak),
-        ("results/e18_selfheal.csv", &heal),
-        ("results/e18_bridge.csv", &bridge),
-        ("results/e18_ring_availability.csv", &ring_avail),
-    ] {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, table.to_csv()))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
-    {
-        let path = "results/e18_ring_availability.jsonl";
-        match std::fs::create_dir_all("results")
-            .and_then(|()| std::fs::write(path, &ring_avail_jsonl))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
+    write_results(
+        opts,
+        &[
+            ("e18_soak.csv", &soak.to_csv()),
+            ("e18_selfheal.csv", &heal.to_csv()),
+            ("e18_bridge.csv", &bridge.to_csv()),
+            ("e18_ring_availability.csv", &ring_avail.to_csv()),
+            ("e18_ring_availability.jsonl", &ring_avail_jsonl),
+        ],
+        &mut notes,
+    );
 
     ExperimentResult {
         tables: vec![soak, heal, bridge, ring_avail],

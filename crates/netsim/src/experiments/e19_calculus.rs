@@ -26,11 +26,12 @@
 //!    diagnostic (`Utilisation` past capacity); it never silently loops
 //!    or returns an uncertified bound.
 //!
-//! CSV artefacts (best-effort, skipped on read-only checkouts):
+//! CSV artefacts (full runs only; best-effort, skipped on read-only
+//! checkouts):
 //! `results/e19_headline.csv`, `results/e19_differential.csv`,
 //! `results/e19_solver.csv`.
 
-use super::{ExpOptions, ExperimentResult};
+use super::{write_results, ExpOptions, ExperimentResult};
 use crate::sweep::parallel_map;
 use ccr_calculus::{solve, ArrivalCurve, FabricModel, FlowSpec, ServiceCurve, SolveError};
 use ccr_edf::analysis::AnalyticModel;
@@ -87,17 +88,15 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     // --- 3. raw solver behaviour under increasing utilisation ----------
     let solver = solver_table(&mut notes);
 
-    for (path, table) in [
-        ("results/e19_headline.csv", &headline),
-        ("results/e19_differential.csv", &differential),
-        ("results/e19_solver.csv", &solver),
-    ] {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, table.to_csv()))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
+    write_results(
+        opts,
+        &[
+            ("e19_headline.csv", &headline.to_csv()),
+            ("e19_differential.csv", &differential.to_csv()),
+            ("e19_solver.csv", &solver.to_csv()),
+        ],
+        &mut notes,
+    );
 
     ExperimentResult {
         tables: vec![headline, differential, solver],
@@ -110,9 +109,8 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
 /// certificate.
 fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>) -> Table {
     let topo = triangle(8, CycleBound::Calculus);
-    let cfg = FabricConfig::uniform(topo, 2_048, seq.child_seed("headline", 0))
-        .expect("fabric config")
-        .threads(opts.threads);
+    let cfg =
+        FabricConfig::uniform(topo, 2_048, seq.child_seed("headline", 0)).expect("fabric config");
     let mut fabric = Fabric::new(cfg).expect("fabric builds with the certifier armed");
     assert!(fabric.calculus_enabled());
 

@@ -21,10 +21,11 @@
 //!    `1 − bound/deadline` across residents: how much certified margin
 //!    the fabric still holds at scale.
 //!
-//! CSV artefacts (best-effort, skipped on read-only checkouts):
+//! CSV artefacts (full runs only; best-effort, skipped on read-only
+//! checkouts):
 //! `results/e20_churn.csv`, `results/e20_headroom.csv`.
 
-use super::{ExpOptions, ExperimentResult};
+use super::{write_results, ExpOptions, ExperimentResult};
 use ccr_multiring::prelude::*;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::TimeDelta;
@@ -186,16 +187,14 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
         slack[0]
     ));
 
-    for (path, table) in [
-        ("results/e20_churn.csv", &churn_table),
-        ("results/e20_headroom.csv", &headroom_table),
-    ] {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, table.to_csv()))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
+    write_results(
+        opts,
+        &[
+            ("e20_churn.csv", &churn_table.to_csv()),
+            ("e20_headroom.csv", &headroom_table.to_csv()),
+        ],
+        &mut notes,
+    );
 
     ExperimentResult {
         tables: vec![churn_table, headroom_table],

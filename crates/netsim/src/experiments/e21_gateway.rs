@@ -28,10 +28,11 @@
 //! timeline of the headline run is included so the shed bursts are
 //! visible per window.
 //!
-//! CSV artefacts (best-effort, skipped on read-only checkouts):
+//! CSV artefacts (full runs only; best-effort, skipped on read-only
+//! checkouts):
 //! `results/e21_gateway.csv`, `results/e21_overload.csv`.
 
-use super::{ExpOptions, ExperimentResult};
+use super::{write_results, ExpOptions, ExperimentResult};
 use crate::sweep::parallel_map;
 use crate::trace::GatewayTraceRecorder;
 use ccr_gateway::prelude::*;
@@ -51,11 +52,9 @@ const GUARANTEED: [LinkSite; 2] = [(1, (0, 1), (1, 3)), (3, (0, 3), (1, 5))];
 /// The best-effort link driven into overload.
 const BEST_EFFORT: LinkSite = (2, (0, 2), (1, 4));
 
-fn build(seed: u64, threads: usize) -> (Fabric, Gateway, AdmissionReport) {
+fn build(seed: u64) -> (Fabric, Gateway, AdmissionReport) {
     let topo = FabricTopology::chain(2, 6);
-    let cfg = FabricConfig::uniform(topo, 2_048, seed)
-        .expect("fabric config")
-        .threads(threads);
+    let cfg = FabricConfig::uniform(topo, 2_048, seed).expect("fabric config");
     let mut fabric = Fabric::new(cfg).expect("fabric builds");
     let mut links: Vec<VirtualLink> = GUARANTEED
         .iter()
@@ -124,12 +123,11 @@ fn schedule(gap: u64, horizon: u64, factor: f64) -> Vec<(u64, Vec<u8>)> {
 /// recording windowed activity into `recorder` when given.
 fn soak(
     seed: u64,
-    threads: usize,
     horizon: u64,
     factor: f64,
     mut recorder: Option<&mut GatewayTraceRecorder>,
 ) -> (Gateway, Vec<EgressFrame>) {
-    let (mut fabric, mut gateway, report) = build(seed, threads);
+    let (mut fabric, mut gateway, report) = build(seed);
     assert!(
         report.rejected.is_empty() && report.admitted.len() == 3,
         "the scenario's three links all fit the fabric: {report:?}"
@@ -159,16 +157,14 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     let headline = headline_table(opts, &seq, &mut notes);
     let overload = overload_table(opts, &seq, &mut notes);
 
-    for (path, table) in [
-        ("results/e21_gateway.csv", &headline),
-        ("results/e21_overload.csv", &overload),
-    ] {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, table.to_csv()))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
+    write_results(
+        opts,
+        &[
+            ("e21_gateway.csv", &headline.to_csv()),
+            ("e21_overload.csv", &overload.to_csv()),
+        ],
+        &mut notes,
+    );
 
     ExperimentResult {
         tables: vec![headline, overload],
@@ -181,22 +177,24 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
     let seed = seq.child_seed("headline", 0);
     let horizon = opts.slots(60_000);
     let mut recorder = GatewayTraceRecorder::new(8);
-    let (gateway, egress) = soak(seed, opts.threads, horizon, 1.5, Some(&mut recorder));
+    let (gateway, egress) = soak(seed, horizon, 1.5, Some(&mut recorder));
 
-    // Replay: same scenario, fresh state, single-threaded fabric — the
-    // egress wire bytes and every counter must be identical.
-    let (gateway2, egress2) = soak(seed, 1, horizon, 1.5, None);
+    // Replay: same scenario, fresh state — the egress wire bytes and
+    // every counter must be identical.
+    let (gateway2, egress2) = soak(seed, horizon, 1.5, None);
     let wire = |frames: &[EgressFrame]| -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut bytes = Vec::new();
+        let mut frame = Vec::new();
         for f in frames {
-            f.encode_into(&mut buf);
+            f.encode_into(&mut frame);
+            bytes.extend_from_slice(&frame);
         }
-        buf
+        bytes
     };
     assert_eq!(
         wire(&egress),
         wire(&egress2),
-        "loopback egress replays byte-identically across thread counts"
+        "loopback egress replays byte-identically"
     );
     assert_eq!(gateway.metrics(), gateway2.metrics());
 
@@ -251,10 +249,9 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
         "queuing-port deliveries are never stale-tagged"
     );
     notes.push(format!(
-        "headline: {} egress deliveries, replay bit-identical (threads {} vs 1); \
+        "headline: {} egress deliveries, replay bit-identical; \
          guaranteed links 0 misses, best-effort shed {}",
         egress.len(),
-        opts.threads,
         gateway
             .link_metrics(BEST_EFFORT.0)
             .map(|m| m.shed.get())
@@ -271,7 +268,7 @@ fn overload_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
     let horizon = opts.slots(24_000);
     let seed = seq.child_seed("overload", 0);
     let runs = parallel_map(factors.to_vec(), opts.threads, |&factor| {
-        let (gateway, _) = soak(seed, 1, horizon, factor, None);
+        let (gateway, _) = soak(seed, horizon, factor, None);
         let be = gateway.link_metrics(BEST_EFFORT.0).expect("link").clone();
         let g_missed: u64 = GUARANTEED
             .iter()

@@ -27,13 +27,14 @@
 //!    error, and the resident guaranteed link never misses.
 //! 3. **Record/replay** — the headline arrival trace pushed through the
 //!    [`Capture`] codec (bytes → parse → schedule) and replayed under
-//!    identical chaos at 1 and N fabric threads: egress wire bytes,
-//!    gateway counters, and chaos counters must be bit-identical.
+//!    identical chaos: egress wire bytes, control frames, gateway
+//!    counters, and chaos counters must equal the original run's.
 //!
-//! CSV artefacts (best-effort, skipped on read-only checkouts):
+//! CSV artefacts (full runs only; best-effort, skipped on read-only
+//! checkouts):
 //! `results/e22_survivability.csv`, `results/e22_churn.csv`.
 
-use super::{ExpOptions, ExperimentResult};
+use super::{write_results, ExpOptions, ExperimentResult};
 use crate::trace::GatewayTraceRecorder;
 use ccr_gateway::prelude::*;
 use ccr_multiring::prelude::*;
@@ -76,10 +77,8 @@ fn links() -> Vec<VirtualLink> {
     ]
 }
 
-fn build(seed: u64, threads: usize) -> (Fabric, Gateway, AdmissionReport) {
-    let cfg = FabricConfig::uniform(triangle(), 2_048, seed)
-        .expect("fabric config")
-        .threads(threads);
+fn build(seed: u64) -> (Fabric, Gateway, AdmissionReport) {
+    let cfg = FabricConfig::uniform(triangle(), 2_048, seed).expect("fabric config");
     let mut fabric = Fabric::new(cfg).expect("fabric builds");
     let gw_cfg = GatewayConfig::new(links()).expect("gateway config");
     let (gateway, report) = Gateway::open(&gw_cfg, &mut fabric);
@@ -146,16 +145,14 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     let headline = headline_table(opts, &seq, &mut notes);
     let churn = churn_table(opts, &seq, &mut notes);
 
-    for (path, table) in [
-        ("results/e22_survivability.csv", &headline),
-        ("results/e22_churn.csv", &churn),
-    ] {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, table.to_csv()))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
+    write_results(
+        opts,
+        &[
+            ("e22_survivability.csv", &headline.to_csv()),
+            ("e22_churn.csv", &churn.to_csv()),
+        ],
+        &mut notes,
+    );
 
     ExperimentResult {
         tables: vec![headline, churn],
@@ -187,12 +184,11 @@ fn storyboard(n_windows: u64) -> [u64; 4] {
 
 fn soak(
     seed: u64,
-    threads: usize,
     n_windows: u64,
     sched: &[(u64, Vec<u8>)],
     mut recorder: Option<&mut GatewayTraceRecorder>,
 ) -> Soak {
-    let (mut fabric, mut gateway, report) = build(seed, threads);
+    let (mut fabric, mut gateway, report) = build(seed);
     assert!(
         report.rejected.is_empty() && report.admitted.len() == 3,
         "the scenario's three links all fit the triangle: {report:?}"
@@ -223,8 +219,10 @@ fn soak(
     }
     assert_eq!(backend.pending(), 0, "every scheduled arrival was offered");
     let mut egress_wire = Vec::new();
+    let mut frame = Vec::new();
     for f in &egress {
-        f.encode_into(&mut egress_wire);
+        f.encode_into(&mut frame);
+        egress_wire.extend_from_slice(&frame);
     }
     Soak {
         gateway,
@@ -243,14 +241,14 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
 
     // The schedule depends only on the pacing gap, which is a property
     // of the (deterministic) fabric config — build a probe to read it.
-    let gap = period_slots(&build(seed, 1).0);
+    let gap = period_slots(&build(seed).0);
     let mut sched = schedule(gap, n_windows * gap);
     // The capture format (and the wire it models) is slot-ordered; the
     // backend applies the same stable sort, so pre-sorting changes nothing.
     sched.sort_by_key(|(slot, _)| *slot);
 
     let mut recorder = GatewayTraceRecorder::new(8);
-    let s = soak(seed, opts.threads, n_windows, &sched, Some(&mut recorder));
+    let s = soak(seed, n_windows, &sched, Some(&mut recorder));
 
     // --- The degradation ladder, window by window -------------------
     assert!(
@@ -326,7 +324,7 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
         "the chaos layer actually interfered"
     );
 
-    // --- Record/replay: capture codec, then 1 vs N threads ----------
+    // --- Record/replay through the capture codec --------------------
     let mut cap = Capture::new();
     for (slot, frame) in &sched {
         cap.record(*slot, frame);
@@ -336,20 +334,18 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
         .expect("the capture codec round-trips")
         .into_schedule();
     assert_eq!(replay_sched, sched, "capture preserves the arrival trace");
-    let r1 = soak(seed, 1, n_windows, &replay_sched, None);
-    let rn = soak(seed, opts.threads.max(2), n_windows, &replay_sched, None);
-    assert_eq!(r1.egress_wire, s.egress_wire, "replay == original run");
+    let replay = soak(seed, n_windows, &replay_sched, None);
+    assert_eq!(replay.egress_wire, s.egress_wire, "replay == original run");
+    assert_eq!(replay.controls, s.controls, "control frames too");
     assert_eq!(
-        r1.egress_wire, rn.egress_wire,
-        "egress wire bytes, 1 vs N threads"
-    );
-    assert_eq!(r1.controls, rn.controls, "control frames too");
-    assert_eq!(
-        r1.gateway.metrics(),
-        rn.gateway.metrics(),
+        replay.gateway.metrics(),
+        s.gateway.metrics(),
         "and the counters"
     );
-    assert_eq!(r1.chaos_metrics, rn.chaos_metrics, "and the chaos tallies");
+    assert_eq!(
+        replay.chaos_metrics, s.chaos_metrics,
+        "and the chaos tallies"
+    );
 
     let mut t = Table::new(
         format!(
@@ -390,8 +386,7 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
     notes.push(format!(
         "storyboard windows: kill@{kill_w} cut@{cut_w} heal@{heal_w} heal2@{heal2_w}; \
          victim recovery {recovery} window(s) after repair; replay bit-identical \
-         (1 vs {} threads) through the capture codec",
-        opts.threads.max(2),
+         through the capture codec"
     ));
     notes.push(recorder.render());
     t
@@ -401,7 +396,7 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
 fn churn_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>) -> Table {
     let seed = seq.child_seed("churn", 0);
     let rounds: u32 = if opts.quick { 3 } else { 6 };
-    let (mut fabric, mut gateway, report) = build(seed, 1);
+    let (mut fabric, mut gateway, report) = build(seed);
     assert_eq!(report.admitted.len(), 3);
     let gap = period_slots(&fabric);
 

@@ -24,10 +24,11 @@
 //!    deadlines) come back as typed errors with a census, never as an
 //!    uncertified topology.
 //!
-//! CSV artefacts (best-effort, skipped on read-only checkouts):
+//! CSV artefacts (full runs only; best-effort, skipped on read-only
+//! checkouts):
 //! `results/e23_synthesis.csv`, `results/e23_differential.csv`.
 
-use super::{ExpOptions, ExperimentResult};
+use super::{write_results, ExpOptions, ExperimentResult};
 use crate::sweep::parallel_map;
 use ccr_multiring::prelude::*;
 use ccr_sim::report::{fmt_f64, Table};
@@ -84,16 +85,14 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     let headline = headline_table(opts, &seq, &mut notes);
     let differential = differential_table(opts, &seq, &mut notes);
 
-    for (path, table) in [
-        ("results/e23_synthesis.csv", &headline),
-        ("results/e23_differential.csv", &differential),
-    ] {
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, table.to_csv()))
-        {
-            Ok(()) => notes.push(format!("wrote {path}")),
-            Err(e) => notes.push(format!("{path} export skipped ({e})")),
-        }
-    }
+    write_results(
+        opts,
+        &[
+            ("e23_synthesis.csv", &headline.to_csv()),
+            ("e23_differential.csv", &differential.to_csv()),
+        ],
+        &mut notes,
+    );
 
     ExperimentResult {
         tables: vec![headline, differential],
@@ -128,8 +127,7 @@ fn headline_table(opts: &ExpOptions, seq: &SeedSequence, notes: &mut Vec<String>
     let mut fabric = Fabric::new(
         synth
             .fabric_config(seq.child_seed("headline", 0))
-            .expect("synthesized fabric config builds")
-            .threads(opts.threads),
+            .expect("synthesized fabric config builds"),
     )
     .expect("synthesized fabric builds");
     assert!(fabric.calculus_enabled());

@@ -215,6 +215,23 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
     ]
 }
 
+/// Write experiment artefacts into `results/`, one `(file name, contents)`
+/// pair each, and note what was written. Quick runs write nothing: the
+/// files under `results/` are the published full-run numbers, and a smoke
+/// run must not replace them.
+pub(crate) fn write_results(opts: &ExpOptions, files: &[(&str, &str)], notes: &mut Vec<String>) {
+    if opts.quick {
+        return;
+    }
+    for &(file, contents) in files {
+        let path = format!("results/{file}");
+        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents)) {
+            Ok(()) => notes.push(format!("wrote {path}")),
+            Err(e) => notes.push(format!("{path} export skipped ({e})")),
+        }
+    }
+}
+
 /// Look up one experiment by id.
 pub fn by_id(id: &str) -> Option<(&'static str, &'static str, Runner)> {
     registry().into_iter().find(|(eid, _, _)| *eid == id)
@@ -231,5 +248,28 @@ pub fn ring_sizes(opts: &ExpOptions) -> Vec<u16> {
         vec![4, 8, 16]
     } else {
         vec![4, 8, 16, 32, 64]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quick_runs_leave_results_alone() {
+        let path = std::path::Path::new("results/e21_gateway.csv");
+        let before = std::fs::read_to_string(path).ok();
+        let r = e21_gateway::run(&ExpOptions::quick(21));
+        assert_eq!(
+            std::fs::read_to_string(path).ok(),
+            before,
+            "a quick run rewrote {}",
+            path.display()
+        );
+        assert!(
+            r.notes.iter().all(|n| !n.starts_with("wrote ")),
+            "a quick run wrote results: {:?}",
+            r.notes
+        );
     }
 }

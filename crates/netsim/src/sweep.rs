@@ -5,10 +5,9 @@
 //! `std::thread::scope` workers. Results return in input order, so tables
 //! stay deterministic regardless of scheduling.
 //!
-//! The implementation lives in [`ccr_sim::parallel`] so the multi-ring
-//! fabric engine (`ccr-multiring`) shares the exact same machinery and
-//! determinism contract; this module re-exports it for the experiment
-//! harness and its historical import paths.
+//! The implementation lives in [`ccr_sim::parallel`]; this module
+//! re-exports it for the experiment harness and its historical import
+//! paths.
 
 pub use ccr_sim::parallel::{default_threads, parallel_map, parallel_map_chunked};
 

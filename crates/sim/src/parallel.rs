@@ -1,15 +1,13 @@
 //! Deterministic fork-join parallelism over independent work items.
 //!
-//! Experiment sweeps and the multi-ring fabric engine both fan independent
-//! work out over `std::thread::scope` workers. Results return in input
-//! order, so callers observe output that is byte-identical regardless of
-//! thread count or scheduling — the property the fabric's differential
-//! determinism tests rely on. A worker panic is propagated to the caller
-//! with its original payload once the remaining workers have drained.
+//! Experiment sweeps fan independent runs — whole rings, fabrics or seeds —
+//! out over `std::thread::scope` workers. Results return in input order,
+//! so callers observe output that is byte-identical regardless of thread
+//! count or scheduling. A worker panic is propagated to the caller with
+//! its original payload once the remaining workers have drained.
 //!
 //! This module lives in `ccr-sim` (rather than the experiment harness) so
-//! that every layer of the workspace — `ccr-multiring`'s per-ring stepping
-//! as well as `ccr-netsim`'s parameter sweeps — shares one implementation;
+//! that every layer of the workspace can share one implementation;
 //! `ccr_netsim::sweep` re-exports it unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -172,7 +170,7 @@ mod tests {
         assert_eq!(out, expect);
     }
 
-    /// The fabric engine's determinism contract: for any input shape,
+    /// The determinism contract: for any input shape,
     /// `parallel_map_chunked` must return byte-identical output to
     /// `parallel_map`, whatever the thread count or chunk size. A
     /// property-style loop over a few dozen (len × threads × chunk)

@@ -39,9 +39,7 @@ step "e20 churn smoke"       cargo run -q --release -p ccr-netsim --bin ccr-expe
 step "e21 gateway smoke"     cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e21 --quick
 step "e22 survivability"     cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e22 --quick
 step "e23 synthesis smoke"   cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e23 --quick
-step "calculus bench"        cargo run -q --release -p ccr-bench --bin calculus-bench
-step "gateway bench"         cargo run -q --release -p ccr-bench --bin gateway-bench
-step "synth bench"           cargo run -q --release -p ccr-bench --bin synth-bench
+step "perfbench smoke"       cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # loom models of the parallel_map claim/cursor protocol: the loom crate
 # must be fetchable (network or pre-populated cargo cache).

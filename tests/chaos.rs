@@ -7,9 +7,9 @@
 //! 1. same seed + same [`FaultScript`] ⇒ `==` [`Metrics`] across runs;
 //! 2. slot-by-slot stepping ⇒ the same metrics as `run_slots` (whose idle
 //!    fast-forward must stay bit-identical under scripted faults);
-//! 3. a fabric stepped with 1 worker thread ⇒ `==` [`FabricMetrics`] as
-//!    with 3, under a script injecting node, token, bit-error *and*
-//!    bridge faults at once.
+//! 3. a fabric under a script injecting node, token, bit-error *and*
+//!    bridge faults at once ⇒ `==` [`FabricMetrics`] across runs, equal to
+//!    the recorded values.
 //!
 //! Plus the historical wedge: killing designated restart node 0 must not
 //! stall clock recovery (a live successor is elected).
@@ -118,7 +118,7 @@ fn fast_forward_is_bit_identical_under_scripted_faults() {
     assert_eq!(stepped.metrics(), fast.metrics());
 }
 
-fn chaos_fabric(threads: usize) -> FabricMetrics {
+fn chaos_fabric() -> (FabricMetrics, Vec<Metrics>) {
     // Triangle with a detour, so the bridge kill reroutes rather than
     // revokes; ring-local scripts land node, token and bit-error faults.
     let mut b = FabricTopology::builder();
@@ -136,7 +136,7 @@ fn chaos_fabric(threads: usize) -> FabricMetrics {
         rc.faults.recovery_timeout_slots = 6;
     }
     cfg.ring_configs[2].faults.token_loss_prob = 2e-3;
-    let cfg = cfg.threads(threads).fault_script(
+    let cfg = cfg.fault_script(
         FabricFaultScript::new()
             .ring_at(100, RingId(0), FaultKind::LoseToken)
             .ring_at(150, RingId(1), FaultKind::FailNode(NodeId(4)))
@@ -161,22 +161,59 @@ fn chaos_fabric(threads: usize) -> FabricMetrics {
         )
         .unwrap();
     fabric.run_slots(20_000);
-    fabric.metrics().clone()
+    let rings = (0..3).map(|r| fabric.ring_metrics(RingId(r))).collect();
+    (fabric.metrics().clone(), rings)
 }
 
 #[test]
-fn fabric_chaos_is_thread_count_invariant() {
-    let one = chaos_fabric(1);
-    let three = chaos_fabric(3);
-    // The full fault menu fired…
-    assert_eq!(one.bridges_killed.get(), 1);
-    assert!(one.e2e_rerouted.get() >= 1, "detour reroute happened");
-    assert!(one.degraded_slots.get() > 0);
-    assert!(one.e2e_delivered.get() > 0);
-    // …and the outcome is independent of the worker-thread count.
-    assert_eq!(one, three);
-    // Replay with the same thread count is equally exact.
-    assert_eq!(three, chaos_fabric(3));
+fn fabric_chaos_replays_pinned_values() {
+    let first = chaos_fabric();
+    // The same seed and script replay bit for bit…
+    assert_eq!(first, chaos_fabric());
+    let (m, rings) = &first;
+    // …the full fault menu fired…
+    assert_eq!(m.bridges_killed.get(), 1);
+    assert!(m.e2e_rerouted.get() >= 1, "detour reroute happened");
+    assert!(m.degraded_slots.get() > 0);
+    assert!(m.e2e_delivered.get() > 0);
+    // …and the run matches the recorded one.
+    let segment_max: Vec<u64> = m
+        .segment_latency
+        .iter()
+        .map(|h| h.max().unwrap_or(0))
+        .collect();
+    assert_eq!(
+        (
+            m.e2e_rerouted.get(),
+            m.degraded_slots.get(),
+            m.e2e_delivered.get(),
+            m.forwarded.get(),
+            segment_max,
+        ),
+        (1, 222, 74, 43, vec![41_260, 10_690, 10_340]),
+        "fabric counters moved"
+    );
+    let ring_counts: Vec<[u64; 5]> = rings
+        .iter()
+        .map(|r| {
+            [
+                r.delivered.get(),
+                r.grants.get(),
+                r.master_changes.get(),
+                r.data_bytes.get(),
+                r.tokens_lost.get(),
+            ]
+        })
+        .collect();
+    assert_eq!(
+        ring_counts,
+        [
+            [22, 22, 2, 45_056, 2],
+            [22, 22, 0, 45_056, 1],
+            [73, 73, 60, 149_504, 35],
+        ],
+        "per-ring counters moved"
+    );
 }
 
 #[test]
