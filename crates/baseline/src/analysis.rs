@@ -28,7 +28,6 @@ use ccr_edf::connection::ConnectionSpec;
 use ccr_sim::TimeDelta;
 
 /// Closed-form CC-FPR bounds for one configuration.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcFprAnalysis {
     n_nodes: u16,

@@ -5,7 +5,6 @@ use ccr_edf::wire::Request;
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 
 /// CC-FPR: round-robin clocking, node-local greedy booking.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcFprMac;
 

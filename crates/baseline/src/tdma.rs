@@ -20,7 +20,6 @@ use ccr_edf::wire::Request;
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 
 /// Static TDMA: slot k+1 belongs to the node after slot k's owner.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TdmaMac;
 

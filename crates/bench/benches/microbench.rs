@@ -173,10 +173,10 @@ fn bench_admission(c: &mut Criterion) {
 }
 
 fn bench_parallel_map(c: &mut Criterion) {
-    use ccr_netsim::sweep::{parallel_map, parallel_map_chunked};
+    use ccr_sim::parallel::{parallel_map, parallel_map_chunked};
     // The sweep workload: one short simulation per input, the shape every
     // experiment's parameter sweep has. Compares the per-item atomic
-    // cursor against chunked stealing (see ccr_netsim::sweep docs).
+    // cursor against chunked stealing (see ccr_sim::parallel docs).
     let mut g = c.benchmark_group("parallel_map");
     g.sample_size(10);
     let inputs: Vec<u64> = (0..32).collect();

@@ -11,7 +11,8 @@
 //! least ~1 ms (batching fast routines), then `sample_size` samples are
 //! collected and the min / median / mean per-iteration times reported.
 //! That is cruder than Criterion's bootstrap analysis but plenty to rank
-//! hot paths and track regressions in `BENCH_slot_engine.json`.
+//! hot paths; end-to-end regressions are judged by `perfbench/`, which
+//! repeats each workload and reports its spread.
 
 use std::time::{Duration, Instant};
 

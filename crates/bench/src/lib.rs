@@ -1,9 +1,8 @@
 //! # ccr-bench — shared helpers and the benchmark harness.
 //!
-//! Protocol microbenchmarks (`benches/microbench.rs`) and the single-shot
-//! throughput gauges under `src/bin/`. The layered, repeated benchmark of
-//! the whole stack is the separate `perfbench` package at the repository
-//! root.
+//! Protocol microbenchmarks (`benches/microbench.rs`). The layered,
+//! repeated benchmark of the whole stack is the separate `perfbench`
+//! package at the repository root.
 //!
 //! The [`harness`] module is a minimal, dependency-free replacement for the
 //! Criterion API surface the benches use (the workspace builds with no

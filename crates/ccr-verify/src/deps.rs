@@ -2,13 +2,12 @@
 //!
 //! The workspace's supply-chain policy is simple and strict: **zero
 //! mandatory external dependencies**. Every dependency edge must be a
-//! `path` dependency onto another workspace member; the only names allowed
-//! to appear beyond that are the feature-gated `serde` (optional, for the
-//! opt-in `serde` feature) and `loom` (only in the out-of-workspace
-//! `verify/loom` model-check crate). The audit checks:
+//! `path` dependency onto another workspace member. (`loom` lives only in
+//! the out-of-workspace `verify/loom` model-check crate, which this audit
+//! does not read.) The audit checks:
 //!
 //! * every `[dependencies]`/`[dev-dependencies]` entry of every member is
-//!   path-based or allow-listed;
+//!   path-based;
 //! * every member inherits or declares a license;
 //! * `Cargo.lock` contains only workspace members (no surprise external
 //!   packages, hence no duplicate-version or advisory surface at all).
@@ -20,8 +19,6 @@
 use crate::rules::{Finding, RULE_DEPS};
 use std::collections::BTreeSet;
 use std::path::Path;
-
-const ALLOWED_EXTERNAL: &[&str] = &["serde", "loom"];
 
 /// Parse very simple TOML: returns `(section, key, value)` triples.
 /// Handles exactly the subset Cargo.toml files in this workspace use
@@ -82,34 +79,18 @@ fn audit_manifest(path: &Path, findings: &mut Vec<Finding>) {
             continue;
         }
         // `ccr-sim.workspace = true` arrives as a dotted key.
-        let base = key.split('.').next().unwrap_or(key.as_str());
         let ok = val.contains("path")
             || val.contains("workspace = true")
-            || (key.ends_with(".workspace") && val == "true")
-            || ALLOWED_EXTERNAL.contains(&base);
+            || (key.ends_with(".workspace") && val == "true");
         if !ok {
             findings.push(Finding {
                 path: path.display().to_string(),
                 line: 1,
                 rule: RULE_DEPS,
                 message: format!(
-                    "dependency `{key}` is not a path/workspace dependency and is not \
-                     allow-listed ({ALLOWED_EXTERNAL:?}): the workspace builds with zero \
-                     registry access"
+                    "dependency `{key}` is not a path/workspace dependency: the workspace \
+                     builds with zero registry access"
                 ),
-                snippet: format!("{key} = {val}"),
-            });
-        }
-        if ALLOWED_EXTERNAL.contains(&base)
-            && !val.contains("optional = true")
-            && !val.contains("path")
-            && !val.contains("workspace = true")
-        {
-            findings.push(Finding {
-                path: path.display().to_string(),
-                line: 1,
-                rule: RULE_DEPS,
-                message: format!("external dependency `{key}` must stay `optional = true`"),
                 snippet: format!("{key} = {val}"),
             });
         }
@@ -205,17 +186,22 @@ mod tests {
         let dir = std::env::temp_dir().join("ccr_verify_deps_test");
         std::fs::create_dir_all(&dir).expect("tempdir");
         let manifest = dir.join("Cargo.toml");
-        std::fs::write(
-            &manifest,
-            "[package]\nname = \"evil\"\nlicense = \"MIT\"\n[dependencies]\nrand = \"0.8\"\n",
-        )
-        .expect("write manifest");
-        let findings = audit(&dir, &[manifest]);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == RULE_DEPS && f.message.contains("`rand`")),
-            "{findings:?}"
-        );
+        for (name, dep) in [
+            ("rand", "rand = \"0.8\""),
+            ("serde", "serde = { version = \"1\", optional = true }"),
+        ] {
+            std::fs::write(
+                &manifest,
+                format!("[package]\nname = \"evil\"\nlicense = \"MIT\"\n[dependencies]\n{dep}\n"),
+            )
+            .expect("write manifest");
+            let findings = audit(&dir, std::slice::from_ref(&manifest));
+            assert!(
+                findings
+                    .iter()
+                    .any(|f| f.rule == RULE_DEPS && f.message.contains(&format!("`{name}`"))),
+                "{dep}: {findings:?}"
+            );
+        }
     }
 }

@@ -17,7 +17,6 @@ use ccr_phys::{NodeId, RingTopology};
 use std::collections::{BTreeMap, HashMap};
 
 /// Which feasibility test the controller runs.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
     /// The paper's Equation 5 utilisation test. Exact for implicit
@@ -32,7 +31,6 @@ pub enum AdmissionPolicy {
 }
 
 /// Why a connection request was rejected.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdmissionError {
     /// Admitting would push utilisation above `U_max`.

@@ -20,7 +20,6 @@ use ccr_phys::TimingModel;
 use ccr_sim::TimeDelta;
 
 /// Analytic model for one network configuration.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticModel {
     timing: TimingModel,

@@ -14,7 +14,6 @@ use crate::wire::Request;
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 
 /// The CCR-EDF medium access protocol.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcrEdfMac;
 
@@ -169,7 +168,6 @@ impl MacProtocol for CcrEdfMac {
 /// equal-priority requests collide; rotating the tie-break with the master
 /// restores long-run fairness at zero wire cost (the master already knows
 /// its own position).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcrEdfRotatingMac;
 

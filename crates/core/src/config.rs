@@ -17,7 +17,6 @@ use ccr_sim::TimeDelta;
 
 /// Fault-injection parameters (Section 8 "future work", implemented here as
 /// an extension — see DESIGN.md).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultConfig {
     /// Probability that a slot's distribution packet is lost (clock/token
@@ -118,7 +117,6 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Complete, validated configuration of one ring network.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Number of nodes (2..=64).

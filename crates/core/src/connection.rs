@@ -11,12 +11,10 @@ use ccr_phys::{NodeId, RingTopology};
 use ccr_sim::{SimTime, TimeDelta};
 
 /// Identity of an admitted logical real-time connection.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnectionId(pub u64);
 
 /// The parameters a user supplies when requesting a connection.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConnectionSpec {
     /// Sending node.
@@ -134,7 +132,6 @@ impl ConnectionSpec {
 }
 
 /// An admitted, active connection with its release bookkeeping.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Connection {
     /// Identity assigned at admission.

@@ -23,7 +23,6 @@ use ccr_phys::NodeId;
 use ccr_sim::rng::DetRng;
 
 /// State machine for clock-loss recovery.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockRecovery {
     /// Normal operation.
@@ -101,7 +100,6 @@ pub fn elect_restart_node(
 }
 
 /// One discrete fault to inject.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// This slot's distribution packet never arrives: every node times out
@@ -124,7 +122,6 @@ pub enum FaultKind {
 }
 
 /// A fault scheduled for a specific slot index.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Slot index (engine slot counter) at which the fault fires.
@@ -140,7 +137,6 @@ pub struct FaultEvent {
 /// one index comparison per slot. Scripts compose with the stochastic
 /// knobs in [`crate::config::FaultConfig`]: both can be active at once and
 /// the combined run is still bit-for-bit replayable from the seed + script.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultScript {
     events: Vec<FaultEvent>,

@@ -20,7 +20,6 @@ use ccr_phys::{LinkSet, NodeId, RingTopology};
 
 /// What a node wants to transmit in the next slot (derived from the head of
 /// its queues by [`crate::node::Node::desire`]).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Desire {
     /// Mapped request priority (Table 1).
@@ -32,7 +31,6 @@ pub struct Desire {
 }
 
 /// One granted transmission for the coming slot.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Grant {
     /// The transmitting node.
@@ -44,7 +42,6 @@ pub struct Grant {
 }
 
 /// The master's decision for the coming slot.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotPlan {
     /// Granted transmissions, in grant order (highest priority first).

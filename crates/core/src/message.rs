@@ -11,7 +11,6 @@ use ccr_phys::{NodeId, RingTopology};
 use ccr_sim::SimTime;
 
 /// The three user-traffic classes of Table 1.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Messages of an admitted logical real-time connection (levels 17–31).
@@ -34,12 +33,10 @@ impl TrafficClass {
 }
 
 /// Unique message identity (assigned by the network on submission).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MessageId(pub u64);
 
 /// Where a message is going.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Destination {
     /// One receiver.
@@ -111,7 +108,6 @@ impl Destination {
 }
 
 /// A message queued for transmission.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Identity (set by the network; `MessageId(u64::MAX)` until submitted).

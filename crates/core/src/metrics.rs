@@ -14,7 +14,6 @@ use std::collections::{HashMap, VecDeque};
 /// One fault event as experienced by the engine, with its recovery
 /// bookkeeping — the per-event observability record the chaos experiments
 /// report (time-to-recovery, collateral losses, revocations).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEventRecord {
     /// Slot index at which the fault struck.

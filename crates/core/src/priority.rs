@@ -35,7 +35,6 @@ pub const NRT_LEVEL: u8 = 1;
 pub const IDLE_LEVEL: u8 = 0;
 
 /// A 5-bit request priority as carried in the collection-phase packet.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(u8);
 
@@ -107,7 +106,6 @@ pub trait PriorityMapper: std::fmt::Debug + Send + Sync {
 /// clamped to the band. Resolution is finest near the deadline — laxities
 /// 0, 1, 2–3, 4–7, … share successive levels — exactly the "higher
 /// resolution … closer to its deadline" property of Section 3.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogarithmicMapper;
 
@@ -122,7 +120,6 @@ impl PriorityMapper for LogarithmicMapper {
 /// Ablation mapper: linear quantisation of laxity over a fixed horizon.
 /// Wastes resolution far from the deadline and saturates early — used by
 /// experiment E11 to show why the paper picks a logarithmic map.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinearMapper {
     /// Laxity (in slots) mapped to the least-urgent level; larger laxities
@@ -145,8 +142,7 @@ impl PriorityMapper for LinearMapper {
     }
 }
 
-/// Which mapper a network uses (config-level enum to stay `Copy`/serde).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+/// Which mapper a network uses (config-level enum to stay `Copy`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MapperKind {
     /// The paper's logarithmic map.

@@ -13,7 +13,6 @@ use ccr_sim::SimTime;
 
 /// Reduction operator (associative + commutative, so master order is
 /// irrelevant).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReduceOp {
     /// Wrapping 32-bit sum.

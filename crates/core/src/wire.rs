@@ -20,7 +20,6 @@ use crate::priority::Priority;
 use ccr_phys::{LinkSet, NodeId};
 
 /// A set of nodes as an N-bit mask (the destination field of a request).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeSet(pub u64);
 
@@ -83,7 +82,6 @@ impl FromIterator<NodeId> for NodeSet {
 /// Enabling a service widens every request (and the distribution packet),
 /// which lengthens `t_node` and hence the minimum slot (Equation 2) — the
 /// trade-off explored by experiment E3/E9.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceWireConfig {
     /// Barrier-synchronisation flag bit in each request + done bit in the
@@ -193,7 +191,6 @@ pub fn distribution_bits(n_nodes: u16, services: ServiceWireConfig) -> u32 {
 }
 
 /// A piggy-backed short message (service of ref \[11]).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShortMsgWire {
     /// Receiver.
@@ -203,7 +200,6 @@ pub struct ShortMsgWire {
 }
 
 /// A piggy-backed acknowledgement for the reliable-transmission service.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckWire {
     /// The node whose packet is being acknowledged.
@@ -213,7 +209,6 @@ pub struct AckWire {
 }
 
 /// One node's request in the collection phase (Figure 4).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// 5-bit priority; [`Priority::IDLE`] means "nothing to send".
@@ -263,7 +258,6 @@ impl Request {
 
 /// The decoded collection packet: the start bit plus one request per node,
 /// in ring order starting with the master.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectionPacket {
     /// Requests indexed by *ring position from the master* — position 0 is
@@ -272,7 +266,6 @@ pub struct CollectionPacket {
 }
 
 /// The decoded distribution packet (Figure 5).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistributionPacket {
     /// Grant bit per node (by absolute node index).

@@ -33,7 +33,6 @@ use ccr_sim::stats::Counter;
 /// Per-impairment probabilities of the chaos layer. All default to 0 —
 /// a default config passes every frame through untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChaosConfig {
     /// Seed of the per-frame decision stream.
     pub seed: u64,
@@ -84,7 +83,6 @@ impl ChaosConfig {
 ///
 /// Kept sorted by start slot, mirroring [`ccr_edf::fault::FaultScript`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChaosScript {
     /// `(start, len)` windows, sorted by start.
     windows: Vec<(u64, u64)>,

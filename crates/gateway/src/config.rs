@@ -9,10 +9,8 @@
 //! FIFO, a *sampling* port only cares about the freshest value and tags
 //! deliveries older than their validity window as stale.
 //!
-//! [`GatewayConfig`] is loadable two ways: the `serde` feature derives
-//! `Serialize`/`Deserialize` like the rest of the workspace (non-default —
-//! requires vendoring serde), and [`GatewayConfig::parse`] reads the
-//! dependency-free TOML subset below so deployments work offline:
+//! [`GatewayConfig::parse`] reads the dependency-free TOML subset below so
+//! deployments work offline:
 //!
 //! ```toml
 //! [[link]]
@@ -37,7 +35,6 @@ use ccr_sim::TimeDelta;
 
 /// How much the fabric promises this link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeadlineClass {
     /// Deadline misses are a contract violation; the pacer never lets
     /// this link exceed its admitted envelope.
@@ -49,7 +46,6 @@ pub enum DeadlineClass {
 
 /// ARINC-653-style port semantics of a virtual link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PortSemantics {
     /// Latest-value semantics: a newer datagram waiting for a token
     /// replaces the older one (counted, never silent), and a delivery
@@ -68,7 +64,6 @@ pub enum PortSemantics {
 
 /// What ingress does with a datagram that cannot be paced in right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OverloadPolicy {
     /// Drop it and count it (clients get a `Shed` frame on UDP).
     Shed,
@@ -79,7 +74,6 @@ pub enum OverloadPolicy {
 
 /// One externally reachable real-time flow.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VirtualLink {
     /// Wire-visible link id (the `link` field of every frame header).
     pub id: u16,
@@ -180,7 +174,6 @@ impl VirtualLink {
 
 /// The full gateway configuration: every virtual link it serves.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GatewayConfig {
     /// The served links, in admission order.
     pub links: Vec<VirtualLink>,

@@ -39,7 +39,6 @@ use ccr_edf::connection::ConnectionSpec;
 use ccr_sim::TimeDelta;
 
 /// Identity of an admitted end-to-end fabric connection.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FabricConnectionId(pub u64);
 

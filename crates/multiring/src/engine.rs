@@ -2052,7 +2052,7 @@ mod tests {
         let bound = fabric.e2e_bound(fid).expect("certified");
         // Inject at the admitted period: every delivery stays within the
         // certified end-to-end bound.
-        let period_slots = 5 * 1_000_000 / (fabric.segment_envs()[0].slot.as_ps() / 1_000_000);
+        let period_slots = TimeDelta::from_ms(5).as_ps() / fabric.segment_envs()[0].slot.as_ps();
         for _ in 0..6 {
             fabric.inject(fid).unwrap();
             fabric.run_slots(period_slots.max(1));
@@ -2128,7 +2128,7 @@ mod tests {
             )
             .unwrap();
         let period_slots =
-            (5 * 1_000_000 / (fabric.segment_envs()[0].slot.as_ps() / 1_000_000)).max(1);
+            (TimeDelta::from_ms(5).as_ps() / fabric.segment_envs()[0].slot.as_ps()).max(1);
         // Flood best-effort every slot — far beyond any certified
         // envelope — while the guaranteed flow paces at its period.
         for _ in 0..6 {

@@ -26,7 +26,6 @@ use ccr_phys::NodeId;
 use std::collections::HashMap;
 
 /// Identity of one ring in the fabric.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RingId(pub u16);
 
@@ -37,7 +36,6 @@ impl std::fmt::Display for RingId {
 }
 
 /// A node addressed fabric-wide: ring plus position on that ring.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalNodeId {
     /// The ring the node sits on.
@@ -63,7 +61,6 @@ impl std::fmt::Display for GlobalNodeId {
 }
 
 /// A bridge: one station present on two (distinct) rings.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bridge {
     /// First port.
@@ -227,23 +224,10 @@ impl FabricTopologyBuilder {
     /// With [`CycleBound::Calculus`] (the default policy value) the fabric
     /// engine routes every admission on the cyclic fabric through the
     /// min-plus fixed-point solver and only admits sets with certified
-    /// finite end-to-end bounds. [`CycleBound::unbounded()`] restores the
-    /// historical flag behaviour — cycles accepted with no analytic bound.
+    /// finite end-to-end bounds. [`CycleBound::unbounded()`] accepts cycles
+    /// with no analytic bound.
     pub fn allow_cycles_with(&mut self, bound: CycleBound) -> &mut Self {
         self.cycle_bound = Some(bound);
-        self
-    }
-
-    /// Accept ring-graph cycles (flagged, not analytically bounded).
-    #[deprecated(
-        since = "0.1.0",
-        note = "a bare flag admits cycles with no end-to-end bound; use \
-                `allow_cycles_with(CycleBound::Calculus)` for certified \
-                admission, or `allow_cycles_with(CycleBound::unbounded())` \
-                to keep the old behaviour on purpose"
-    )]
-    pub fn allow_cycles(&mut self, allow: bool) -> &mut Self {
-        self.cycle_bound = allow.then_some(CycleBound::Unbounded);
         self
     }
 
@@ -653,26 +637,11 @@ mod tests {
         assert_eq!(t.route(r0, r1).unwrap().bridges.len(), 1);
         assert_eq!(t.route(r0, r2).unwrap().bridges.len(), 1);
         let _ = (r0, r1, r2);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_allow_cycles_flag_maps_to_unbounded() {
-        let mut b = FabricTopology::builder();
-        b.ring(4);
-        b.ring(4);
-        b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
-        b.bridge(GlobalNodeId::new(0, 2), GlobalNodeId::new(1, 2)); // parallel pair = cycle
-        b.allow_cycles(true);
-        let t = b.build().unwrap();
-        assert!(t.is_cyclic());
-        assert_eq!(t.cycle_bound(), Some(CycleBound::Unbounded));
-        // Turning the flag back off restores the rejection.
-        b.allow_cycles(false);
-        assert!(matches!(
-            b.build(),
-            Err(TopologyError::CyclicFabric { closing_bridge: 1 })
-        ));
+        b.allow_cycles_with(CycleBound::unbounded());
+        assert_eq!(
+            b.build().unwrap().cycle_bound(),
+            Some(CycleBound::Unbounded)
+        );
         // Acyclic fabrics never carry a policy.
         assert_eq!(FabricTopology::chain(3, 4).cycle_bound(), None);
     }

@@ -8,11 +8,11 @@
 //! fraction stays above `U_max` (gaps are usually shorter than worst case).
 
 use super::{base_config, ring_sizes, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::connection::ConnectionSpec;
 use ccr_edf::network::RingNetwork;
 use ccr_edf::{NodeId, TimeDelta};
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 use ccr_traffic::PeriodicSetBuilder;

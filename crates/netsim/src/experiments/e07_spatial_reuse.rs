@@ -8,10 +8,10 @@
 //! and without reuse enabled.
 
 use super::{base_config, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::message::{Destination, Message};
 use ccr_edf::network::RingNetwork;
 use ccr_edf::{NodeId, SimTime};
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 

@@ -9,13 +9,13 @@
 //! service as loss rises.
 
 use super::{base_config, ring_sizes, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::config::FaultConfig;
 use ccr_edf::message::{Destination, Message};
 use ccr_edf::network::RingNetwork;
 use ccr_edf::services::ReduceOp;
 use ccr_edf::wire::ServiceWireConfig;
 use ccr_edf::{NodeId, SimTime};
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 

@@ -7,9 +7,9 @@
 //! fraction of each slot the workload's packets actually fill.
 
 use super::{base_config, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::network::RingNetwork;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 use ccr_traffic::PoissonGen;

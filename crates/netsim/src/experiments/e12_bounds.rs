@@ -11,10 +11,10 @@
 
 use super::{base_config, ring_sizes, ExpOptions, ExperimentResult};
 use crate::runner::{run_with_mac, Workload};
-use crate::sweep::parallel_map;
 use cc_fpr::{CcFprAnalysis, CcFprMac};
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::arbitration::CcrEdfMac;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, fmt_pct, Table};
 use ccr_sim::SeedSequence;
 use ccr_traffic::PeriodicSetBuilder;

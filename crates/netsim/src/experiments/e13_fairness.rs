@@ -11,12 +11,12 @@
 
 use super::{base_config, ExpOptions, ExperimentResult};
 use crate::runner::{expand_periodic, RAW_CONN_BASE};
-use crate::sweep::parallel_map;
 use ccr_edf::arbitration::{CcrEdfMac, CcrEdfRotatingMac};
 use ccr_edf::connection::{ConnectionId, ConnectionSpec};
 use ccr_edf::mac::MacProtocol;
 use ccr_edf::network::RingNetwork;
 use ccr_edf::{NodeId, TimeDelta};
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 
 /// Build the symmetric all-nodes workload: every node sends a 1-slot

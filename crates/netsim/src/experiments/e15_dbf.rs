@@ -13,12 +13,12 @@
 //! 3. the price of sound admission: acceptance ratio vs deadline tightness.
 
 use super::{base_config, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::admission::AdmissionPolicy;
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::connection::ConnectionSpec;
 use ccr_edf::network::RingNetwork;
 use ccr_edf::{NodeId, TimeDelta};
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, fmt_pct, Table};
 use ccr_sim::rng::DetRng;
 use ccr_sim::SeedSequence;

@@ -12,9 +12,9 @@
 //!    the hetero-aware bound keeps the guarantee.
 
 use super::{base_config, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::network::RingNetwork;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 use ccr_traffic::PeriodicSetBuilder;

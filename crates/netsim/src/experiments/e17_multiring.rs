@@ -18,9 +18,9 @@
 //! only) via [`crate::trace::TraceRecorder::to_jsonl`].
 
 use super::{write_results, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use crate::trace::TraceRecorder;
 use ccr_multiring::prelude::*;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 

@@ -29,7 +29,6 @@
 //! `results/e18_ring_availability.jsonl`.
 
 use super::{base_config, write_results, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_edf::config::FaultConfig;
 use ccr_edf::connection::ConnectionSpec;
 use ccr_edf::fault::{FaultKind, FaultScript};
@@ -37,6 +36,7 @@ use ccr_edf::metrics::Metrics;
 use ccr_edf::network::RingNetwork;
 use ccr_edf::NodeId;
 use ccr_multiring::prelude::*;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::SeedSequence;
 

@@ -32,11 +32,11 @@
 //! `results/e19_solver.csv`.
 
 use super::{write_results, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_calculus::{solve, ArrivalCurve, FabricModel, FlowSpec, ServiceCurve, SolveError};
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::config::NetworkConfig;
 use ccr_multiring::prelude::*;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::rng::DetRng;
 use ccr_sim::{SeedSequence, TimeDelta};

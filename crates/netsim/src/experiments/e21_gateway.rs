@@ -33,10 +33,10 @@
 //! `results/e21_gateway.csv`, `results/e21_overload.csv`.
 
 use super::{write_results, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use crate::trace::GatewayTraceRecorder;
 use ccr_gateway::prelude::*;
 use ccr_multiring::prelude::*;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::{SeedSequence, TimeDelta};
 

@@ -29,8 +29,8 @@
 //! `results/e23_synthesis.csv`, `results/e23_differential.csv`.
 
 use super::{write_results, ExpOptions, ExperimentResult};
-use crate::sweep::parallel_map;
 use ccr_multiring::prelude::*;
+use ccr_sim::parallel::parallel_map;
 use ccr_sim::report::{fmt_f64, Table};
 use ccr_sim::rng::DetRng;
 use ccr_sim::{SeedSequence, TimeDelta};

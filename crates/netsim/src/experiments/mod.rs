@@ -48,7 +48,7 @@ impl Default for ExpOptions {
         ExpOptions {
             seed: 0x000C_CEDF_2002,
             quick: false,
-            threads: crate::sweep::default_threads(),
+            threads: ccr_sim::parallel::default_threads(),
         }
     }
 }

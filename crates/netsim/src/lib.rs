@@ -15,7 +15,6 @@
 pub mod admission_app;
 pub mod experiments;
 pub mod runner;
-pub mod sweep;
 pub mod trace;
 
 pub use runner::{expand_periodic, run_with_mac, RunSummary, Workload};

@@ -75,7 +75,6 @@ pub fn expand_periodic(
 }
 
 /// The serialisable result of one run — one row of an experiment table.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// MAC protocol name.

@@ -11,7 +11,6 @@ use ccr_sim::report::Table;
 use std::collections::VecDeque;
 
 /// One slot's condensed trace record.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotRecord {
     /// Slot index.
@@ -112,9 +111,9 @@ impl TraceRecorder {
 
     /// Render the retained trace as [JSON Lines](https://jsonlines.org/):
     /// one self-describing JSON object per slot, oldest first, `\n`
-    /// separated with a trailing newline. Hand-rolled (the workspace
-    /// carries no serde by default); every field is a number or boolean so
-    /// no string escaping is needed. Times are picoseconds.
+    /// separated with a trailing newline. Hand-rolled (the workspace has no
+    /// external dependencies); every field is a number or boolean so no
+    /// string escaping is needed. Times are picoseconds.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 160);
         for r in &self.records {
@@ -196,7 +195,6 @@ impl TraceRecorder {
 /// One sampling window of gateway activity: the per-window *deltas* of
 /// the gateway-wide counters, so a flat-line row means an idle window and
 /// a `shed` burst is visible at the window it happened in.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayRecord {
     /// Fabric slot index at the end of the window.

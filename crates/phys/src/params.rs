@@ -39,7 +39,6 @@ impl fmt::Display for PhysParamsError {
 impl std::error::Error for PhysParamsError {}
 
 /// Physical constants of the ring.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhysParams {
     /// Clock period: time for one byte on the data channel / one bit on the

@@ -13,12 +13,10 @@ use std::fmt;
 pub const MAX_NODES: u16 = 64;
 
 /// Identifies a node on the ring (0-based index).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u16);
 
 /// Identifies a unidirectional link: link `i` runs node `i` → node `i+1 mod N`.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LinkId(pub u16);
 
@@ -51,7 +49,6 @@ impl LinkId {
 }
 
 /// A set of ring links, stored as a bitmask (hence `N ≤ 64`).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct LinkSet(pub u64);
 
@@ -133,7 +130,6 @@ impl FromIterator<LinkId> for LinkSet {
 }
 
 /// The unidirectional ring of `N` nodes (Figure 1).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingTopology {
     n: u16,

@@ -18,7 +18,6 @@ use crate::ring::RingTopology;
 use ccr_sim::time::TimeDelta;
 
 /// Timing calculator for a concrete ring instance.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Physical constants.

@@ -7,8 +7,7 @@
 //! its original payload once the remaining workers have drained.
 //!
 //! This module lives in `ccr-sim` (rather than the experiment harness) so
-//! that every layer of the workspace can share one implementation;
-//! `ccr_netsim::sweep` re-exports it unchanged.
+//! that every layer of the workspace can share one implementation.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

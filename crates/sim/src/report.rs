@@ -1,8 +1,8 @@
 //! Plain-text table rendering and CSV emission for experiment output.
 //!
 //! The experiment harness prints paper-style tables to stdout and can dump
-//! the same rows as CSV. Hand-rolled (no `csv`/`serde_json` dependency): the
-//! formats needed here are trivial.
+//! the same rows as CSV. Hand-rolled (no `csv` dependency): the formats
+//! needed here are trivial.
 
 use std::fmt::Write as _;
 

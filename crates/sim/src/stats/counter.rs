@@ -1,7 +1,6 @@
 //! Named event counters.
 
 /// A simple saturating event counter with rate helpers.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 

@@ -7,7 +7,6 @@
 //! memory — ideal for latency distributions that span ns..ms.
 
 /// A streaming histogram over `u64` values (typically picoseconds).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     precision: u32,

@@ -5,7 +5,6 @@
 //! setting), not for per-event samples.
 
 /// An ordered collection of labelled (x, y) points.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     /// Series name, used as a column/legend label.

@@ -5,7 +5,6 @@
 /// Uses Welford's numerically stable online update; merging two summaries
 /// uses the parallel (Chan et al.) combination rule so partial results from
 /// parallel experiment shards can be folded together.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     count: u64,

@@ -11,7 +11,6 @@ use crate::time::SimTime;
 /// Call [`TimeWeighted::set`] whenever the signal changes; the value is
 /// assumed to hold from that instant until the next change (or until
 /// [`TimeWeighted::mean_until`] is read).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone)]
 pub struct TimeWeighted {
     start: SimTime,

@@ -20,12 +20,10 @@ pub const PS_PER_MS: u64 = 1_000_000_000;
 pub const PS_PER_S: u64 = 1_000_000_000_000;
 
 /// An absolute instant on the simulation clock, in picoseconds since t = 0.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A non-negative span of simulated time, in picoseconds.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TimeDelta(pub u64);
 

@@ -16,7 +16,6 @@ use ccr_edf::connection::ConnectionSpec;
 use ccr_edf::{NodeId, TimeDelta};
 
 /// Parameters of the radar pipeline scenario.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadarScenario {
     /// Nodes in the ring (pipeline stages occupy nodes `0..stages`).

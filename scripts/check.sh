@@ -30,7 +30,7 @@ skip() {
 
 step "cargo build --release" cargo build --workspace --release
 step "cargo test"            cargo test -q --workspace
-step "cargo clippy"          cargo clippy --workspace --all-targets -- -D warnings
+step "cargo clippy"          cargo clippy --workspace --all-targets --all-features -- -D warnings
 step "cargo fmt --check"     cargo fmt --all -- --check
 step "ccr-verify"            cargo run -q --release -p ccr-verify
 step "ccr-verify json gate"  bash -c 'cargo run -q --release -p ccr-verify -- --emit json --baseline verify/baseline.json > target/verify-report.json'
@@ -61,7 +61,7 @@ else
 fi
 
 # Supply-chain policy (deny.toml). The workspace has zero external deps;
-# this guards the optional serde feature and any future additions.
+# this guards any future additions.
 if command -v cargo-deny >/dev/null 2>&1; then
   step "cargo deny" cargo deny check
 else
