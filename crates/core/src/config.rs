@@ -9,7 +9,7 @@
 //! within slot N).
 
 use crate::admission::AdmissionPolicy;
-use crate::fault::FaultScript;
+use crate::fault::{FaultKind, FaultScript};
 use crate::priority::MapperKind;
 use crate::wire::{self, ServiceWireConfig};
 use ccr_phys::{LinkId, NodeId, PhysParams, RingTopology, TimingModel};
@@ -88,6 +88,13 @@ pub enum ConfigError {
     /// The physical parameters violate their own invariants (degenerate
     /// link length or zero clock period).
     BadPhysParams(String),
+    /// A fault-script event names a node the ring does not have.
+    FaultNodeOutOfRange {
+        /// Slot of the offending event.
+        slot: u64,
+        /// The node it targets.
+        node: NodeId,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -110,6 +117,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptySlot => write!(f, "slot_bytes must be > 0"),
             ConfigError::BadLinkLengths(why) => write!(f, "bad link lengths: {why}"),
             ConfigError::BadPhysParams(why) => write!(f, "bad phys params: {why}"),
+            ConfigError::FaultNodeOutOfRange { slot, node } => write!(
+                f,
+                "fault script event at slot {slot} targets node {node}, which is not on the ring"
+            ),
         }
     }
 }
@@ -295,6 +306,15 @@ impl NetworkConfig {
         self.faults.validate()?;
         if self.faults.recovery_timeout_slots == 0 && self.fault_script.has_clock_faults() {
             return Err(ConfigError::ZeroRecoveryTimeout);
+        }
+        for e in self.fault_script.events() {
+            if let FaultKind::FailNode(node) | FaultKind::CorruptCollection { victim: node } =
+                e.kind
+            {
+                if node.0 >= self.n_nodes {
+                    return Err(ConfigError::FaultNodeOutOfRange { slot: e.slot, node });
+                }
+            }
         }
         if let Some(ls) = &self.link_lengths_m {
             if ls.len() != self.n_nodes as usize {
@@ -498,8 +518,40 @@ mod tests {
     }
 
     #[test]
+    fn fault_script_nodes_outside_the_ring_rejected() {
+        let script = |kind| {
+            NetworkConfig::builder(8)
+                .faults(FaultConfig {
+                    recovery_timeout_slots: 4,
+                    ..Default::default()
+                })
+                .fault_script(FaultScript::new().at(30, kind))
+                .build()
+        };
+        assert_eq!(
+            script(FaultKind::FailNode(NodeId(8))).unwrap_err(),
+            ConfigError::FaultNodeOutOfRange {
+                slot: 30,
+                node: NodeId(8)
+            }
+        );
+        // A victim past bit 63 would overflow the node-set mask at run time.
+        let err = script(FaultKind::CorruptCollection { victim: NodeId(70) }).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::FaultNodeOutOfRange {
+                slot: 30,
+                node: NodeId(70)
+            }
+        );
+        assert!(err.to_string().contains("slot 30"));
+        // The last node on the ring is a fine target.
+        script(FaultKind::FailNode(NodeId(7))).unwrap();
+        script(FaultKind::CorruptCollection { victim: NodeId(7) }).unwrap();
+    }
+
+    #[test]
     fn zero_recovery_timeout_with_clock_faults_rejected() {
-        use crate::fault::{FaultKind, FaultScript};
         // token_loss_prob > 0 with timeout 0 would silently alias to 1.
         let err = NetworkConfig::builder(4)
             .faults(FaultConfig {

@@ -151,19 +151,10 @@ impl ConnectionPlan {
         self.segments.iter().filter_map(|s| s.segment.bridge)
     }
 
-    /// Directed bridge-queue indices this plan crosses, in route order —
-    /// the `crossings` argument of
-    /// [`crate::calculus::CalculusAdmission::admit_batch`], in the
-    /// engine's queue layout (see [`FabricTopology::queue_index`]).
-    pub fn queue_crossings(&self, topo: &FabricTopology) -> Vec<usize> {
-        self.segments
-            .iter()
-            .filter_map(|s| {
-                s.segment
-                    .bridge
-                    .map(|b| topo.queue_index(b, s.segment.ring))
-            })
-            .collect()
+    /// Directed bridge queues this plan enters (see [`Segment::queue`]),
+    /// in crossing order.
+    pub fn queues(&self) -> impl Iterator<Item = usize> + '_ {
+        self.segments.iter().filter_map(|s| s.segment.queue)
     }
 }
 
@@ -231,65 +222,22 @@ impl From<TopologyError> for FabricAdmissionError {
     }
 }
 
-/// Decompose `spec` into per-ring sub-connections.
+/// Decompose `spec` into per-ring sub-connections over the route that
+/// avoids the bridges flagged in `dead` (an empty slice when every bridge
+/// is alive; see [`FabricTopology::route`]).
 ///
 /// `envs` must hold one [`SegmentEnv`] per ring of the fabric, indexed by
 /// ring id. Pure: consults no network state beyond the timing constants.
+/// Returns [`FabricAdmissionError::Topology`] with
+/// [`TopologyError::NoRoute`] when the live bridges offer no path.
 pub fn plan_connection(
-    topo: &FabricTopology,
-    spec: &FabricConnectionSpec,
-    envs: &[SegmentEnv],
-) -> Result<ConnectionPlan, FabricAdmissionError> {
-    validate_spec(spec)?;
-    let segments = topo.segments(spec.src, spec.dst)?;
-    plan_over_segments(spec, segments, envs)
-}
-
-/// Like [`plan_connection`], but routed around the bridges flagged in
-/// `dead` — the degraded-mode planner the fabric uses to re-admit
-/// connections after a bridge failure. Returns
-/// [`FabricAdmissionError::Topology`] with
-/// [`TopologyError::NoRoute`] when the surviving bridges offer no
-/// alternate path.
-pub fn plan_connection_avoiding(
     topo: &FabricTopology,
     spec: &FabricConnectionSpec,
     envs: &[SegmentEnv],
     dead: &[bool],
 ) -> Result<ConnectionPlan, FabricAdmissionError> {
     validate_spec(spec)?;
-    let segments = topo.segments_avoiding(spec.src, spec.dst, dead)?;
-    plan_over_segments(spec, segments, envs)
-}
-
-fn validate_spec(spec: &FabricConnectionSpec) -> Result<(), FabricAdmissionError> {
-    if spec.size_slots == 0 {
-        return Err(FabricAdmissionError::InvalidSpec(
-            "zero-size messages".into(),
-        ));
-    }
-    if spec.period.is_zero() {
-        return Err(FabricAdmissionError::InvalidSpec("zero period".into()));
-    }
-    if spec.e2e_deadline.is_zero() {
-        return Err(FabricAdmissionError::InvalidSpec(
-            "zero e2e deadline".into(),
-        ));
-    }
-    if spec.e2e_deadline > spec.period {
-        return Err(FabricAdmissionError::InvalidSpec(format!(
-            "e2e deadline {} exceeds period {} (the per-ring model requires D \u{2264} P)",
-            spec.e2e_deadline, spec.period
-        )));
-    }
-    Ok(())
-}
-
-fn plan_over_segments(
-    spec: &FabricConnectionSpec,
-    segments: Vec<Segment>,
-    envs: &[SegmentEnv],
-) -> Result<ConnectionPlan, FabricAdmissionError> {
+    let segments = topo.segments(spec.src, spec.dst, dead)?;
     // Floors: what each segment needs no matter how generous the split.
     let floors: Vec<TimeDelta> = segments
         .iter()
@@ -337,6 +285,29 @@ fn plan_over_segments(
     })
 }
 
+fn validate_spec(spec: &FabricConnectionSpec) -> Result<(), FabricAdmissionError> {
+    if spec.size_slots == 0 {
+        return Err(FabricAdmissionError::InvalidSpec(
+            "zero-size messages".into(),
+        ));
+    }
+    if spec.period.is_zero() {
+        return Err(FabricAdmissionError::InvalidSpec("zero period".into()));
+    }
+    if spec.e2e_deadline.is_zero() {
+        return Err(FabricAdmissionError::InvalidSpec(
+            "zero e2e deadline".into(),
+        ));
+    }
+    if spec.e2e_deadline > spec.period {
+        return Err(FabricAdmissionError::InvalidSpec(format!(
+            "e2e deadline {} exceeds period {} (the per-ring model requires D \u{2264} P)",
+            spec.e2e_deadline, spec.period
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,7 +342,7 @@ mod tests {
             .period(TimeDelta::from_us(500))
             .e2e_deadline(TimeDelta::from_us(100));
         let envs = envs3();
-        let plan = plan_connection(&topo, &spec, &envs).unwrap();
+        let plan = plan_connection(&topo, &spec, &envs, &[]).unwrap();
         assert_eq!(plan.segments.len(), 3);
         let total: u64 = plan.segments.iter().map(|p| p.budget.as_ps()).sum();
         assert_eq!(total, spec.e2e_deadline.as_ps(), "budgets sum exactly");
@@ -386,6 +357,8 @@ mod tests {
         assert_eq!(plan.segments[0].spec.src, NodeId(1));
         assert_eq!(plan.segments[2].spec.src, NodeId(0));
         assert_eq!(plan.bridges().collect::<Vec<_>>(), vec![0, 1]);
+        // ...and the plan carries the directed queues it enters (a→b twice).
+        assert_eq!(plan.queues().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]
@@ -394,7 +367,7 @@ mod tests {
         let spec = FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(2, 2))
             .period(TimeDelta::from_us(500))
             .e2e_deadline(TimeDelta::from_us(30)); // floors alone need 40 µs
-        let err = plan_connection(&topo, &spec, &envs3()).unwrap_err();
+        let err = plan_connection(&topo, &spec, &envs3(), &[]).unwrap_err();
         assert_eq!(
             err,
             FabricAdmissionError::DeadlineTooTight {
@@ -411,10 +384,13 @@ mod tests {
         let one = FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 2))
             .period(TimeDelta::from_us(500))
             .e2e_deadline(TimeDelta::from_us(22));
-        assert!(plan_connection(&topo, &one, &envs).is_ok(), "1-slot fits");
+        assert!(
+            plan_connection(&topo, &one, &envs, &[]).is_ok(),
+            "1-slot fits"
+        );
         let big = one.clone().size_slots(4); // floor grows by 3 slots per segment
         assert!(matches!(
-            plan_connection(&topo, &big, &envs),
+            plan_connection(&topo, &big, &envs, &[]),
             Err(FabricAdmissionError::DeadlineTooTight { .. })
         ));
     }
@@ -426,21 +402,22 @@ mod tests {
         let base = FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 2))
             .period(TimeDelta::from_us(100));
         assert!(matches!(
-            plan_connection(&topo, &base.clone().size_slots(0), &envs),
+            plan_connection(&topo, &base.clone().size_slots(0), &envs, &[]),
             Err(FabricAdmissionError::InvalidSpec(_))
         ));
         assert!(matches!(
             plan_connection(
                 &topo,
                 &base.clone().e2e_deadline(TimeDelta::from_us(200)),
-                &envs
+                &envs,
+                &[]
             ),
             Err(FabricAdmissionError::InvalidSpec(_))
         ));
         // routing failures surface as Topology errors
         let disc = FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(0, 1));
         assert!(matches!(
-            plan_connection(&topo, &disc, &envs),
+            plan_connection(&topo, &disc, &envs, &[]),
             Err(FabricAdmissionError::Topology(
                 TopologyError::SelfConnection(_)
             ))
@@ -455,7 +432,7 @@ mod tests {
         let spec = FabricConnectionSpec::unicast(GlobalNodeId::new(1, 0), GlobalNodeId::new(1, 3))
             .period(TimeDelta::from_us(100))
             .e2e_deadline(TimeDelta::from_us(60));
-        let plan = plan_connection(&topo, &spec, &envs).unwrap();
+        let plan = plan_connection(&topo, &spec, &envs, &[]).unwrap();
         assert_eq!(plan.segments.len(), 1);
         assert_eq!(plan.segments[0].budget, TimeDelta::from_us(60));
         assert_eq!(

@@ -77,7 +77,7 @@ pub enum CalculusRejection {
         deadline: TimeDelta,
     },
     /// A candidate could not be translated into a flow model (degenerate
-    /// period or size, or a crossing index outside the queue set).
+    /// period or size, or a bridge queue outside the queue set).
     Malformed,
 }
 
@@ -198,15 +198,15 @@ impl CalculusAdmission {
     /// fixed-point pass for the whole batch. Either every candidate is
     /// admitted (and every re-derived bound — old and new flows alike —
     /// stays within its deadline), or the solver state is exactly as
-    /// before the call. `crossings` per plan are the bridge-queue indices
-    /// in route order, as the engine computes them.
+    /// before the call. Each plan's segments carry the bridge queues it
+    /// enters.
     pub fn admit_batch(
         &mut self,
-        batch: &[(FabricConnectionId, &ConnectionPlan, &[usize])],
+        batch: &[(FabricConnectionId, &ConnectionPlan)],
     ) -> Result<CalculusReport, CalculusRejection> {
         let mut flows = Vec::with_capacity(batch.len());
-        for (fid, plan, crossings) in batch {
-            flows.push((fid.0, self.flow_from_plan(plan, crossings)?));
+        for (fid, plan) in batch {
+            flows.push((fid.0, self.flow_from_plan(plan)?));
         }
         // The candidate batch runs inside a solver session: dropping the
         // session without committing (any early return below) rolls the
@@ -230,12 +230,12 @@ impl CalculusAdmission {
                 .or_else(|| {
                     batch
                         .iter()
-                        .find(|(fid, _, _)| fid.0 == key)
-                        .map(|(_, plan, _)| plan.spec.e2e_deadline.as_ps() as f64)
+                        .find(|(fid, _)| fid.0 == key)
+                        .map(|(_, plan)| plan.spec.e2e_deadline.as_ps() as f64)
                 })
                 .unwrap_or(f64::INFINITY);
             if bound_ps > deadline_ps {
-                let candidate = batch.iter().any(|(fid, _, _)| fid.0 == key);
+                let candidate = batch.iter().any(|(fid, _)| fid.0 == key);
                 return Err(CalculusRejection::BoundExceeded {
                     flow: (!candidate).then_some(FabricConnectionId(key)),
                     bound: TimeDelta::from_ps_f64_saturating(bound_ps.ceil()),
@@ -244,7 +244,7 @@ impl CalculusAdmission {
             }
         }
         session.commit();
-        for (fid, plan, _) in batch {
+        for (fid, plan) in batch {
             self.deadlines
                 .insert(fid.0, plan.spec.e2e_deadline.as_ps() as f64);
         }
@@ -281,27 +281,23 @@ impl CalculusAdmission {
     /// queues interleaved along the route, EDF classes on the ring hops
     /// (the per-segment relative-deadline budget), blind bridge queues,
     /// no constant hop delays — queueing is priced by the queue servers.
-    fn flow_from_plan(
-        &self,
-        plan: &ConnectionPlan,
-        crossings: &[usize],
-    ) -> Result<FlowSpec, CalculusRejection> {
+    fn flow_from_plan(&self, plan: &ConnectionPlan) -> Result<FlowSpec, CalculusRejection> {
         let period_ps = plan.spec.period.as_ps() as f64;
         let burst = f64::from(plan.spec.size_slots);
         if plan.segments.is_empty()
-            || crossings.len() + 1 != plan.segments.len()
             || period_ps <= 0.0
             || burst <= 0.0
-            || crossings.iter().any(|&q| q >= self.n_queues)
+            || plan.queues().any(|q| q >= self.n_queues)
         {
             return Err(CalculusRejection::Malformed);
         }
         let arrival = ArrivalCurve::token_bucket(burst, burst / period_ps)
             .map_err(|_| CalculusRejection::Malformed)?;
-        let hops = plan.segments.len() + crossings.len();
+        // One ring hop per segment, one queue hop between each pair.
+        let hops = 2 * plan.segments.len() - 1;
         let mut path = Vec::with_capacity(hops);
         let mut classes = Vec::with_capacity(hops);
-        for (i, seg) in plan.segments.iter().enumerate() {
+        for seg in &plan.segments {
             path.push(seg.segment.ring.0 as usize);
             let budget_ps = seg.budget.as_ps() as f64;
             classes.push(if budget_ps > 0.0 {
@@ -309,12 +305,12 @@ impl CalculusAdmission {
             } else {
                 f64::INFINITY
             });
-            if let Some(&q) = crossings.get(i) {
+            if let Some(q) = seg.segment.queue {
                 path.push(self.n_rings + q);
                 classes.push(f64::INFINITY);
             }
         }
-        let mut spec = FlowSpec::blind(path, arrival, vec![0.0; hops]);
+        let mut spec = FlowSpec::blind(path, arrival, vec![0.0; classes.len()]);
         spec.classes = classes;
         Ok(spec)
     }
@@ -378,12 +374,6 @@ mod tests {
             .collect()
     }
 
-    /// The engine's queue layout for a 2-ring chain with one bridge:
-    /// queue 0 drains a→b into ring 1, queue 1 drains b→a into ring 0.
-    fn chain2_queues() -> Vec<usize> {
-        vec![1, 0]
-    }
-
     fn plan_for(
         topo: &FabricTopology,
         envs: &[SegmentEnv],
@@ -392,7 +382,7 @@ mod tests {
         period: TimeDelta,
     ) -> ConnectionPlan {
         let spec = FabricConnectionSpec::unicast(src, dst).period(period);
-        plan_connection(topo, &spec, envs).expect("plan exists")
+        plan_connection(topo, &spec, envs, &[]).expect("plan exists")
     }
 
     #[test]
@@ -400,7 +390,7 @@ mod tests {
         let topo = FabricTopology::chain(2, 6);
         let envs = envs(2);
         let mut calc =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &chain2_queues()).unwrap();
+            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
         let plan = plan_for(
             &topo,
             &envs,
@@ -410,7 +400,7 @@ mod tests {
         );
         let fid = FabricConnectionId(1);
         let report = calc
-            .admit_batch(&[(fid, &plan, &[0])])
+            .admit_batch(&[(fid, &plan)])
             .expect("lightly loaded chain certifies");
         assert_eq!(report.dirty_flows, 1);
         assert_eq!(calc.certified_flows(), 1);
@@ -425,8 +415,8 @@ mod tests {
     #[test]
     fn over_utilised_ring_is_refused_with_diagnostic() {
         let envs = envs(2);
-        let mut calc =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &chain2_queues()).unwrap();
+        let queues = FabricTopology::chain(2, 6).queue_egress();
+        let mut calc = CalculusAdmission::new(&envs, &BridgeConfig::default(), &queues).unwrap();
         // Service rate is 1 slot / 8 µs = 1.25e-7 slots/ps. Two flows at
         // 0.8e-7 each push ring 0 past capacity, so the batch is refused on
         // long-run rates alone and rolls back whole. (Flows this hot cannot
@@ -457,7 +447,7 @@ mod tests {
         let topo = FabricTopology::chain(2, 6);
         let envs = envs(2);
         let mut calc =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &chain2_queues()).unwrap();
+            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
         // Admit a flow, then shrink its recorded deadline to its certified
         // bound: any extra cross traffic on its servers pushes the bound
         // past the deadline and must name it as the victim.
@@ -469,7 +459,7 @@ mod tests {
             TimeDelta::from_ms(1),
         );
         let fid = FabricConnectionId(1);
-        calc.admit_batch(&[(fid, &plan, &[0])]).unwrap();
+        calc.admit_batch(&[(fid, &plan)]).unwrap();
         let tight = calc.bound(fid).unwrap();
         calc.deadlines.insert(fid.0, tight.as_ps() as f64);
         let before = calc.bound(fid);
@@ -480,7 +470,7 @@ mod tests {
             GlobalNodeId::new(1, 4),
             TimeDelta::from_ms(1),
         );
-        match calc.admit_batch(&[(FabricConnectionId(2), &candidate, &[0])]) {
+        match calc.admit_batch(&[(FabricConnectionId(2), &candidate)]) {
             Err(CalculusRejection::BoundExceeded { flow, .. }) => {
                 assert_eq!(flow, Some(fid), "the victim is named");
             }
@@ -495,10 +485,8 @@ mod tests {
     fn verdicts_are_deterministic_across_recomputation() {
         let topo = FabricTopology::chain(3, 6);
         let envs = envs(3);
-        // 3-ring chain: bridges (r0,r1) and (r1,r2); queue egress rings in
-        // the engine's 2b/2b+1 layout.
-        let queues = vec![1, 0, 2, 1];
-        let base = CalculusAdmission::new(&envs, &BridgeConfig::default(), &queues).unwrap();
+        let base =
+            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
         let plan = plan_for(
             &topo,
             &envs,
@@ -509,8 +497,8 @@ mod tests {
         let fid = FabricConnectionId(1);
         let mut a = base.clone();
         let mut b = base.clone();
-        let ra = a.admit_batch(&[(fid, &plan, &[0, 2])]).unwrap();
-        let rb = b.admit_batch(&[(fid, &plan, &[0, 2])]).unwrap();
+        let ra = a.admit_batch(&[(fid, &plan)]).unwrap();
+        let rb = b.admit_batch(&[(fid, &plan)]).unwrap();
         assert_eq!(a.bound(fid), b.bound(fid));
         assert_eq!(ra, rb);
     }
@@ -519,8 +507,8 @@ mod tests {
     fn warm_start_matches_forced_full_reference() {
         let topo = FabricTopology::chain(3, 6);
         let envs = envs(3);
-        let queues = vec![1, 0, 2, 1];
-        let mut warm = CalculusAdmission::new(&envs, &BridgeConfig::default(), &queues).unwrap();
+        let mut warm =
+            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
         let mut full = warm.clone();
         full.set_force_full(true);
         let mut fid = 0u64;
@@ -531,18 +519,9 @@ mod tests {
         ] {
             fid += 1;
             let plan = plan_for(&topo, &envs, src, dst, TimeDelta::from_ms(2));
-            let crossings: Vec<usize> = match plan.segments.len() {
-                1 => vec![],
-                2 => vec![if plan.segments[0].segment.ring.0 == 0 {
-                    0
-                } else {
-                    2
-                }],
-                _ => vec![0, 2],
-            };
-            warm.admit_batch(&[(FabricConnectionId(fid), &plan, &crossings)])
+            warm.admit_batch(&[(FabricConnectionId(fid), &plan)])
                 .unwrap();
-            full.admit_batch(&[(FabricConnectionId(fid), &plan, &crossings)])
+            full.admit_batch(&[(FabricConnectionId(fid), &plan)])
                 .unwrap();
         }
         for k in 1..=fid {

@@ -37,12 +37,12 @@
 //! that relative sum against the connection's relative e2e deadline.
 
 use crate::admission::{
-    plan_connection, plan_connection_avoiding, ConnectionPlan, FabricAdmissionError,
-    FabricConnectionId, FabricConnectionSpec, SegmentEnv,
+    plan_connection, ConnectionPlan, FabricAdmissionError, FabricConnectionId,
+    FabricConnectionSpec, SegmentEnv,
 };
 use crate::bridge::{BridgeConfig, BridgeQueue, PendingForward};
 use crate::calculus::CalculusAdmission;
-use crate::fault::{BridgeEventKind, FabricFaultScript};
+use crate::fault::{BridgeEventKind, FabricFaultKind, FabricFaultScript};
 use crate::metrics::FabricMetrics;
 use crate::topology::{CycleBound, FabricTopology, GlobalNodeId, RingId};
 use ccr_edf::config::{ConfigError, NetworkConfig};
@@ -86,6 +86,12 @@ pub enum FabricBuildError {
         /// The offending bridge index.
         bridge: usize,
     },
+    /// The fault script aims a ring-local fault at a ring outside the
+    /// topology.
+    UnknownRing {
+        /// The offending ring.
+        ring: RingId,
+    },
     /// The network-calculus certifier was requested but a ring's timing
     /// environment is degenerate (zero slot-plus-handover time).
     DegenerateTiming,
@@ -117,6 +123,9 @@ impl std::fmt::Display for FabricBuildError {
             FabricBuildError::Config(e) => write!(f, "ring config invalid: {e}"),
             FabricBuildError::UnknownBridge { bridge } => {
                 write!(f, "fault script targets unknown bridge #{bridge}")
+            }
+            FabricBuildError::UnknownRing { ring } => {
+                write!(f, "fault script targets unknown ring {ring}")
             }
             FabricBuildError::DegenerateTiming => {
                 write!(
@@ -247,19 +256,44 @@ impl ConnClass {
     }
 }
 
-/// An admitted end-to-end connection.
+/// An admitted end-to-end connection: everything the fabric holds for it,
+/// dropped in one piece when it closes.
 #[derive(Debug)]
 struct ActiveConnection {
     plan: ConnectionPlan,
     /// Per-segment ring-level connection ids (opened on segment 0,
     /// reserved on the rest).
     ring_conns: Vec<ConnectionId>,
-    /// Bridge-queue index crossed *after* each non-final segment.
-    queue_after: Vec<usize>,
     /// How traffic enters and which guarantees it carries.
     class: ConnClass,
     /// Final deliveries so far — the egress sequence number source.
     delivered: u64,
+    /// Messages forwarded onto each segment and not yet delivered there,
+    /// one FIFO per segment (segment 0's stays empty: its messages carry
+    /// their release time).
+    inflight: Vec<VecDeque<Inflight>>,
+    /// Largest observed e2e latency (final deliveries).
+    observed_max: Option<TimeDelta>,
+}
+
+impl ActiveConnection {
+    /// The message this connection sends on segment `seg_idx`, entering
+    /// it at `now` on that segment's ring clock: a real-time message, or a
+    /// best-effort one tagged with its connection.
+    fn message(&self, seg_idx: usize, now: SimTime) -> Message {
+        let seg = &self.plan.segments[seg_idx];
+        let (from, to) = (seg.segment.from, seg.segment.to);
+        let size = seg.spec.size_slots;
+        let deadline = now.saturating_add(seg.spec.effective_deadline());
+        let conn = self.ring_conns[seg_idx];
+        if self.class == ConnClass::BestEffort {
+            let mut m = Message::best_effort(from, Destination::Unicast(to), size, now, deadline);
+            m.connection = Some(conn);
+            m
+        } else {
+            Message::real_time(from, Destination::Unicast(to), size, now, deadline, conn)
+        }
+    }
 }
 
 /// A final delivery of an externally injected (gateway) connection,
@@ -394,7 +428,6 @@ pub struct Fabric {
     queue_resident: Vec<usize>,
     connections: HashMap<FabricConnectionId, ActiveConnection>,
     by_ring_conn: HashMap<(u16, ConnectionId), (FabricConnectionId, usize)>,
-    inflight: HashMap<(FabricConnectionId, usize), VecDeque<Inflight>>,
     metrics: FabricMetrics,
     next_fid: u64,
     fwd_seq: u64,
@@ -403,8 +436,6 @@ pub struct Fabric {
     /// End-to-end certifier: present when the topology allows cycles with
     /// [`CycleBound::Calculus`] or [`FabricConfig::calculus`] opted in.
     calculus: Option<CalculusAdmission>,
-    /// Largest observed e2e latency per connection (final deliveries).
-    observed_e2e: HashMap<FabricConnectionId, TimeDelta>,
     /// Final deliveries of external connections since the last
     /// [`Fabric::drain_egress`], in deterministic delivery order.
     egress_buf: Vec<EgressDelivery>,
@@ -479,6 +510,12 @@ impl Fabric {
         {
             return Err(FabricBuildError::UnknownBridge { bridge: b });
         }
+        if let Some(ring) = cfg.fault_script.events().iter().find_map(|e| match e.kind {
+            FabricFaultKind::Ring { ring, .. } if ring.0 >= n_rings => Some(ring),
+            _ => None,
+        }) {
+            return Err(FabricBuildError::UnknownRing { ring });
+        }
         let track_faults = !bridge_events.is_empty()
             || ring_cfgs.iter().any(|rc| {
                 rc.faults.token_loss_prob > 0.0
@@ -531,13 +568,11 @@ impl Fabric {
             queue_resident: vec![0; n_queues],
             connections: HashMap::new(),
             by_ring_conn: HashMap::new(),
-            inflight: HashMap::new(),
             metrics: FabricMetrics::new(),
             next_fid: 1,
             fwd_seq: 0,
             health_scratch: Vec::new(),
             calculus,
-            observed_e2e: HashMap::new(),
             dead_bridges: vec![false; n_bridges],
             bridge_events,
             event_cursor: 0,
@@ -596,10 +631,23 @@ impl Fabric {
         self.connections.len()
     }
 
-    /// The bridge-queue index crossed when leaving `segment` over bridge
-    /// `bridge` (an index into the topology's bridge list).
-    fn queue_index(&self, bridge: usize, from_ring: RingId) -> usize {
-        self.topo.queue_index(bridge, from_ring)
+    /// Plan `spec` around the bridges that are dead right now — the one
+    /// planning call behind every admission, re-route and reclaim.
+    fn plan(&self, spec: &FabricConnectionSpec) -> Result<ConnectionPlan, FabricAdmissionError> {
+        plan_connection(&self.topo, spec, &self.envs, &self.dead_bridges)
+    }
+
+    /// Plan every spec, then admit the batch as `class`, all-or-nothing.
+    fn open(
+        &mut self,
+        specs: &[FabricConnectionSpec],
+        class: ConnClass,
+    ) -> Result<Vec<FabricConnectionId>, FabricAdmissionError> {
+        let plans = specs
+            .iter()
+            .map(|spec| self.plan(spec))
+            .collect::<Result<Vec<_>, _>>()?;
+        self.admit_plans(plans, class)
     }
 
     /// Admit an end-to-end connection: plan the per-segment decomposition,
@@ -611,15 +659,8 @@ impl Fabric {
         &mut self,
         spec: FabricConnectionSpec,
     ) -> Result<FabricConnectionId, FabricAdmissionError> {
-        // With every bridge alive the avoid-set planner reproduces the
-        // static routing table exactly; once bridges have died, all new
-        // admissions route around them.
-        let plan = if self.dead_bridges.iter().any(|&d| d) {
-            plan_connection_avoiding(&self.topo, &spec, &self.envs, &self.dead_bridges)?
-        } else {
-            plan_connection(&self.topo, &spec, &self.envs)?
-        };
-        self.admit_plan(plan, ConnClass::Periodic)
+        self.open(std::slice::from_ref(&spec), ConnClass::Periodic)
+            .map(|fids| fids[0])
     }
 
     /// Admit an end-to-end connection whose messages are produced
@@ -633,7 +674,7 @@ impl Fabric {
         &mut self,
         spec: FabricConnectionSpec,
     ) -> Result<FabricConnectionId, FabricAdmissionError> {
-        self.open_external_connections(std::slice::from_ref(&spec))
+        self.open(std::slice::from_ref(&spec), ConnClass::External)
             .map(|fids| fids[0])
     }
 
@@ -644,16 +685,7 @@ impl Fabric {
         &mut self,
         specs: &[FabricConnectionSpec],
     ) -> Result<Vec<FabricConnectionId>, FabricAdmissionError> {
-        let degraded = self.dead_bridges.iter().any(|&d| d);
-        let mut plans = Vec::with_capacity(specs.len());
-        for spec in specs {
-            plans.push(if degraded {
-                plan_connection_avoiding(&self.topo, spec, &self.envs, &self.dead_bridges)?
-            } else {
-                plan_connection(&self.topo, spec, &self.envs)?
-            });
-        }
-        self.admit_plans(plans, ConnClass::External)
+        self.open(specs, ConnClass::External)
     }
 
     /// Open a best-effort connection: the route is planned and every
@@ -668,13 +700,8 @@ impl Fabric {
         &mut self,
         spec: FabricConnectionSpec,
     ) -> Result<FabricConnectionId, FabricAdmissionError> {
-        let degraded = self.dead_bridges.iter().any(|&d| d);
-        let plan = if degraded {
-            plan_connection_avoiding(&self.topo, &spec, &self.envs, &self.dead_bridges)?
-        } else {
-            plan_connection(&self.topo, &spec, &self.envs)?
-        };
-        self.admit_plan(plan, ConnClass::BestEffort)
+        self.open(std::slice::from_ref(&spec), ConnClass::BestEffort)
+            .map(|fids| fids[0])
     }
 
     /// Admit a batch of end-to-end connections atomically: every spec is
@@ -688,22 +715,11 @@ impl Fabric {
         &mut self,
         specs: &[FabricConnectionSpec],
     ) -> Result<Vec<FabricConnectionId>, FabricAdmissionError> {
-        let degraded = self.dead_bridges.iter().any(|&d| d);
-        let mut plans = Vec::with_capacity(specs.len());
-        for spec in specs {
-            plans.push(if degraded {
-                plan_connection_avoiding(&self.topo, spec, &self.envs, &self.dead_bridges)?
-            } else {
-                plan_connection(&self.topo, spec, &self.envs)?
-            });
-        }
-        self.admit_plans(plans, ConnClass::Periodic)
+        self.open(specs, ConnClass::Periodic)
     }
 
-    /// Admit an already-planned connection (shared by [`open_connection`]
-    /// and the degraded-mode re-admission path).
-    ///
-    /// [`open_connection`]: Fabric::open_connection
+    /// Admit one already-planned connection (the re-admission paths of
+    /// reconcile and reclaim).
     fn admit_plan(
         &mut self,
         plan: ConnectionPlan,
@@ -727,19 +743,13 @@ impl Fabric {
         // resident connection reserves one buffer slot per crossing (one
         // message per period in flight at a bridge is the steady state
         // under met deadlines).
-        let crossings: Vec<Vec<usize>> = plans
-            .iter()
-            .map(|plan| plan.queue_crossings(&self.topo))
-            .collect();
         if class != ConnClass::BestEffort {
             let mut extra = vec![0usize; self.queue_resident.len()];
-            for cr in &crossings {
-                for &q in cr {
-                    if self.queue_resident[q] + extra[q] >= self.bridge_cfg.capacity {
-                        return Err(FabricAdmissionError::BridgeOverload { bridge: q / 2 });
-                    }
-                    extra[q] += 1;
+            for q in plans.iter().flat_map(|plan| plan.queues()) {
+                if self.queue_resident[q] + extra[q] >= self.bridge_cfg.capacity {
+                    return Err(FabricAdmissionError::BridgeOverload { bridge: q / 2 });
                 }
+                extra[q] += 1;
             }
         }
         // End-to-end certification (always on for cyclic fabrics): one
@@ -754,12 +764,8 @@ impl Fabric {
             .collect();
         if class != ConnClass::BestEffort {
             if let Some(calc) = self.calculus.as_mut() {
-                let batch: Vec<(FabricConnectionId, &ConnectionPlan, &[usize])> = fids
-                    .iter()
-                    .zip(plans.iter())
-                    .zip(crossings.iter())
-                    .map(|((&fid, plan), cr)| (fid, plan, cr.as_slice()))
-                    .collect();
+                let batch: Vec<(FabricConnectionId, &ConnectionPlan)> =
+                    fids.iter().copied().zip(plans.iter()).collect();
                 let report = calc
                     .admit_batch(&batch)
                     .map_err(FabricAdmissionError::Calculus)?;
@@ -816,28 +822,25 @@ impl Fabric {
         }
         // Bookkeeping — the batch is in.
         self.next_fid += plans.len() as u64;
-        for ((fid, plan), (ring_conns, cr)) in fids
-            .iter()
-            .zip(plans)
-            .zip(admitted.into_iter().zip(crossings))
-        {
+        for ((&fid, plan), ring_conns) in fids.iter().zip(plans).zip(admitted) {
             for (i, (&rc, seg)) in ring_conns.iter().zip(plan.segments.iter()).enumerate() {
-                self.by_ring_conn
-                    .insert((seg.segment.ring.0, rc), (*fid, i));
+                self.by_ring_conn.insert((seg.segment.ring.0, rc), (fid, i));
             }
             if class != ConnClass::BestEffort {
-                for &q in &cr {
+                for q in plan.queues() {
                     self.queue_resident[q] += 1;
                 }
             }
+            let inflight = plan.segments.iter().map(|_| VecDeque::new()).collect();
             self.connections.insert(
-                *fid,
+                fid,
                 ActiveConnection {
                     plan,
                     ring_conns,
-                    queue_after: cr,
                     class,
                     delivered: 0,
+                    inflight,
+                    observed_max: None,
                 },
             );
         }
@@ -865,25 +868,18 @@ impl Fabric {
         let Some(active) = self.connections.remove(&fid) else {
             return false;
         };
-        for (i, (&rc, seg)) in active
-            .ring_conns
-            .iter()
-            .zip(active.plan.segments.iter())
-            .enumerate()
-        {
+        for (&rc, seg) in active.ring_conns.iter().zip(active.plan.segments.iter()) {
             self.rings[seg.segment.ring.0 as usize].close_connection(rc);
             self.by_ring_conn.remove(&(seg.segment.ring.0, rc));
-            self.inflight.remove(&(fid, i));
         }
         if active.class != ConnClass::BestEffort {
-            for &q in &active.queue_after {
+            for q in active.plan.queues() {
                 self.queue_resident[q] -= 1;
             }
             if let Some(calc) = self.calculus.as_mut() {
                 calc.remove(fid);
             }
         }
-        self.observed_e2e.remove(&fid);
         true
     }
 
@@ -898,7 +894,7 @@ impl Fabric {
     /// Largest end-to-end latency observed so far for connection `fid`
     /// (final deliveries only). `None` before its first delivery.
     pub fn observed_e2e_max(&self, fid: FabricConnectionId) -> Option<TimeDelta> {
-        self.observed_e2e.get(&fid).copied()
+        self.connections.get(&fid).and_then(|a| a.observed_max)
     }
 
     /// Inject one externally produced message (e.g. a gateway datagram)
@@ -923,37 +919,10 @@ impl Fabric {
         if !self.node_alive(active.plan.spec.src) {
             return Err(InjectError::SourceDown);
         }
-        let class = active.class;
-        let seg = &active.plan.segments[0];
-        let ring_idx = seg.segment.ring.0 as usize;
-        let (from, to) = (seg.segment.from, seg.segment.to);
-        let rel_deadline = seg.spec.effective_deadline();
-        let size = seg.spec.size_slots;
-        let conn = active.ring_conns[0];
-        let ring = &mut self.rings[ring_idx];
+        let ring = &mut self.rings[active.plan.segments[0].segment.ring.0 as usize];
         let now = ring.now();
-        let msg = if class == ConnClass::BestEffort {
-            let mut m = Message::best_effort(
-                from,
-                Destination::Unicast(to),
-                size,
-                now,
-                now.saturating_add(rel_deadline),
-            );
-            m.connection = Some(conn);
-            m
-        } else {
-            Message::real_time(
-                from,
-                Destination::Unicast(to),
-                size,
-                now,
-                now.saturating_add(rel_deadline),
-                conn,
-            )
-        };
-        ring.submit_message(now, msg);
-        if class == ConnClass::BestEffort {
+        ring.submit_message(now, active.message(0, now));
+        if active.class == ConnClass::BestEffort {
             self.metrics.be_injected.incr();
         } else {
             self.metrics.external_injected.incr();
@@ -1116,7 +1085,7 @@ impl Fabric {
             self.close_connection_impl(fid);
             let endpoints_alive = self.node_alive(spec.src) && self.node_alive(spec.dst);
             let rerouted = if endpoints_alive {
-                plan_connection_avoiding(&self.topo, &spec, &self.envs, &self.dead_bridges)
+                self.plan(&spec)
                     .map_err(|_| RevokeReason::NoRoute)
                     .and_then(|plan| {
                         self.admit_plan(plan, class)
@@ -1205,7 +1174,7 @@ impl Fabric {
         let stash = std::mem::take(&mut self.revoked_specs);
         for (spec, class, old_fid) in stash {
             let reclaimed = if self.node_alive(spec.src) && self.node_alive(spec.dst) {
-                plan_connection_avoiding(&self.topo, &spec, &self.envs, &self.dead_bridges)
+                self.plan(&spec)
                     .ok()
                     .and_then(|plan| self.admit_plan(plan, class).ok())
             } else {
@@ -1224,23 +1193,15 @@ impl Fabric {
         let mut fids: Vec<FabricConnectionId> = self.connections.keys().copied().collect();
         fids.sort_unstable();
         for fid in fids {
-            let (spec, current, old_plan, class) = {
-                let active = &self.connections[&fid];
-                (
-                    active.plan.spec.clone(),
-                    active.plan.bridges().collect::<Vec<usize>>(),
-                    active.plan.clone(),
-                    active.class,
-                )
-            };
-            let Ok(preferred) =
-                plan_connection_avoiding(&self.topo, &spec, &self.envs, &self.dead_bridges)
-            else {
+            let active = &self.connections[&fid];
+            let Ok(preferred) = self.plan(&active.plan.spec) else {
                 continue;
             };
-            if preferred.bridges().collect::<Vec<usize>>() == current {
+            if preferred.bridges().eq(active.plan.bridges()) {
                 continue;
             }
+            let (old_plan, class) = (active.plan.clone(), active.class);
+            let spec = old_plan.spec.clone();
             self.close_connection_impl(fid);
             if let Ok(new) = self.admit_plan(preferred, class) {
                 self.metrics.e2e_reclaimed.incr();
@@ -1313,17 +1274,9 @@ impl Fabric {
             let (_, b, kind) = self.bridge_events[self.event_cursor];
             self.event_cursor += 1;
             match kind {
-                BridgeEventKind::Kill => {
-                    if self.kill_bridge_impl(b) {
-                        self.reconcile_connections();
-                    }
-                }
-                BridgeEventKind::Repair => {
-                    if self.repair_bridge_impl(b) {
-                        self.reclaim_connections();
-                    }
-                }
-            }
+                BridgeEventKind::Kill => self.kill_bridge(b),
+                BridgeEventKind::Repair => self.repair_bridge(b),
+            };
         }
         // Phase 1 — every ring steps, in index order, before any delivery
         // is handled: a bridge hand-off is stamped with its egress ring's
@@ -1395,13 +1348,14 @@ impl Fabric {
         let wait = now.saturating_since(pf.enqueued);
         ring.submit_message(now, pf.msg);
         self.metrics.record_forward(wait);
-        self.inflight
-            .entry((pf.fid, pf.seg_idx))
-            .or_default()
-            .push_back(Inflight {
+        // A connection closed or rerouted while its forward waited is gone:
+        // the message still rides its egress ring, but no record awaits it.
+        if let Some(active) = self.connections.get_mut(&pf.fid) {
+            active.inflight[pf.seg_idx].push_back(Inflight {
                 entered: pf.enqueued,
                 accumulated: pf.accumulated,
             });
+        }
     }
 
     /// Route one delivery of ring `ring`: close its end-to-end record or
@@ -1414,125 +1368,72 @@ impl Fabric {
         let Some(&(fid, seg_idx)) = self.by_ring_conn.get(&(ring, conn)) else {
             return;
         };
-        // Pull out everything needed from the plan before mutating metrics.
-        let (n_segs, e2e_deadline, class, next) = {
-            let active = &self.connections[&fid];
-            let n = active.plan.segments.len();
-            let next = if seg_idx + 1 < n {
-                let ns = &active.plan.segments[seg_idx + 1];
-                let cross = active.plan.segments[seg_idx]
-                    .segment
-                    .bridge
-                    .expect("non-final segment ends at a bridge");
-                Some((
-                    self.queue_index(cross, active.plan.segments[seg_idx].segment.ring),
-                    ns.segment.ring.0 as usize,
-                    ns.segment.from,
-                    ns.segment.to,
-                    ns.spec.effective_deadline(),
-                    active.ring_conns[seg_idx + 1],
-                ))
-            } else {
-                None
-            };
-            (n, active.plan.spec.e2e_deadline, active.class, next)
-        };
+        let active = self
+            .connections
+            .get_mut(&fid)
+            .expect("by_ring_conn names live connections");
         let (entered, accumulated) = if seg_idx == 0 {
             (d.msg.released, TimeDelta::ZERO)
         } else {
             // FIFO matching — see `Inflight`.
-            let Some(rec) = self
-                .inflight
-                .get_mut(&(fid, seg_idx))
-                .and_then(|q| q.pop_front())
-            else {
-                return; // stray delivery of a since-closed connection
+            let Some(rec) = active.inflight[seg_idx].pop_front() else {
+                return; // no record awaits it: a stray delivery
             };
             (rec.entered, rec.accumulated)
         };
         let seg_latency = d.completed.saturating_since(entered);
         let total = accumulated + seg_latency;
         self.metrics.record_segment(seg_idx, seg_latency);
-        match next {
-            None => {
-                debug_assert_eq!(seg_idx + 1, n_segs);
-                let met = total <= e2e_deadline;
-                if class == ConnClass::BestEffort {
-                    // Best-effort stays out of e2e_* so guaranteed
-                    // hit/miss ratios and observed-vs-bound checks are
-                    // never diluted by uncertified traffic.
-                    self.metrics.record_be(total, met);
-                } else {
-                    self.metrics.record_e2e(total, met);
-                    let worst = self.observed_e2e.entry(fid).or_insert(TimeDelta::ZERO);
-                    *worst = (*worst).max(total);
-                }
-                if class.is_injected() {
-                    let active = self
-                        .connections
-                        .get_mut(&fid)
-                        .expect("active connection just read");
-                    let seq = active.delivered;
-                    active.delivered += 1;
-                    if class == ConnClass::External {
-                        self.metrics.external_delivered.incr();
-                    }
-                    self.egress_buf.push(EgressDelivery {
-                        fid,
-                        seq,
-                        latency: total,
-                        met_deadline: met,
-                        slack: e2e_deadline.saturating_sub(total),
-                    });
-                }
+        let class = active.class;
+        let Some(qi) = active.plan.segments[seg_idx].segment.queue else {
+            // Final segment: close the end-to-end record.
+            let e2e_deadline = active.plan.spec.e2e_deadline;
+            let met = total <= e2e_deadline;
+            if class == ConnClass::BestEffort {
+                // Best-effort stays out of e2e_* so guaranteed hit/miss
+                // ratios and observed-vs-bound checks are never diluted by
+                // uncertified traffic.
+                self.metrics.record_be(total, met);
+            } else {
+                self.metrics.record_e2e(total, met);
+                active.observed_max = active.observed_max.max(Some(total));
             }
-            Some((qi, egress_ring, from, to, rel_deadline, egress_conn)) => {
-                // Hand off to the bridge: timestamp and sub-deadline on the
-                // egress ring's clock.
-                let now = rings[egress_ring].now();
-                let size = d.msg.size_slots;
-                let msg = if class == ConnClass::BestEffort {
-                    let mut m = Message::best_effort(
-                        from,
-                        Destination::Unicast(to),
-                        size,
-                        now,
-                        now.saturating_add(rel_deadline),
-                    );
-                    m.connection = Some(egress_conn);
-                    m
-                } else {
-                    Message::real_time(
-                        from,
-                        Destination::Unicast(to),
-                        size,
-                        now,
-                        now.saturating_add(rel_deadline),
-                        egress_conn,
-                    )
-                };
-                let pending = PendingForward {
-                    msg,
-                    enqueued: now,
-                    seq: self.fwd_seq,
+            if class.is_injected() {
+                let seq = active.delivered;
+                active.delivered += 1;
+                if class == ConnClass::External {
+                    self.metrics.external_delivered.incr();
+                }
+                self.egress_buf.push(EgressDelivery {
                     fid,
-                    seg_idx: seg_idx + 1,
-                    accumulated: total,
-                };
-                self.fwd_seq += 1;
-                let dropped = if class == ConnClass::BestEffort {
-                    self.be_queues[qi].push(pending, &self.bridge_cfg)
-                } else {
-                    self.queues[qi].push(pending, &self.bridge_cfg)
-                };
-                if dropped.is_some() {
-                    if class == ConnClass::BestEffort {
-                        self.metrics.be_bridge_drops.incr();
-                    } else {
-                        self.metrics.bridge_drops.incr();
-                    }
-                }
+                    seq,
+                    latency: total,
+                    met_deadline: met,
+                    slack: e2e_deadline.saturating_sub(total),
+                });
             }
+            return;
+        };
+        // Hand off to the bridge: timestamp and sub-deadline on the egress
+        // ring's clock.
+        let next = seg_idx + 1;
+        let now = rings[active.plan.segments[next].segment.ring.0 as usize].now();
+        let pending = PendingForward {
+            msg: active.message(next, now),
+            enqueued: now,
+            seq: self.fwd_seq,
+            fid,
+            seg_idx: next,
+            accumulated: total,
+        };
+        self.fwd_seq += 1;
+        let (queue, drops) = if class == ConnClass::BestEffort {
+            (&mut self.be_queues[qi], &mut self.metrics.be_bridge_drops)
+        } else {
+            (&mut self.queues[qi], &mut self.metrics.bridge_drops)
+        };
+        if queue.push(pending, &self.bridge_cfg).is_some() {
+            drops.incr();
         }
     }
 }
@@ -1666,7 +1567,7 @@ mod tests {
         b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
         b.bridge(GlobalNodeId::new(1, 1), GlobalNodeId::new(2, 0));
         b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
-        b.allow_cycles_with(CycleBound::unbounded());
+        b.allow_cycles_with(CycleBound::Unbounded);
         let topo = b.build().unwrap();
         let cfg = FabricConfig::uniform(topo, 2048, 11).unwrap();
         let mut fabric = Fabric::new(cfg).unwrap();
@@ -1820,7 +1721,7 @@ mod tests {
         // Cyclic triangle with the Unbounded escape hatch: kill bridge 0 so
         // the connection detours via ring 2, then repair it — the reclaim
         // pass moves the connection back onto its one-bridge route.
-        let topo = triangle(6, CycleBound::unbounded());
+        let topo = triangle(6, CycleBound::Unbounded);
         let cfg = FabricConfig::uniform(topo, 2048, 11).unwrap();
         let mut fabric = Fabric::new(cfg).unwrap();
         fabric
@@ -1945,6 +1846,89 @@ mod tests {
             Fabric::new(cfg),
             Err(FabricBuildError::UnknownBridge { bridge: 9 })
         ));
+    }
+
+    #[test]
+    fn script_targeting_unknown_ring_or_node_rejected_at_build() {
+        let build = |script: FabricFaultScript| {
+            let topo = FabricTopology::chain(2, 6);
+            let mut cfg = FabricConfig::uniform(topo, 2048, 7).unwrap();
+            for rc in &mut cfg.ring_configs {
+                rc.faults.recovery_timeout_slots = 4;
+            }
+            Fabric::new(cfg.fault_script(script))
+        };
+        let lose_token = ccr_edf::fault::FaultKind::LoseToken;
+        assert!(matches!(
+            build(FabricFaultScript::new().ring_at(5, RingId(2), lose_token)),
+            Err(FabricBuildError::UnknownRing { ring: RingId(2) })
+        ));
+        // Node indices are checked on the merged per-ring scripts.
+        let fail = ccr_edf::fault::FaultKind::FailNode(NodeId(6));
+        assert!(matches!(
+            build(FabricFaultScript::new().ring_at(5, RingId(1), fail)),
+            Err(FabricBuildError::Config(ConfigError::FaultNodeOutOfRange {
+                slot: 5,
+                node: NodeId(6)
+            }))
+        ));
+        assert!(build(FabricFaultScript::new().ring_at(5, RingId(1), lose_token)).is_ok());
+    }
+
+    #[test]
+    fn closing_a_connection_while_its_forward_is_queued_leaves_no_record() {
+        let topo = FabricTopology::chain(2, 6);
+        let cfg = FabricConfig::uniform(topo, 2048, 7)
+            .unwrap()
+            .bridge(BridgeConfig {
+                forward_per_slot: 1,
+                ..BridgeConfig::default()
+            });
+        let mut fabric = Fabric::new(cfg).unwrap();
+        let period = fabric.segment_envs()[0].slot.times(400);
+        let spec = |src: u16| {
+            FabricConnectionSpec::unicast(GlobalNodeId::new(0, src), GlobalNodeId::new(1, src + 1))
+                .period(period)
+        };
+        let specs: Vec<FabricConnectionSpec> = (1..4).map(spec).collect();
+        let fids = fabric.open_connections(&specs).unwrap();
+        // Ring 0 hands the bridge at most one message per slot, which a
+        // budget of one forward drains in the same slot. Stall the bridge's
+        // egress until every connection's first message waits in queue 0
+        // (one release per period each, so three queued means one apiece).
+        fabric.bridge_cfg.forward_per_slot = 0;
+        let mut waited = 0;
+        while fabric.queues[0].len() < fids.len() {
+            fabric.step_slot();
+            waited += 1;
+            assert!(waited < 200, "forwards never backed up");
+        }
+        fabric.bridge_cfg.forward_per_slot = 1;
+        let victim = fids[1];
+        assert!(fabric.close_connection(victim));
+        while !fabric.queues[0].is_empty() {
+            fabric.step_slot();
+        }
+        fabric.run_slots(100);
+        // The stale forward still rode ring 1, but nothing counted it.
+        assert_eq!(fabric.metrics().forwarded.get(), 3);
+        assert_eq!(fabric.metrics().e2e_delivered.get(), 2);
+        assert_eq!(fabric.observed_e2e_max(victim), None);
+        for fid in [fids[0], fids[2]] {
+            assert!(fabric.observed_e2e_max(fid).is_some());
+        }
+        assert!(fabric
+            .connections
+            .values()
+            .all(|a| a.inflight.iter().all(VecDeque::is_empty)));
+        // A connection opened afterwards on the same route delivers.
+        let fresh = fabric.open_connection(spec(2)).unwrap();
+        fabric.run_slots(800);
+        assert!(fabric.observed_e2e_max(fresh).is_some());
+        assert_eq!(
+            fabric.metrics().e2e_delivered.get(),
+            fabric.metrics().e2e_met.get()
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! [`FabricFaultKind::KillBridge`] — takes down a bridge station. Because
 //! the engine steps every ring in lockstep (fabric slot *k* is ring slot
 //! *k* on every ring), ring-local events distribute losslessly into the
-//! per-ring scripts at build time; only bridge kills need a fabric-level
-//! cursor, applied at the top of the step before any ring moves.
+//! per-ring scripts at build time; only bridge kills and repairs need a
+//! fabric-level cursor, applied at the top of the step before any ring
+//! moves.
 
 use crate::topology::RingId;
 use ccr_edf::fault::{FaultKind, FaultScript};
@@ -132,18 +133,6 @@ impl FabricFaultScript {
         s
     }
 
-    /// The scheduled bridge kills as `(slot, bridge index)`, sorted by
-    /// slot.
-    pub fn bridge_kills(&self) -> Vec<(u64, usize)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FabricFaultKind::KillBridge { bridge } => Some((e.slot, bridge)),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Every scheduled bridge event (kills *and* repairs) as
     /// `(slot, bridge index, kind)`, sorted by slot with same-slot events in
     /// insertion order — the cursor the engine drains in its serial phase.
@@ -188,7 +177,7 @@ mod tests {
         assert_eq!(r1.events()[0].slot, 10);
         assert_eq!(s.ring_script(RingId(7)).len(), 0);
 
-        assert_eq!(s.bridge_kills(), vec![(5, 0)]);
+        assert_eq!(s.bridge_events(), vec![(5, 0, BridgeEventKind::Kill)]);
     }
 
     #[test]
@@ -205,8 +194,6 @@ mod tests {
                 (80, 1, BridgeEventKind::Kill),
             ]
         );
-        // The kill-only view ignores repairs.
-        assert_eq!(s.bridge_kills(), vec![(5, 0), (80, 1)]);
     }
 
     #[test]
@@ -214,6 +201,6 @@ mod tests {
         let s = FabricFaultScript::new();
         assert!(s.is_empty());
         assert!(s.ring_script(RingId(0)).is_empty());
-        assert!(s.bridge_kills().is_empty());
+        assert!(s.bridge_events().is_empty());
     }
 }

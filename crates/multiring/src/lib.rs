@@ -6,22 +6,25 @@
 //! on two rings at once, forwarding traffic between them through bounded,
 //! EDF-ordered queues. The pieces:
 //!
-//! - [`topology`] — rings, bridges, and the validated static routing table
-//!   (shortest bridge path, deterministic tie-breaks). Cyclic fabrics are
-//!   rejected unless the builder opts in via
+//! - [`topology`] — rings, bridges, and the one router: the shortest path
+//!   over live bridges, found on demand with deterministic tie-breaks, and
+//!   expanded into segments that record the bridge queues they enter.
+//!   Cyclic fabrics are rejected unless the builder opts in via
 //!   [`topology::FabricTopologyBuilder::allow_cycles_with`]; the default
 //!   opt-in, [`topology::CycleBound::Calculus`], arms the engine's
 //!   network-calculus certifier instead of trusting cycles blindly.
 //! - [`calculus`] — the end-to-end certifier over [`ccr_calculus`]: rings
-//!   become rate-latency servers, connections token buckets, and every
-//!   admission re-solves the cyclic fixed point of Amari & Mifdaoui's
-//!   multi-ring analysis, refusing candidates that would void any flow's
-//!   certified delay bound.
+//!   and bridge queues become rate-latency servers, connections token
+//!   buckets, and every admission warm-starts the cyclic fixed point of
+//!   Amari & Mifdaoui's multi-ring analysis on the servers it disturbs,
+//!   refusing candidates that would void any flow's certified delay bound.
 //! - [`bridge`] — per-egress-ring EDF forwarding queues with explicit
 //!   overflow policy, and the proportional per-hop deadline decomposition.
-//! - [`admission`] — the pure end-to-end planner: floors from each ring's
-//!   analytic worst-case latency, slack split proportionally to slot time,
-//!   one per-ring sub-connection per segment.
+//! - [`admission`] — the pure end-to-end planner, one for healthy and
+//!   degraded fabrics alike: floors from each ring's analytic worst-case
+//!   latency, slack split proportionally to slot time, one per-ring
+//!   sub-connection per segment, routed around the dead bridges it is
+//!   given.
 //! - [`engine`] — the lockstep fabric stepper: every ring steps one slot
 //!   in place, then bridges exchange between slots; end-to-end admission
 //!   with rollback.

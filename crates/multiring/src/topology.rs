@@ -1,12 +1,14 @@
-//! Fabric topology: rings, bridge nodes, and the validated static routing
-//! table.
+//! Fabric topology: rings, bridge nodes, and the one router.
 //!
 //! A *fabric* interconnects several CCR-EDF rings through **bridge nodes**
 //! — a bridge is one physical station with a port on each of two rings. The
-//! topology is static: routes (sequences of ring segments) are computed
-//! once at build time by breadth-first search over the *ring graph* (rings
-//! are vertices, bridges are edges) with a deterministic tie-break, so the
-//! same fabric always routes the same way.
+//! topology is static; routes are not stored. [`FabricTopology::route`]
+//! computes each one on demand by breadth-first search over the *ring
+//! graph* (rings are vertices, live bridges are edges) with a deterministic
+//! tie-break, so the same fabric with the same dead bridges always routes
+//! the same way. [`FabricTopology::segments`] expands a route into ring
+//! segments, each recording the bridge and the directed bridge queue it
+//! leaves through.
 //!
 //! Cyclic inter-ring dependencies — a cycle in the ring graph — are the
 //! hard case of Amari & Mifdaoui ("Enhancing Performance Bounds of
@@ -17,13 +19,12 @@
 //! the cycle is to be bounded: [`CycleBound::Calculus`] routes every
 //! admission through the `ccr-calculus` min-plus fixed-point solver
 //! (certified finite e2e bounds, the default), while
-//! [`CycleBound::unbounded()`] is the explicit simulation-only escape
+//! [`CycleBound::Unbounded`] is the explicit simulation-only escape
 //! hatch. The decision is preserved as [`FabricTopology::is_cyclic`] /
 //! [`FabricTopology::cycle_bound`] so admission and reporting layers can
 //! surface it.
 
 use ccr_phys::NodeId;
-use std::collections::HashMap;
 
 /// Identity of one ring in the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -114,6 +115,10 @@ pub struct Segment {
     pub to: NodeId,
     /// The bridge crossed *after* this segment (`None` on the last one).
     pub bridge: Option<usize>,
+    /// The directed bridge queue that crossing enters, in the engine's
+    /// `2b`/`2b+1` layout ([`FabricTopology::queue_index`]); `None` on the
+    /// last segment.
+    pub queue: Option<usize>,
 }
 
 /// Why a topology failed to validate, or a path could not be formed.
@@ -189,15 +194,6 @@ pub enum CycleBound {
     Unbounded,
 }
 
-impl CycleBound {
-    /// The explicit escape hatch (see [`CycleBound::Unbounded`]): accept
-    /// cycles with **no** end-to-end guarantee. Prefer the default
-    /// [`CycleBound::Calculus`] everywhere traffic matters.
-    pub fn unbounded() -> Self {
-        CycleBound::Unbounded
-    }
-}
-
 /// Builder for [`FabricTopology`].
 #[derive(Debug, Default)]
 pub struct FabricTopologyBuilder {
@@ -224,14 +220,14 @@ impl FabricTopologyBuilder {
     /// With [`CycleBound::Calculus`] (the default policy value) the fabric
     /// engine routes every admission on the cyclic fabric through the
     /// min-plus fixed-point solver and only admits sets with certified
-    /// finite end-to-end bounds. [`CycleBound::unbounded()`] accepts cycles
+    /// finite end-to-end bounds. [`CycleBound::Unbounded`] accepts cycles
     /// with no analytic bound.
     pub fn allow_cycles_with(&mut self, bound: CycleBound) -> &mut Self {
         self.cycle_bound = Some(bound);
         self
     }
 
-    /// Validate and freeze the topology, computing the routing table.
+    /// Validate and freeze the topology.
     pub fn build(&self) -> Result<FabricTopology, TopologyError> {
         let n_rings = self.ring_sizes.len() as u16;
         // Validate bridges.
@@ -274,62 +270,21 @@ impl FabricTopologyBuilder {
                 parent[ra] = rb;
             }
         }
-        // All-pairs shortest routes over the ring graph, BFS from every
-        // ring. Neighbours are scanned in bridge-index order, so the
-        // tie-break (fewest crossings, then lowest bridge indices) is
-        // deterministic.
-        let mut routes = HashMap::new();
-        for src in 0..n_rings {
-            let mut prev: Vec<Option<(u16, usize)>> = vec![None; n_rings as usize];
-            let mut seen = vec![false; n_rings as usize];
-            let mut queue = std::collections::VecDeque::new();
-            seen[src as usize] = true;
-            queue.push_back(src);
-            while let Some(r) = queue.pop_front() {
-                for (bi, br) in self.bridges.iter().enumerate() {
-                    let Some(next) = br.other_ring(RingId(r)) else {
-                        continue;
-                    };
-                    if !seen[next.0 as usize] {
-                        seen[next.0 as usize] = true;
-                        prev[next.0 as usize] = Some((r, bi));
-                        queue.push_back(next.0);
-                    }
-                }
-            }
-            for dst in 0..n_rings {
-                if dst == src || !seen[dst as usize] {
-                    continue;
-                }
-                let mut rings = vec![RingId(dst)];
-                let mut bridges = Vec::new();
-                let mut cur = dst;
-                while let Some((p, bi)) = prev[cur as usize] {
-                    bridges.push(bi);
-                    rings.push(RingId(p));
-                    cur = p;
-                }
-                rings.reverse();
-                bridges.reverse();
-                routes.insert((RingId(src), RingId(dst)), Route { rings, bridges });
-            }
-        }
         Ok(FabricTopology {
             ring_sizes: self.ring_sizes.clone(),
             bridges: self.bridges.clone(),
-            routes,
             cyclic,
             cycle_bound: if cyclic { self.cycle_bound } else { None },
         })
     }
 }
 
-/// The validated, frozen fabric topology with its static routing table.
+/// The validated, frozen fabric topology. Routes are computed on demand by
+/// [`FabricTopology::route`].
 #[derive(Debug, Clone)]
 pub struct FabricTopology {
     ring_sizes: Vec<u16>,
     bridges: Vec<Bridge>,
-    routes: HashMap<(RingId, RingId), Route>,
     cyclic: bool,
     cycle_bound: Option<CycleBound>,
 }
@@ -419,50 +374,47 @@ impl FabricTopology {
         self.cycle_bound
     }
 
-    /// The precomputed route between two distinct rings, if connected.
-    pub fn route(&self, from: RingId, to: RingId) -> Option<&Route> {
-        self.routes.get(&(from, to))
-    }
-
     /// Shortest route from `from` to `to` that crosses no bridge flagged in
-    /// `dead` (indexed by bridge index; missing entries count as alive).
-    /// Same BFS and tie-break as the static table, computed on demand —
-    /// this is how the fabric re-routes around a failed bridge. Returns
-    /// `None` when the surviving bridges no longer connect the rings.
-    pub fn route_avoiding(&self, from: RingId, to: RingId, dead: &[bool]) -> Option<Route> {
-        if from == to {
+    /// `dead` (indexed by bridge index; an empty slice or a missing entry
+    /// means alive). Breadth-first search over the ring graph with
+    /// neighbours scanned in bridge-index order, so the tie-break (fewest
+    /// crossings, then lowest bridge indices) is deterministic and the same
+    /// fabric always routes the same way. `None` when `from == to`, when
+    /// either ring does not exist, or when the live bridges do not connect
+    /// the rings.
+    pub fn route(&self, from: RingId, to: RingId, dead: &[bool]) -> Option<Route> {
+        if from == to || to.0 as usize >= self.ring_sizes.len() {
             return None;
         }
-        let n = self.ring_sizes.len();
-        let mut prev: Vec<Option<(u16, usize)>> = vec![None; n];
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        seen[from.0 as usize] = true;
-        queue.push_back(from.0);
-        while let Some(r) = queue.pop_front() {
+        // `prev[r]`: the ring and bridge ring `r` was first reached over.
+        let mut prev: Vec<Option<(RingId, usize)>> = vec![None; self.ring_sizes.len()];
+        let mut frontier = vec![from];
+        let mut head = 0;
+        'search: while let Some(&r) = frontier.get(head) {
+            head += 1;
             for (bi, br) in self.bridges.iter().enumerate() {
                 if dead.get(bi).copied().unwrap_or(false) {
                     continue;
                 }
-                let Some(next) = br.other_ring(RingId(r)) else {
+                let Some(next) = br.other_ring(r) else {
                     continue;
                 };
-                if !seen[next.0 as usize] {
-                    seen[next.0 as usize] = true;
+                if next != from && prev[next.0 as usize].is_none() {
                     prev[next.0 as usize] = Some((r, bi));
-                    queue.push_back(next.0);
+                    if next == to {
+                        break 'search;
+                    }
+                    frontier.push(next);
                 }
             }
         }
-        if !seen[to.0 as usize] {
-            return None;
-        }
+        prev[to.0 as usize]?;
         let mut rings = vec![to];
         let mut bridges = Vec::new();
-        let mut cur = to.0;
-        while let Some((p, bi)) = prev[cur as usize] {
+        let mut cur = to;
+        while let Some((p, bi)) = prev[cur.0 as usize] {
             bridges.push(bi);
-            rings.push(RingId(p));
+            rings.push(p);
             cur = p;
         }
         rings.reverse();
@@ -470,34 +422,10 @@ impl FabricTopology {
         Some(Route { rings, bridges })
     }
 
-    /// Expand an end-to-end path into its ring segments.
+    /// Expand an end-to-end path into its ring segments, routed around the
+    /// bridges flagged in `dead` (see [`route`](Self::route)). Same-ring
+    /// paths never cross a bridge and are one segment.
     pub fn segments(
-        &self,
-        src: GlobalNodeId,
-        dst: GlobalNodeId,
-    ) -> Result<Vec<Segment>, TopologyError> {
-        if src == dst {
-            return Err(TopologyError::SelfConnection(src));
-        }
-        if src.ring == dst.ring {
-            return Ok(vec![Segment {
-                ring: src.ring,
-                from: src.node,
-                to: dst.node,
-                bridge: None,
-            }]);
-        }
-        let route = self
-            .route(src.ring, dst.ring)
-            .ok_or(TopologyError::NoRoute(src.ring, dst.ring))?
-            .clone();
-        self.expand_route(&route, src, dst)
-    }
-
-    /// Like [`segments`](Self::segments), but routed around the bridges
-    /// flagged in `dead`. Same-ring paths never cross a bridge and are
-    /// unaffected.
-    pub fn segments_avoiding(
         &self,
         src: GlobalNodeId,
         dst: GlobalNodeId,
@@ -506,35 +434,25 @@ impl FabricTopology {
         if src == dst {
             return Err(TopologyError::SelfConnection(src));
         }
-        if src.ring == dst.ring {
-            return Ok(vec![Segment {
-                ring: src.ring,
-                from: src.node,
-                to: dst.node,
-                bridge: None,
-            }]);
-        }
-        let route = self
-            .route_avoiding(src.ring, dst.ring, dead)
-            .ok_or(TopologyError::NoRoute(src.ring, dst.ring))?;
-        self.expand_route(&route, src, dst)
-    }
-
-    fn expand_route(
-        &self,
-        route: &Route,
-        src: GlobalNodeId,
-        dst: GlobalNodeId,
-    ) -> Result<Vec<Segment>, TopologyError> {
+        let route = if src.ring == dst.ring {
+            Route {
+                rings: vec![src.ring],
+                bridges: Vec::new(),
+            }
+        } else {
+            self.route(src.ring, dst.ring, dead)
+                .ok_or(TopologyError::NoRoute(src.ring, dst.ring))?
+        };
         let mut segs = Vec::with_capacity(route.rings.len());
         let mut entry = src.node;
         for (i, &ring) in route.rings.iter().enumerate() {
-            let (exit, bridge) = if i < route.bridges.len() {
-                let bi = route.bridges[i];
-                let port = self.bridges[bi].port_on(ring).expect("route port");
-                (port, Some(bi))
-            } else {
-                (dst.node, None)
+            let (exit, bridge, queue) = match route.bridges.get(i) {
+                Some(&bi) => (
+                    self.bridges[bi].port_on(ring).expect("route port"),
+                    Some(bi),
+                    Some(self.queue_index(bi, ring)),
+                ),
+                None => (dst.node, None, None),
             };
             if entry == exit {
                 return Err(TopologyError::DegenerateSegment { ring, node: entry });
@@ -544,10 +462,12 @@ impl FabricTopology {
                 from: entry,
                 to: exit,
                 bridge,
+                queue,
             });
             if let Some(bi) = bridge {
-                let next_ring = route.rings[i + 1];
-                entry = self.bridges[bi].port_on(next_ring).expect("route port");
+                entry = self.bridges[bi]
+                    .port_on(route.rings[i + 1])
+                    .expect("route port");
             }
         }
         Ok(segs)
@@ -564,11 +484,11 @@ mod tests {
         assert_eq!(t.n_rings(), 3);
         assert_eq!(t.bridges().len(), 2);
         assert!(!t.is_cyclic());
-        let r = t.route(RingId(0), RingId(2)).unwrap();
+        let r = t.route(RingId(0), RingId(2), &[]).unwrap();
         assert_eq!(r.rings, vec![RingId(0), RingId(1), RingId(2)]);
         assert_eq!(r.bridges, vec![0, 1]);
         // reverse direction too
-        let r = t.route(RingId(2), RingId(0)).unwrap();
+        let r = t.route(RingId(2), RingId(0), &[]).unwrap();
         assert_eq!(r.rings, vec![RingId(2), RingId(1), RingId(0)]);
     }
 
@@ -576,7 +496,7 @@ mod tests {
     fn segments_expand_with_bridge_ports() {
         let t = FabricTopology::chain(3, 4);
         let segs = t
-            .segments(GlobalNodeId::new(0, 1), GlobalNodeId::new(2, 2))
+            .segments(GlobalNodeId::new(0, 1), GlobalNodeId::new(2, 2), &[])
             .unwrap();
         assert_eq!(segs.len(), 3);
         assert_eq!(
@@ -586,6 +506,7 @@ mod tests {
                 from: NodeId(1),
                 to: NodeId(3),
                 bridge: Some(0),
+                queue: Some(0),
             }
         );
         assert_eq!(
@@ -595,6 +516,7 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(3),
                 bridge: Some(1),
+                queue: Some(2),
             }
         );
         assert_eq!(
@@ -604,6 +526,7 @@ mod tests {
                 from: NodeId(0),
                 to: NodeId(2),
                 bridge: None,
+                queue: None,
             }
         );
     }
@@ -612,10 +535,11 @@ mod tests {
     fn same_ring_is_one_segment() {
         let t = FabricTopology::chain(2, 4);
         let segs = t
-            .segments(GlobalNodeId::new(1, 0), GlobalNodeId::new(1, 3))
+            .segments(GlobalNodeId::new(1, 0), GlobalNodeId::new(1, 3), &[])
             .unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].bridge, None);
+        assert_eq!(segs[0].queue, None);
     }
 
     #[test]
@@ -634,10 +558,9 @@ mod tests {
         assert!(t.is_cyclic());
         assert_eq!(t.cycle_bound(), Some(CycleBound::Calculus));
         // routes still defined (shortest path, one crossing each)
-        assert_eq!(t.route(r0, r1).unwrap().bridges.len(), 1);
-        assert_eq!(t.route(r0, r2).unwrap().bridges.len(), 1);
-        let _ = (r0, r1, r2);
-        b.allow_cycles_with(CycleBound::unbounded());
+        assert_eq!(t.route(r0, r1, &[]).unwrap().bridges.len(), 1);
+        assert_eq!(t.route(r0, r2, &[]).unwrap().bridges.len(), 1);
+        b.allow_cycles_with(CycleBound::Unbounded);
         assert_eq!(
             b.build().unwrap().cycle_bound(),
             Some(CycleBound::Unbounded)
@@ -665,10 +588,16 @@ mod tests {
         b.ring(4);
         b.ring(4);
         let t = b.build().unwrap();
-        assert!(t.route(RingId(0), RingId(1)).is_none());
+        assert!(t.route(RingId(0), RingId(1), &[]).is_none());
         assert_eq!(
-            t.segments(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 1)),
+            t.segments(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 1), &[]),
             Err(TopologyError::NoRoute(RingId(0), RingId(1)))
+        );
+        // A ring that does not exist is unreachable, not a panic.
+        assert!(t.route(RingId(0), RingId(9), &[]).is_none());
+        assert_eq!(
+            t.segments(GlobalNodeId::new(0, 0), GlobalNodeId::new(9, 1), &[]),
+            Err(TopologyError::NoRoute(RingId(0), RingId(9)))
         );
     }
 
@@ -708,19 +637,19 @@ mod tests {
         b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
         b.bridge(GlobalNodeId::new(1, 1), GlobalNodeId::new(2, 0));
         b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
-        b.allow_cycles_with(CycleBound::unbounded());
+        b.allow_cycles_with(CycleBound::Unbounded);
         let t = b.build().unwrap();
         // Healthy: one crossing via bridge 0.
-        let direct = t.route(RingId(0), RingId(1)).unwrap();
+        let direct = t.route(RingId(0), RingId(1), &[]).unwrap();
         assert_eq!(direct.bridges, vec![0]);
         // Bridge 0 dead: detour through ring 2 over bridges 2 then 1.
         let detour = t
-            .route_avoiding(RingId(0), RingId(1), &[true, false, false])
+            .route(RingId(0), RingId(1), &[true, false, false])
             .unwrap();
         assert_eq!(detour.rings, vec![RingId(0), RingId(2), RingId(1)]);
         assert_eq!(detour.bridges, vec![2, 1]);
         let segs = t
-            .segments_avoiding(
+            .segments(
                 GlobalNodeId::new(0, 2),
                 GlobalNodeId::new(1, 3),
                 &[true, false, false],
@@ -729,26 +658,27 @@ mod tests {
         assert_eq!(segs.len(), 3);
         assert_eq!(segs[0].bridge, Some(2));
         assert_eq!(segs[1].bridge, Some(1));
+        // Ring 0 is bridge 2's b side and ring 2 is bridge 1's b side, so
+        // both crossings run b→a: queues 2·2+1 and 2·1+1.
+        assert_eq!(
+            (segs[0].queue, segs[1].queue, segs[2].queue),
+            (Some(5), Some(3), None)
+        );
         // Two dead bridges disconnect the pair entirely.
         assert!(t
-            .route_avoiding(RingId(0), RingId(1), &[true, true, false])
+            .route(RingId(0), RingId(1), &[true, true, false])
             .is_none());
         assert_eq!(
-            t.segments_avoiding(
+            t.segments(
                 GlobalNodeId::new(0, 2),
                 GlobalNodeId::new(1, 3),
                 &[true, true, false],
             ),
             Err(TopologyError::NoRoute(RingId(0), RingId(1)))
         );
-        // No dead set ⇒ identical to the static table.
-        assert_eq!(
-            t.route_avoiding(RingId(0), RingId(1), &[]).as_ref(),
-            Some(direct)
-        );
         // Same-ring paths never cross a bridge and are unaffected.
         let same = t
-            .segments_avoiding(
+            .segments(
                 GlobalNodeId::new(1, 0),
                 GlobalNodeId::new(1, 2),
                 &[true, true, true],
@@ -763,7 +693,7 @@ mod tests {
         let t = FabricTopology::chain(2, 4);
         // source IS the bridge port on ring 0 → zero-length first segment
         let err = t
-            .segments(GlobalNodeId::new(0, 3), GlobalNodeId::new(1, 2))
+            .segments(GlobalNodeId::new(0, 3), GlobalNodeId::new(1, 2), &[])
             .unwrap_err();
         assert_eq!(
             err,
@@ -774,7 +704,7 @@ mod tests {
         );
         // self connection
         assert!(matches!(
-            t.segments(GlobalNodeId::new(0, 1), GlobalNodeId::new(0, 1)),
+            t.segments(GlobalNodeId::new(0, 1), GlobalNodeId::new(0, 1), &[]),
             Err(TopologyError::SelfConnection(_))
         ));
     }

@@ -7,6 +7,9 @@
 //! * The restart-node election composed with a fault-cascaded bridge kill,
 //!   and a kill → repair → reclaim story, must replay bit for bit and
 //!   match their recorded values.
+//! * The one router must return a shortest live route exactly when the
+//!   live bridges connect the rings, checked against Floyd–Warshall and
+//!   union-find over random fabrics and dead-bridge sets.
 
 mod common;
 
@@ -84,7 +87,7 @@ fn election_with_bridge_kill() -> (FabricMetrics, Vec<Metrics>) {
     b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
     b.bridge(GlobalNodeId::new(1, 1), GlobalNodeId::new(2, 0));
     b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
-    b.allow_cycles_with(CycleBound::unbounded());
+    b.allow_cycles_with(CycleBound::Unbounded);
     let topo = b.build().unwrap();
 
     let mut cfg = FabricConfig::uniform(topo, 2_048, 0xE1EC).unwrap();
@@ -174,7 +177,7 @@ fn kill_repair_reclaim() -> (FabricMetrics, Vec<Metrics>) {
     b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
     b.bridge(GlobalNodeId::new(1, 1), GlobalNodeId::new(2, 0));
     b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
-    b.allow_cycles_with(CycleBound::unbounded());
+    b.allow_cycles_with(CycleBound::Unbounded);
     let topo = b.build().unwrap();
 
     let mut cfg = FabricConfig::uniform(topo, 2_048, 0x4EA1).unwrap();
@@ -237,4 +240,140 @@ fn kill_repair_reclaim_replays_pinned_values() {
         [[22, 22, 1, 45_056], [22, 22, 1, 45_056], [6, 6, 1, 12_288]],
         "per-ring counters moved"
     );
+}
+
+/// A seeded random fabric of 2–8 rings with a random bridge set: parallel
+/// bridges and cycles included (accepted as [`CycleBound::Unbounded`]),
+/// disconnected rings too.
+fn random_topology(rng: &mut DetRng) -> FabricTopology {
+    let n_rings = rng.gen_range(2..=8u32) as u16;
+    let sizes: Vec<u16> = (0..n_rings)
+        .map(|_| rng.gen_range(3..=8u32) as u16)
+        .collect();
+    let mut b = FabricTopology::builder();
+    for &n in &sizes {
+        b.ring(n);
+    }
+    let port = |rng: &mut DetRng, r: u16| {
+        GlobalNodeId::new(r, rng.gen_range(0..u32::from(sizes[r as usize])) as u16)
+    };
+    for _ in 0..rng.gen_range(0..=2 * u32::from(n_rings)) {
+        let ra = rng.gen_range(0..u32::from(n_rings)) as u16;
+        let rb = (ra + rng.gen_range(1..u32::from(n_rings)) as u16) % n_rings;
+        b.bridge(port(rng, ra), port(rng, rb));
+    }
+    b.allow_cycles_with(CycleBound::Unbounded);
+    b.build().expect("random fabric validates")
+}
+
+#[test]
+fn the_router_finds_shortest_live_routes_exactly_when_they_exist() {
+    let mut rng = DetRng::new(0x2007E);
+    let (mut multi_hop, mut unrouted, mut expanded) = (0, 0, 0);
+    for case in 0..300 {
+        let t = random_topology(&mut rng);
+        let n = t.n_rings() as usize;
+        let nb = t.bridges().len();
+        // Dead sets: none (the empty slice), a full flag vector, or a
+        // short prefix whose missing entries mean alive.
+        let dead: Vec<bool> = match rng.gen_range(0..3u32) {
+            0 => Vec::new(),
+            1 => (0..nb).map(|_| rng.gen_bool(0.3)).collect(),
+            _ => (0..rng.gen_range(0..=nb as u32))
+                .map(|_| rng.gen_bool(0.5))
+                .collect(),
+        };
+        let alive = |bi: usize| !dead.get(bi).copied().unwrap_or(false);
+
+        // Independent oracles over the live bridges: Floyd–Warshall hop
+        // counts and union-find connectivity.
+        const FAR: usize = usize::MAX / 2;
+        let mut hops = vec![vec![FAR; n]; n];
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &[usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                x = parent[x];
+            }
+            x
+        }
+        for (r, row) in hops.iter_mut().enumerate() {
+            row[r] = 0;
+        }
+        for (bi, br) in t.bridges().iter().enumerate() {
+            if alive(bi) {
+                let (a, c) = (br.a.ring.0 as usize, br.b.ring.0 as usize);
+                hops[a][c] = 1;
+                hops[c][a] = 1;
+                let (ra, rc) = (find(&parent, a), find(&parent, c));
+                parent[ra] = rc;
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    hops[i][j] = hops[i][j].min(hops[i][k] + hops[k][j]);
+                }
+            }
+        }
+
+        for (a, shortest) in hops.iter().enumerate() {
+            let ra = RingId(a as u16);
+            assert_eq!(t.route(ra, ra, &dead), None, "case {case}: self route");
+            for c in (0..n).filter(|&c| c != a) {
+                let rc = RingId(c as u16);
+                let route = t.route(ra, rc, &dead);
+                let connected = find(&parent, a) == find(&parent, c);
+                assert_eq!(
+                    route.is_some(),
+                    connected,
+                    "case {case}: {ra}->{rc} routed iff connected"
+                );
+                let Some(r) = route else {
+                    unrouted += 1;
+                    continue;
+                };
+                assert_eq!(r.rings.first(), Some(&ra), "case {case}: starts at {ra}");
+                assert_eq!(r.rings.last(), Some(&rc), "case {case}: ends at {rc}");
+                assert_eq!(r.rings.len(), r.bridges.len() + 1);
+                for (i, &bi) in r.bridges.iter().enumerate() {
+                    assert!(alive(bi), "case {case}: crosses dead bridge {bi}");
+                    assert_eq!(
+                        t.bridges()[bi].other_ring(r.rings[i]),
+                        Some(r.rings[i + 1]),
+                        "case {case}: bridge {bi} joins consecutive rings"
+                    );
+                }
+                assert_eq!(r.bridges.len(), shortest[c], "case {case}: shortest");
+                if r.bridges.len() > 1 {
+                    multi_hop += 1;
+                }
+            }
+        }
+
+        // Expanded paths record the queue each crossing enters.
+        for _ in 0..8 {
+            let node = |rng: &mut DetRng| {
+                let r = rng.gen_range(0..n as u32) as u16;
+                GlobalNodeId::new(
+                    r,
+                    rng.gen_range(0..u32::from(t.ring_size(RingId(r)))) as u16,
+                )
+            };
+            let (src, dst) = (node(&mut rng), node(&mut rng));
+            let Ok(segs) = t.segments(src, dst, &dead) else {
+                continue;
+            };
+            expanded += 1;
+            let (last, crossed) = segs.split_last().expect("at least one segment");
+            assert_eq!((last.bridge, last.queue), (None, None));
+            for seg in crossed {
+                let bi = seg.bridge.expect("non-final segments cross a bridge");
+                assert_eq!(seg.queue, Some(t.queue_index(bi, seg.ring)), "case {case}");
+            }
+        }
+    }
+    // The sample exercises detours, cuts and expansion alike.
+    assert!(multi_hop > 1_000, "{multi_hop} multi-hop routes");
+    assert!(unrouted > 1_000, "{unrouted} disconnected pairs");
+    assert!(expanded > 500, "{expanded} expanded paths");
 }

@@ -325,7 +325,7 @@ fn bridge_failover(opts: &ExpOptions, seq: &SeedSequence) -> (Vec<String>, Table
     b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
     b.bridge(GlobalNodeId::new(1, 1), GlobalNodeId::new(2, 0));
     b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
-    b.allow_cycles_with(CycleBound::unbounded());
+    b.allow_cycles_with(CycleBound::Unbounded);
     let topo = b.build().expect("triangle fabric");
 
     let horizon = opts.slots(40_000);

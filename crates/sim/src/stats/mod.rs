@@ -8,10 +8,8 @@ mod counter;
 mod histogram;
 mod series;
 mod summary;
-mod timeweighted;
 
 pub use counter::Counter;
 pub use histogram::Histogram;
 pub use series::Series;
 pub use summary::Summary;
-pub use timeweighted::TimeWeighted;

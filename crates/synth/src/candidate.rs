@@ -234,8 +234,8 @@ mod tests {
         moved.rings[1].push(s);
         let (topo2, _) = moved.build_topology().unwrap();
         use ccr_multiring::RingId;
-        let r = topo.route(RingId(0), RingId(2)).unwrap();
-        let r2 = topo2.route(RingId(0), RingId(2)).unwrap();
+        let r = topo.route(RingId(0), RingId(2), &[]).unwrap();
+        let r2 = topo2.route(RingId(0), RingId(2), &[]).unwrap();
         assert_eq!(r.rings, r2.rings);
         assert_eq!(r.bridges, r2.bridges);
         assert_eq!(topo.queue_egress(), topo2.queue_egress());

@@ -179,6 +179,7 @@ impl Certifier {
                 .segments(
                     cert.station_nodes[f.src.0 as usize],
                     cert.station_nodes[f.dst.0 as usize],
+                    &[],
                 )
                 .map_err(|_| Refusal::Routing)?;
         }
@@ -202,7 +203,7 @@ impl Certifier {
 
     /// Plan one flow on the current topology.
     pub fn plan_for(&self, matrix: &TrafficMatrix, key: usize) -> Result<ConnectionPlan, Refusal> {
-        plan_connection(&self.topo, &self.spec_for(matrix, key), &self.envs)
+        plan_connection(&self.topo, &self.spec_for(matrix, key), &self.envs, &[])
             .map_err(|e| classify(&e))
     }
 
@@ -217,15 +218,10 @@ impl Certifier {
         for &k in keys {
             plans.push(self.plan_for(matrix, k)?);
         }
-        let crossings: Vec<Vec<usize>> = plans
+        let batch: Vec<(FabricConnectionId, &ConnectionPlan)> = keys
             .iter()
-            .map(|p| p.queue_crossings(&self.topo))
-            .collect();
-        let batch: Vec<(FabricConnectionId, &ConnectionPlan, &[usize])> = keys
-            .iter()
+            .map(|&k| FabricConnectionId(k as u64))
             .zip(plans.iter())
-            .zip(crossings.iter())
-            .map(|((&k, plan), cr)| (FabricConnectionId(k as u64), plan, cr.as_slice()))
             .collect();
         self.calls += 1;
         match self.calc.admit_batch(&batch) {
@@ -337,15 +333,13 @@ pub(crate) fn full_reference_bounds(
         .period(f.period)
         .size_slots(f.size_slots)
         .e2e_deadline(f.deadline);
-        plans.push(plan_connection(&topo, &spec, &envs).map_err(|e| classify(&e))?);
+        plans.push(plan_connection(&topo, &spec, &envs, &[]).map_err(|e| classify(&e))?);
         keys.push(k);
     }
-    let crossings: Vec<Vec<usize>> = plans.iter().map(|p| p.queue_crossings(&topo)).collect();
-    let batch: Vec<(FabricConnectionId, &ConnectionPlan, &[usize])> = keys
+    let batch: Vec<(FabricConnectionId, &ConnectionPlan)> = keys
         .iter()
+        .map(|&k| FabricConnectionId(k as u64))
         .zip(plans.iter())
-        .zip(crossings.iter())
-        .map(|((&k, plan), cr)| (FabricConnectionId(k as u64), plan, cr.as_slice()))
         .collect();
     calc.admit_batch(&batch)
         .map_err(|e| classify(&FabricAdmissionError::Calculus(e)))?;

@@ -128,7 +128,7 @@ fn chaos_fabric() -> (FabricMetrics, Vec<Metrics>) {
     b.bridge(GlobalNodeId::new(0, 0), GlobalNodeId::new(1, 0));
     b.bridge(GlobalNodeId::new(1, 1), GlobalNodeId::new(2, 0));
     b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
-    b.allow_cycles_with(CycleBound::unbounded());
+    b.allow_cycles_with(CycleBound::Unbounded);
     let topo = b.build().unwrap();
 
     let mut cfg = FabricConfig::uniform(topo, 2_048, 0xFAB).unwrap();
