@@ -6,9 +6,10 @@ use ccr_bench::{bench_config, loaded_network};
 use ccr_edf::arbitration::{CcrEdfMac, CcrEdfRotatingMac};
 use ccr_edf::mac::MacProtocol;
 use ccr_edf::message::{Destination, Message, MessageId, TrafficClass};
+use ccr_edf::network::RingNetwork;
 use ccr_edf::priority::{MapperKind, Priority};
 use ccr_edf::queues::NodeQueues;
-use ccr_edf::wire::{CollectionPacket, NodeSet, Request, ServiceWireConfig};
+use ccr_edf::wire::{BitSink, CollectionPacket, Crc16, NodeSet, Request, ServiceWireConfig};
 use ccr_edf::{LinkSet, NodeId, RingTopology, SimTime};
 use ccr_sim::stats::Histogram;
 
@@ -94,6 +95,27 @@ fn bench_wire_codec(c: &mut Criterion) {
             b.iter(|| CollectionPacket::decode(black_box(&bytes), n, svc).unwrap())
         });
     }
+    // The 14 bytes a gateway header's CRC covers: the bit-serial oracle
+    // against the byte table.
+    let header = [
+        0xC5u8, 0x11, 0, 7, 0xDE, 0xAD, 0xBE, 0xEF, 0, 3, 0, 0, 5, 0xDC,
+    ];
+    g.bench_function("crc16_header_bit_serial", |b| {
+        b.iter(|| {
+            let mut crc = Crc16::new();
+            for &byte in black_box(&header) {
+                crc.put(byte as u64, 8);
+            }
+            crc.value()
+        })
+    });
+    g.bench_function("crc16_header_table", |b| {
+        b.iter(|| {
+            let mut crc = Crc16::new();
+            crc.put_bytes(black_box(&header));
+            crc.value()
+        })
+    });
     g.finish();
 }
 
@@ -112,6 +134,16 @@ fn bench_slot_engine(c: &mut Criterion) {
             )
         });
     }
+    // One idle slot: the full step against the untimed per-slot entry's
+    // O(1) idle path.
+    let mut net = RingNetwork::new_ccr_edf(bench_config(16));
+    g.bench_function("idle_slot_n16_step", |b| {
+        b.iter(|| net.step_slot().slot_index)
+    });
+    let mut net = RingNetwork::new_ccr_edf(bench_config(16));
+    g.bench_function("idle_slot_n16_advance", |b| {
+        b.iter(|| net.advance_slot().slot_index)
+    });
     g.finish();
 }
 

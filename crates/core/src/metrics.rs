@@ -441,12 +441,16 @@ impl Metrics {
 pub struct ThroughputGauge {
     /// Wall-clock nanoseconds spent executing slots.
     pub wall_nanos: u64,
-    /// Simulated slots executed in that time (fast-forwarded idle slots
-    /// count individually — they are the point of the optimisation).
+    /// Simulated slots executed in that time by the timed drivers,
+    /// [`crate::network::RingNetwork::run_slots`] and
+    /// [`crate::network::RingNetwork::run_until`] (fast-forwarded idle
+    /// slots count individually — they are the point of the optimisation).
     pub slots: u64,
-    /// Slots skipped by the idle fast-forward (a subset of `slots`).
-    /// Deterministic for a fixed scenario and run pattern, so tests can
-    /// assert the fast path actually engaged.
+    /// Slots that took the O(1) idle path, timed or not: those the timed
+    /// drivers fast-forward and those the untimed
+    /// [`crate::network::RingNetwork::advance_slot`] advances, so it is not
+    /// a subset of `slots`. Deterministic for a fixed scenario and run
+    /// pattern, so tests can assert the fast path actually engaged.
     pub fast_forwarded: u64,
 }
 

@@ -257,7 +257,9 @@ impl<P: MacProtocol> RingNetwork<P> {
 
     /// Wall-clock throughput of the slot engine, accumulated by
     /// [`RingNetwork::run_slots`] / [`RingNetwork::run_until`] (direct
-    /// [`RingNetwork::step_slot`] calls are not timed).
+    /// [`RingNetwork::step_slot`] and [`RingNetwork::advance_slot`] calls
+    /// are not timed; `advance_slot` still counts its idle-path slots in
+    /// [`ThroughputGauge::fast_forwarded`]).
     pub fn throughput(&self) -> ThroughputGauge {
         self.throughput
     }
@@ -699,6 +701,20 @@ impl<P: MacProtocol> RingNetwork<P> {
         self.slot_index += k;
         self.throughput.fast_forwarded += k;
         k
+    }
+
+    /// Advance exactly one slot, untimed: the O(1) idle path when the slot
+    /// is provably idle, [`RingNetwork::step_slot`] otherwise. Every
+    /// outcome field and metric matches `step_slot`'s; only
+    /// [`ThroughputGauge::fast_forwarded`] tells the two apart. This is the
+    /// per-slot entry for lockstep drivers (a bridged fabric steps each
+    /// ring once per fabric slot), which must not pay the two wall-clock
+    /// reads [`RingNetwork::run_slots`] takes for the gauge.
+    pub fn advance_slot(&mut self) -> &SlotOutcome {
+        if self.fast_forward_idle(1) == 0 {
+            self.step_slot();
+        }
+        &self.outcome
     }
 
     /// The outcome of the most recently executed (or fast-forwarded) slot.

@@ -349,7 +349,36 @@ impl BitSink for Crc8 {
     }
 }
 
-/// Bit-serial CRC-16-CCITT accumulator, polynomial 0x1021, init 0xFFFF.
+/// The CRC-16-CCITT generator polynomial, x¹⁶+x¹²+x⁵+1.
+const CRC16_POLY: u16 = 0x1021;
+
+/// [`Crc16::put_bytes`]'s lookup table: entry `i` is the register after
+/// feeding byte `i` MSB first into a zeroed register.
+const CRC16_TABLE: [u16; 256] = crc16_table();
+
+const fn crc16_table() -> [u16; 256] {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ CRC16_POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+/// CRC-16-CCITT accumulator, polynomial 0x1021, init 0xFFFF, MSB first:
+/// bit-serial through [`BitSink::put`] for fields of any width, one table
+/// lookup per byte through [`Crc16::put_bytes`].
 #[derive(Debug, Clone, Copy)]
 pub struct Crc16 {
     crc: u16,
@@ -371,6 +400,15 @@ impl Crc16 {
     pub fn value(&self) -> u16 {
         self.crc
     }
+
+    /// Stream whole bytes: the same checksum as `put(b as u64, 8)` for
+    /// each byte in turn.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            let i = (self.crc >> 8) as u8 ^ b;
+            self.crc = (self.crc << 8) ^ CRC16_TABLE[i as usize];
+        }
+    }
 }
 
 impl BitSink for Crc16 {
@@ -381,7 +419,7 @@ impl BitSink for Crc16 {
             let top = (self.crc >> 15) ^ bit;
             self.crc <<= 1;
             if top != 0 {
-                self.crc ^= 0x1021;
+                self.crc ^= CRC16_POLY;
             }
         }
     }
@@ -1130,5 +1168,28 @@ mod tests {
         // start bit then zeros: first byte = 0b1000_0000
         assert_eq!(bytes[0], 0x80);
         assert!(bytes[1..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn crc16_table_matches_bit_serial_oracle() {
+        let mut rng = ccr_sim::rng::DetRng::new(0xC3C);
+        for len in 0..=64 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let mut serial = Crc16::new();
+            for &b in &bytes {
+                serial.put(b as u64, 8);
+            }
+            let mut table = Crc16::new();
+            table.put_bytes(&bytes);
+            assert_eq!(table.value(), serial.value(), "length {len}: {bytes:02x?}");
+        }
+    }
+
+    #[test]
+    fn crc16_is_ccitt_false() {
+        // The CRC-16/CCITT-FALSE catalogue check value.
+        let mut crc = Crc16::new();
+        crc.put_bytes(b"123456789");
+        assert_eq!(crc.value(), 0x29B1);
     }
 }

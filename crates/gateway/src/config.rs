@@ -28,6 +28,7 @@
 //! policy = "shed"      # or "defer"
 //! ```
 
+use crate::wire;
 use ccr_multiring::admission::FabricConnectionSpec;
 use ccr_multiring::topology::GlobalNodeId;
 use ccr_sim::toml::{self, Item};
@@ -235,6 +236,13 @@ impl GatewayConfig {
             };
             if l.mtu == 0 {
                 return bad("mtu must be positive");
+            }
+            if l.mtu as usize > wire::MAX_PAYLOAD {
+                return bad(&format!(
+                    "mtu {} exceeds the {}-byte payload limit of the wire header",
+                    l.mtu,
+                    wire::MAX_PAYLOAD
+                ));
             }
             if l.burst == 0 {
                 return bad("burst must be positive");
@@ -551,6 +559,25 @@ mod tests {
             GatewayConfig::new(vec![late]),
             Err(ConfigError::InvalidLink { id: 1, .. })
         ));
+    }
+
+    #[test]
+    fn mtu_is_bounded_by_the_wire_length_field() {
+        let link =
+            |mtu| VirtualLink::new(1, GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 3)).mtu(mtu);
+        let toml =
+            |mtu: u32| format!("[[link]]\nid = 1\nsrc = \"0:1\"\ndst = \"1:3\"\nmtu = {mtu}\n");
+        assert!(GatewayConfig::new(vec![link(65_535)]).is_ok());
+        assert!(GatewayConfig::parse(&toml(65_535)).is_ok());
+        for err in [
+            GatewayConfig::new(vec![link(65_536)]).unwrap_err(),
+            GatewayConfig::parse(&toml(65_536)).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, ConfigError::InvalidLink { id: 1, msg } if msg.contains("65535-byte")),
+                "unexpected: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! sync-manager channel words: every field at a hard-coded offset, no
 //! self-describing framing, so encode/decode are branch-light and the
 //! layout is auditable against the constants below. The trailer CRC is
-//! the same bit-serial CRC-16-CCITT the ring's control channel uses
+//! the same CRC-16-CCITT the ring's control channel uses
 //! ([`ccr_edf::wire::Crc16`]), so a gateway frame is rejected by the same
-//! arithmetic that guards slot-control packets.
+//! arithmetic that guards slot-control packets; the header is whole
+//! bytes, so it takes the byte-table path (one lookup per byte) where
+//! control packets stream their odd-width fields bit by bit.
 //!
 //! ```text
 //! offset  width  field
@@ -23,10 +25,13 @@
 //! The payload follows immediately; `len` must match exactly — trailing
 //! slack in a datagram is a decode error, not ignored padding.
 
-use ccr_edf::wire::{BitSink, Crc16};
+use ccr_edf::wire::Crc16;
 
 /// Header length in bytes; the payload starts at this offset.
 pub const HEADER_LEN: usize = 16;
+/// Largest payload a frame can carry: the header's `len` field is a
+/// `u16`.
+pub const MAX_PAYLOAD: usize = u16::MAX as usize;
 /// First header byte of every gateway frame.
 pub const MAGIC: u8 = 0xC5;
 /// Wire-format version encoded in the high nibble of byte 1.
@@ -149,9 +154,7 @@ impl std::fmt::Display for WireError {
 /// CRC-16/CCITT over the first 14 header bytes.
 fn header_crc(bytes: &[u8]) -> u16 {
     let mut crc = Crc16::new();
-    for &b in &bytes[..HEADER_LEN - 2] {
-        crc.put(b as u64, 8);
-    }
+    crc.put_bytes(&bytes[..HEADER_LEN - 2]);
     crc.value()
 }
 
@@ -159,7 +162,7 @@ impl Header {
     /// Encode this header followed by `payload` into `out` (cleared
     /// first). `self.len` is overridden by the actual payload length.
     pub fn encode_into(&self, payload: &[u8], out: &mut Vec<u8>) {
-        debug_assert!(payload.len() <= u16::MAX as usize, "payload fits u16");
+        debug_assert!(payload.len() <= MAX_PAYLOAD, "payload fits u16");
         out.clear();
         out.reserve(HEADER_LEN + payload.len());
         out.push(MAGIC);
@@ -289,5 +292,18 @@ mod tests {
             Header::decode(&long),
             Err(WireError::LengthMismatch { claimed: 3, got: 4 })
         ));
+    }
+
+    #[test]
+    fn encoded_frame_is_pinned_byte_for_byte() {
+        // Each field at its documented offset, the CRC of bytes 0..14
+        // big-endian, then the payload.
+        assert_eq!(
+            sample().encode(b"xyz"),
+            [
+                0xC5, 0x11, 0x00, 0x07, 0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x03, 0x00, 0x00, 0x05, 0xDC,
+                0xF8, 0xA4, b'x', b'y', b'z',
+            ]
+        );
     }
 }

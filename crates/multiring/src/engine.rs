@@ -4,13 +4,18 @@
 //! One *fabric slot* advances every ring by exactly one MAC slot. The step
 //! has three phases, all on the calling thread:
 //!
-//! 1. **Ring phase** — every ring executes
-//!    [`ccr_edf::network::RingNetwork::step_slot`] in ring-index order.
-//!    Rings share no state within a slot (bridge traffic only moves
-//!    *between* slots), and every ring steps before any delivery is
+//! 1. **Ring phase** — every ring advances one slot through
+//!    [`ccr_edf::network::RingNetwork::advance_slot`] in ring-index order:
+//!    a provably idle ring takes the O(1) idle path, any other ring
+//!    executes `step_slot`, and both leave the same outcome, clock and
+//!    metrics, which are all the later phases read. Most ring slots of a
+//!    lightly loaded fabric are idle, so most of its ring phase takes the
+//!    idle path. Rings share no state within a slot (bridge traffic only
+//!    moves *between* slots), and every ring steps before any delivery is
 //!    handled, because a bridge hand-off is stamped with its egress ring's
-//!    post-step clock. A ring slot simulates in about 0.2–2 µs, far less
-//!    than a thread hand-off, so the rings are stepped in place; the
+//!    post-step clock. A stepped ring slot simulates in about 0.2–2 µs and
+//!    an idle one in far less, both well under a thread hand-off, so the
+//!    rings are stepped in place; the
 //!    parallelism that pays runs whole fabrics side by side (see
 //!    DESIGN.md §8).
 //! 2. **Exchange phase** — each ring's deliveries are read in place from
@@ -603,9 +608,9 @@ impl Fabric {
         self.metrics.flush_ring_health(last);
     }
 
-    /// Snapshot of ring `r`'s metrics.
-    pub fn ring_metrics(&self, r: RingId) -> Metrics {
-        self.rings[r.0 as usize].metrics().clone()
+    /// Ring `r`'s metrics.
+    pub fn ring_metrics(&self, r: RingId) -> &Metrics {
+        self.rings[r.0 as usize].metrics()
     }
 
     /// Per-ring timing environments (indexed by ring id).
@@ -1278,11 +1283,11 @@ impl Fabric {
                 BridgeEventKind::Repair => self.repair_bridge(b),
             };
         }
-        // Phase 1 — every ring steps, in index order, before any delivery
-        // is handled: a bridge hand-off is stamped with its egress ring's
-        // post-step clock.
+        // Phase 1 — every ring advances one slot, in index order, before
+        // any delivery is handled: a bridge hand-off is stamped with its
+        // egress ring's post-step clock.
         for ring in &mut self.rings {
-            ring.step_slot();
+            ring.advance_slot();
         }
 
         // Phase 1.5 — health scan, fault runs only.

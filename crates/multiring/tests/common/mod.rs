@@ -14,7 +14,7 @@ pub fn segment_maxima(m: &FabricMetrics) -> Vec<u64> {
 /// Every ring's metrics after a run.
 pub fn all_ring_metrics(fabric: &Fabric) -> Vec<Metrics> {
     (0..fabric.topology().n_rings())
-        .map(|r| fabric.ring_metrics(RingId(r)))
+        .map(|r| fabric.ring_metrics(RingId(r)).clone())
         .collect()
 }
 

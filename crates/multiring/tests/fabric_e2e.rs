@@ -146,6 +146,69 @@ fn three_ring_stepping_replays_pinned_values() {
 }
 
 #[test]
+fn sparse_chain_replays_pinned_values_through_idle_rings() {
+    // Long periods leave over 99.8 % of every ring's slots idle, so each
+    // ring spends most of the run on its O(1) idle path; the values were
+    // recorded with every ring stepping every slot.
+    let run = || {
+        let mut fabric = chain_fabric(4, 8, 606);
+        let slot = fabric.segment_envs()[0].slot;
+        let set = [
+            FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(0, 5))
+                .period(slot.times(1_000)), // stays on ring 0
+            FabricConnectionSpec::unicast(GlobalNodeId::new(3, 6), GlobalNodeId::new(3, 2))
+                .period(slot.times(2_900)), // stays on ring 3
+            FabricConnectionSpec::unicast(GlobalNodeId::new(1, 3), GlobalNodeId::new(2, 1))
+                .period(slot.times(1_700)), // crosses bridge 1
+            FabricConnectionSpec::unicast(GlobalNodeId::new(0, 2), GlobalNodeId::new(2, 4))
+                .period(slot.times(2_300)), // crosses bridges 0 and 1
+            FabricConnectionSpec::unicast(GlobalNodeId::new(3, 1), GlobalNodeId::new(1, 6))
+                .period(slot.times(3_000)), // crosses bridges 2 and 1
+        ];
+        for spec in set {
+            fabric.open_connection(spec).unwrap();
+        }
+        fabric.run_slots(30_000);
+        let idle_path: Vec<u64> = (0..4)
+            .map(|r| fabric.with_ring(RingId(r), |ring| ring.throughput().fast_forwarded))
+            .collect();
+        (
+            fabric.metrics().clone(),
+            all_ring_metrics(&fabric),
+            idle_path,
+        )
+    };
+    let first = run();
+    assert_eq!(first, run(), "same seed, same run");
+    let (m, rings, idle_path) = &first;
+    assert!(
+        idle_path.iter().all(|&k| k > 0),
+        "every ring takes the idle path: {idle_path:?}"
+    );
+    assert_eq!(
+        (
+            m.e2e_delivered.get(),
+            m.e2e_missed.get(),
+            m.forwarded.get(),
+            m.peak_bridge_occupancy,
+            segment_maxima(m)
+        ),
+        (83, 0, 66, 1, vec![19_710, 15_760, 10_940]),
+        "fabric counters moved"
+    );
+    assert_eq!(
+        ring_counts(rings),
+        [
+            [44, 44, 29, 90_112],
+            [42, 42, 41, 86_016],
+            [42, 42, 20, 86_016],
+            [21, 21, 20, 43_008],
+        ],
+        "per-ring counters moved"
+    );
+}
+
+#[test]
 fn faulty_rings_keep_fabric_deterministic() {
     // Token-loss fault injection exercises each ring's RNG; determinism
     // must still hold because every ring owns an independent seeded RNG.

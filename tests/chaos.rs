@@ -161,7 +161,9 @@ fn chaos_fabric() -> (FabricMetrics, Vec<Metrics>) {
         )
         .unwrap();
     fabric.run_slots(20_000);
-    let rings = (0..3).map(|r| fabric.ring_metrics(RingId(r))).collect();
+    let rings = (0..3)
+        .map(|r| fabric.ring_metrics(RingId(r)).clone())
+        .collect();
     (fabric.metrics().clone(), rings)
 }
 
