@@ -3,6 +3,7 @@
 use cc_fpr::{CcFprMac, TdmaMac};
 use ccr_bench::harness::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use ccr_bench::{bench_config, loaded_network};
+use ccr_calculus::{ArrivalCurve, FlowSpec, IncrementalSolver, ServiceCurve};
 use ccr_edf::arbitration::{CcrEdfMac, CcrEdfRotatingMac};
 use ccr_edf::mac::MacProtocol;
 use ccr_edf::message::{Destination, Message, MessageId, TrafficClass};
@@ -11,6 +12,7 @@ use ccr_edf::priority::{MapperKind, Priority};
 use ccr_edf::queues::NodeQueues;
 use ccr_edf::wire::{BitSink, CollectionPacket, Crc16, NodeSet, Request, ServiceWireConfig};
 use ccr_edf::{LinkSet, NodeId, RingTopology, SimTime};
+use ccr_sim::rng::DetRng;
 use ccr_sim::stats::Histogram;
 
 fn requests_for(n: u16, density: f64) -> Vec<Request> {
@@ -204,6 +206,82 @@ fn bench_admission(c: &mut Criterion) {
     });
 }
 
+/// The certifier on `admission_churn`'s shape: eight ring servers (8 µs
+/// per slot, 10 µs latency), each feeding a bridge-queue server into the
+/// next ring; 40 ring-local flows per ring classed by their own deadline,
+/// plus one flow across each bridge, so the fixed point iterates a cycle.
+fn churn_certifier() -> IncrementalSolver {
+    const RINGS: usize = 8;
+    let per_slot_ps = 8e6;
+    let ring = ServiceCurve::rate_latency(1.0 / per_slot_ps, 1e7).unwrap();
+    let queue = ServiceCurve::rate_latency(1.0 / per_slot_ps, per_slot_ps).unwrap();
+    let mut services = vec![ring; RINGS];
+    services.extend(vec![queue; RINGS]);
+    let mut rng = DetRng::new(0xC4C1E);
+    let flows: Vec<(u64, FlowSpec)> = (0..328usize)
+        .map(|i| {
+            let r = i % RINGS;
+            let period_ps = (40 + rng.gen_range(0..80u64)) as f64 * 1e9;
+            let arrival = ArrivalCurve::token_bucket(1.0, 1.0 / period_ps).unwrap();
+            let spec = if i < 320 {
+                let mut spec = FlowSpec::blind(vec![r], arrival, vec![0.0]);
+                spec.classes = vec![period_ps];
+                spec
+            } else {
+                let path = vec![r, RINGS + r, (r + 1) % RINGS];
+                let mut spec = FlowSpec::blind(path, arrival, vec![0.0; 3]);
+                spec.classes = vec![period_ps / 2.0, f64::INFINITY, period_ps / 2.0];
+                spec
+            };
+            (i as u64, spec)
+        })
+        .collect();
+    let mut solver = IncrementalSolver::new(&services);
+    solver.admit(&flows).expect("churn residents certify");
+    solver
+}
+
+fn bench_certifier(c: &mut Criterion) {
+    let base = churn_certifier();
+    let arrival = ArrivalCurve::token_bucket(1.0, 1.0 / 5e10).unwrap();
+    let mut probe = FlowSpec::blind(vec![3], arrival, vec![0.0]);
+    probe.classes = vec![5e10];
+    let probe = [(1_000u64, probe)];
+    let mut with_probe = base.clone();
+    with_probe.admit(&probe).unwrap();
+    let mut g = c.benchmark_group("certifier");
+    g.sample_size(30);
+    // Finished solvers are kept, so their deallocation stays untimed.
+    let mut done = Vec::new();
+    g.bench_function("churn_admit", |b| {
+        b.iter_batched(
+            || base.clone(),
+            |mut s| {
+                s.admit(&probe).unwrap();
+                done.push(s);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // Admitted inside a session that is then dropped: what a refusal by
+    // the deadline gate costs.
+    let mut solver = base.clone();
+    g.bench_function("churn_refused_admit", |b| {
+        b.iter(|| solver.session().admit(&probe).unwrap().iterations)
+    });
+    g.bench_function("churn_close", |b| {
+        b.iter_batched(
+            || with_probe.clone(),
+            |mut s| {
+                s.remove(&[1_000]);
+                done.push(s);
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_parallel_map(c: &mut Criterion) {
     use ccr_sim::parallel::{parallel_map, parallel_map_chunked};
     // The sweep workload: one short simulation per input, the shape every
@@ -294,6 +372,7 @@ criterion_group!(
     bench_priority_mapping,
     bench_histogram,
     bench_admission,
+    bench_certifier,
     bench_parallel_map,
     bench_class_queue_types,
 );

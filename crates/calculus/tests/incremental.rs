@@ -7,7 +7,9 @@
 //! [`IncrementalSolver::set_force_full`] armed — through long seeded
 //! admit/close churn across ≥24 random fabrics and assert bit-identical
 //! verdicts and bounds (exact `f64` equality, no tolerance) after every
-//! single operation.
+//! single operation. A third twin tries candidates inside sessions and
+//! drops about half of them: the undo log must leave it exactly where the
+//! twins that never saw those candidates are.
 
 use ccr_calculus::{ArrivalCurve, FlowSpec, IncrementalSolver, ServiceCurve, SolveError};
 use ccr_sim::rng::DetRng;
@@ -163,4 +165,117 @@ fn removal_restores_the_untouched_fixed_point_exactly() {
             );
         }
     }
+}
+
+/// One or two fresh flows under new keys.
+fn new_batch(rng: &mut DetRng, next_key: &mut u64, n_rings: usize) -> Vec<(u64, FlowSpec)> {
+    let n = 1 + rng.gen_range(0..2u32) as usize;
+    (0..n)
+        .map(|_| {
+            *next_key += 1;
+            (*next_key, random_flow(rng, n_rings))
+        })
+        .collect()
+}
+
+/// Every stored bit of a resident flow's bounds.
+fn bound_bits(solver: &IncrementalSolver, key: u64) -> Vec<u64> {
+    let b = solver.bounds(key).expect("resident bounds");
+    let mut bits = vec![b.e2e_delay.to_bits(), b.backlog.to_bits()];
+    bits.extend(b.hop_delays.iter().map(|d| d.to_bits()));
+    bits
+}
+
+fn assert_same_bits(a: &IncrementalSolver, b: &IncrementalSolver, ctx: &str) {
+    let keys: Vec<u64> = a.keys().collect();
+    assert_eq!(
+        keys,
+        b.keys().collect::<Vec<_>>(),
+        "{ctx}: resident sets diverge"
+    );
+    for key in keys {
+        assert_eq!(
+            bound_bits(a, key),
+            bound_bits(b, key),
+            "{ctx}: flow {key} bounds diverge"
+        );
+    }
+    assert_eq!(a.tainted(), b.tainted(), "{ctx}: taint flags diverge");
+}
+
+#[test]
+fn dropped_sessions_leave_the_exact_state_of_never_trying() {
+    let (mut dropped, mut kept, mut refused_inside) = (0u32, 0u32, 0u32);
+    let (mut diverged_inside, mut tainted_ops) = (0u32, 0u32);
+    for fabric_seed in 0..FABRICS {
+        let mut rng = DetRng::new(0x5E55 ^ (fabric_seed << 4));
+        let n_rings = 2 + rng.gen_range(0..4u32) as usize;
+        let services: Vec<ServiceCurve> = (0..n_rings).map(|_| random_service(&mut rng)).collect();
+        // `warm` and `full` only see the committed candidates; `sess`
+        // tries every candidate inside a session.
+        let mut warm = IncrementalSolver::new(&services);
+        let mut full = IncrementalSolver::new(&services);
+        full.set_force_full(true);
+        let mut sess = IncrementalSolver::new(&services);
+        let mut next_key = 0u64;
+        let mut resident: Vec<u64> = Vec::new();
+        for op in 0..OPS_PER_FABRIC {
+            let ctx = format!("fabric {fabric_seed} op {op}");
+            match rng.gen_range(0..6u32) {
+                0 if !resident.is_empty() => {
+                    let idx = rng.gen_range(0..resident.len() as u32) as usize;
+                    let key = resident.swap_remove(idx);
+                    warm.remove(&[key]);
+                    full.remove(&[key]);
+                    sess.remove(&[key]);
+                }
+                1..=3 => {
+                    // Tried and dropped: one or two admissions, then the
+                    // session goes out of scope uncommitted.
+                    let tries = 1 + rng.gen_range(0..2u32);
+                    let mut session = sess.session();
+                    for _ in 0..tries {
+                        match session.admit(&new_batch(&mut rng, &mut next_key, n_rings)) {
+                            Ok(_) => dropped += 1,
+                            Err(SolveError::Diverged { .. }) => diverged_inside += 1,
+                            Err(_) => refused_inside += 1,
+                        }
+                    }
+                }
+                _ => {
+                    let b = new_batch(&mut rng, &mut next_key, n_rings);
+                    let keys: Vec<u64> = b.iter().map(|(k, _)| *k).collect();
+                    let rw = warm.admit(&b);
+                    let rf = full.admit(&b);
+                    let mut session = sess.session();
+                    let rs = session.admit(&b);
+                    session.commit();
+                    assert_eq!(
+                        rw.is_ok(),
+                        rf.is_ok(),
+                        "{ctx}: warm and full verdicts diverge"
+                    );
+                    assert_eq!(rw.is_ok(), rs.is_ok(), "{ctx}: session verdict diverges");
+                    if rw.is_ok() {
+                        kept += 1;
+                        resident.extend(keys);
+                    }
+                }
+            }
+            tainted_ops += u32::from(warm.tainted());
+            assert_same_bits(&sess, &warm, &format!("{ctx} (session vs warm)"));
+            assert_same_bits(&sess, &full, &format!("{ctx} (session vs full)"));
+        }
+    }
+    // Divergent candidates and tainted twins both occur, so the undo of a
+    // half-iterated solve and the taint restore are exercised too.
+    assert!(
+        dropped >= 100
+            && kept >= 100
+            && refused_inside >= 10
+            && diverged_inside >= 10
+            && tainted_ops >= 10,
+        "coverage: {dropped} dropped, {kept} kept, {refused_inside} refused and \
+         {diverged_inside} diverged in a session, {tainted_ops} tainted"
+    );
 }

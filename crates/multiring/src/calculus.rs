@@ -29,18 +29,24 @@
 //! `α(t) = e + (e/P)·t` slots along its interleaved ring/queue path.
 //!
 //! Admission is **incremental**: the [`ccr_calculus::IncrementalSolver`]
-//! keeps the converged fixed point and [`CalculusAdmission::admit_batch`]
-//! warm-starts it, re-iterating only the dirty set of servers the batch
-//! touches; one fixed-point pass is amortised over the whole batch, with
-//! all-or-nothing rollback. Verdicts are bit-for-bit deterministic: flows
-//! enter in admission-id order and every operator in the kernel is an
-//! exact closed form. The forced full-solve reference
+//! keeps the converged fixed point and its per-server aggregates, and
+//! [`CalculusAdmission::admit_batch`] re-derives only the dirty set of
+//! servers the batch touches. Of the flows there, only those with a dirty
+//! hop before their last iterate; the rest are re-priced once. One
+//! fixed-point pass is amortised over the whole batch. A refusal — by
+//! the solver, by the deadline gate here, or by the rings after
+//! [`CalculusAdmission::certify`] — is undone exactly from the solver's
+//! undo log, with no second solve. Verdicts are bit-for-bit
+//! deterministic: flows enter in admission-id order and every operator in
+//! the kernel is an exact closed form. The forced full-solve reference
 //! ([`CalculusAdmission::set_force_full`]) runs the same arithmetic with
 //! everything dirty, which is what the differential suite leans on.
 
 use crate::admission::{ConnectionPlan, FabricConnectionId, SegmentEnv};
 use crate::bridge::BridgeConfig;
-use ccr_calculus::{ArrivalCurve, FlowSpec, IncrementalSolver, ServiceCurve, SolveError};
+use ccr_calculus::{
+    ArrivalCurve, FlowSpec, IncrementalSolver, ServiceCurve, SolveError, SolveReport, SolverSession,
+};
 use ccr_sim::TimeDelta;
 use std::collections::BTreeMap;
 
@@ -128,6 +134,45 @@ pub struct CalculusReport {
     pub full: bool,
     /// Flows whose bounds were re-derived by this pass (the dirty set).
     pub dirty_flows: usize,
+    /// Dirty flows the fixed point iterated (a dirty hop before their
+    /// last); the others were only re-priced.
+    pub iterated_flows: usize,
+}
+
+impl From<&SolveReport> for CalculusReport {
+    fn from(r: &SolveReport) -> Self {
+        CalculusReport {
+            iterations: r.iterations,
+            full: r.full,
+            dirty_flows: r.dirty_flows.len(),
+            iterated_flows: r.iterated_flows,
+        }
+    }
+}
+
+/// A certified batch that is not installed yet: the solver holds the
+/// candidates, but dropping this undoes them exactly (the resident bounds
+/// return bit for bit) until [`CertifiedBatch::commit`] keeps them.
+#[derive(Debug)]
+pub struct CertifiedBatch<'a> {
+    session: SolverSession<'a>,
+    deadlines: &'a mut BTreeMap<u64, f64>,
+    admitted: Vec<(u64, f64)>,
+    report: CalculusReport,
+}
+
+impl CertifiedBatch<'_> {
+    /// How the certification ran.
+    pub fn report(&self) -> CalculusReport {
+        self.report
+    }
+
+    /// Install the batch: its flows stay certified.
+    pub fn commit(self) -> CalculusReport {
+        self.session.commit();
+        self.deadlines.extend(self.admitted);
+        self.report
+    }
 }
 
 /// Stateful end-to-end certifier holding the warm-started incremental
@@ -204,14 +249,28 @@ impl CalculusAdmission {
         &mut self,
         batch: &[(FabricConnectionId, &ConnectionPlan)],
     ) -> Result<CalculusReport, CalculusRejection> {
+        self.certify(batch).map(CertifiedBatch::commit)
+    }
+
+    /// Certify a batch like [`CalculusAdmission::admit_batch`], but keep it
+    /// revocable: the returned [`CertifiedBatch`] installs it on commit and
+    /// undoes it exactly on drop. A refusal is undone before this returns.
+    pub fn certify(
+        &mut self,
+        batch: &[(FabricConnectionId, &ConnectionPlan)],
+    ) -> Result<CertifiedBatch<'_>, CalculusRejection> {
         let mut flows = Vec::with_capacity(batch.len());
         for (fid, plan) in batch {
             flows.push((fid.0, self.flow_from_plan(plan)?));
         }
+        let admitted: Vec<(u64, f64)> = batch
+            .iter()
+            .map(|(fid, plan)| (fid.0, plan.spec.e2e_deadline.as_ps() as f64))
+            .collect();
         // The candidate batch runs inside a solver session: dropping the
-        // session without committing (any early return below) rolls the
-        // admissions back with a warm-started remove, restoring the prior
-        // fixed point bit for bit.
+        // session without committing (any early return below) undoes the
+        // admission from the solver's log, restoring the prior fixed point
+        // bit for bit.
         let mut session = self.solver.session();
         let report = session.admit(&flows).map_err(map_solve_error)?;
         // Deadline gate over the dirty set only: clean flows kept their
@@ -227,15 +286,10 @@ impl CalculusAdmission {
                 .deadlines
                 .get(&key)
                 .copied()
-                .or_else(|| {
-                    batch
-                        .iter()
-                        .find(|(fid, _)| fid.0 == key)
-                        .map(|(_, plan)| plan.spec.e2e_deadline.as_ps() as f64)
-                })
+                .or_else(|| admitted.iter().find(|(k, _)| *k == key).map(|(_, d)| *d))
                 .unwrap_or(f64::INFINITY);
             if bound_ps > deadline_ps {
-                let candidate = batch.iter().any(|(fid, _)| fid.0 == key);
+                let candidate = admitted.iter().any(|(k, _)| *k == key);
                 return Err(CalculusRejection::BoundExceeded {
                     flow: (!candidate).then_some(FabricConnectionId(key)),
                     bound: TimeDelta::from_ps_f64_saturating(bound_ps.ceil()),
@@ -243,33 +297,22 @@ impl CalculusAdmission {
                 });
             }
         }
-        session.commit();
-        for (fid, plan) in batch {
-            self.deadlines
-                .insert(fid.0, plan.spec.e2e_deadline.as_ps() as f64);
-        }
-        Ok(CalculusReport {
-            iterations: report.iterations,
-            full: report.full,
-            dirty_flows: report.dirty_flows.len(),
+        Ok(CertifiedBatch {
+            session,
+            deadlines: &mut self.deadlines,
+            admitted,
+            report: CalculusReport::from(&report),
         })
     }
 
-    /// Release a batch of flows in one warm-started pass (used both for
-    /// `close_connection` and to roll back calculus state when ring
-    /// admission refuses an already-certified batch). Unknown ids are
+    /// Release a batch of flows in one warm-started pass. Unknown ids are
     /// ignored.
     pub fn remove_batch(&mut self, fids: &[FabricConnectionId]) -> CalculusReport {
         let keys: Vec<u64> = fids.iter().map(|fid| fid.0).collect();
         for key in &keys {
             self.deadlines.remove(key);
         }
-        let report = self.solver.remove(&keys);
-        CalculusReport {
-            iterations: report.iterations,
-            full: report.full,
-            dirty_flows: report.dirty_flows.len(),
-        }
+        CalculusReport::from(&self.solver.remove(&keys))
     }
 
     /// Release a single flow. See [`CalculusAdmission::remove_batch`].
@@ -328,11 +371,7 @@ impl CalculusAdmission {
         for (k, _, deadline_ps) in batch {
             self.deadlines.insert(*k, *deadline_ps);
         }
-        Ok(CalculusReport {
-            iterations: report.iterations,
-            full: report.full,
-            dirty_flows: report.dirty_flows.len(),
-        })
+        Ok(CalculusReport::from(&report))
     }
 }
 

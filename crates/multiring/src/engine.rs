@@ -46,7 +46,7 @@ use crate::admission::{
     FabricConnectionSpec, SegmentEnv,
 };
 use crate::bridge::{BridgeConfig, BridgeQueue, PendingForward};
-use crate::calculus::CalculusAdmission;
+use crate::calculus::{CalculusAdmission, CalculusReport};
 use crate::fault::{BridgeEventKind, FabricFaultKind, FabricFaultScript};
 use crate::metrics::FabricMetrics;
 use crate::topology::{CycleBound, FabricTopology, GlobalNodeId, RingId};
@@ -761,29 +761,34 @@ impl Fabric {
         // warm-started fixed-point pass certifies the whole batch against
         // the resident set, refusing it unless every flow — resident and
         // candidate — keeps a certified bound within its deadline. The
-        // solver rolls itself back on refusal, so no ring was touched yet
-        // and there is nothing to undo. Candidate ids are reserved here
+        // solver undoes a refusal itself, so no ring was touched yet and
+        // there is nothing to undo. The certification stays revocable
+        // until the rings accept. Candidate ids are reserved here
         // (`next_fid` onwards) and only consumed once the rings accept.
         let fids: Vec<FabricConnectionId> = (0..plans.len() as u64)
             .map(|i| FabricConnectionId(self.next_fid + i))
             .collect();
+        let mut certified = None;
         if class != ConnClass::BestEffort {
             if let Some(calc) = self.calculus.as_mut() {
                 let batch: Vec<(FabricConnectionId, &ConnectionPlan)> =
                     fids.iter().copied().zip(plans.iter()).collect();
-                let report = calc
-                    .admit_batch(&batch)
+                let cert = calc
+                    .certify(&batch)
                     .map_err(FabricAdmissionError::Calculus)?;
+                let report = cert.report();
                 if report.full {
                     self.metrics.calc_admit_full.incr();
                 } else {
                     self.metrics.calc_admit_incremental.incr();
                 }
+                count_calc_pass(&mut self.metrics, report);
+                certified = Some(cert);
             }
         }
         // Per-ring admission with whole-batch rollback (certification
-        // included: a certified batch the rings refuse is released from
-        // the solver in one pass).
+        // included: dropping a certified batch the rings refuse undoes it
+        // exactly).
         let mut admitted: Vec<Vec<ConnectionId>> = Vec::with_capacity(plans.len());
         for plan in plans.iter() {
             let mut ring_conns: Vec<ConnectionId> = Vec::with_capacity(plan.segments.len());
@@ -816,14 +821,13 @@ impl Fabric {
                         self.rings[rj].close_connection(id);
                     }
                 }
-                if class != ConnClass::BestEffort {
-                    if let Some(calc) = self.calculus.as_mut() {
-                        calc.remove_batch(&fids);
-                    }
-                }
+                drop(certified);
                 return Err(FabricAdmissionError::SegmentRejected { segment, error });
             }
             admitted.push(ring_conns);
+        }
+        if let Some(cert) = certified {
+            cert.commit();
         }
         // Bookkeeping — the batch is in.
         self.next_fid += plans.len() as u64;
@@ -882,7 +886,7 @@ impl Fabric {
                 self.queue_resident[q] -= 1;
             }
             if let Some(calc) = self.calculus.as_mut() {
-                calc.remove(fid);
+                count_calc_pass(&mut self.metrics, calc.remove(fid));
             }
         }
         true
@@ -1443,6 +1447,14 @@ impl Fabric {
     }
 }
 
+/// Add one certifier pass to the work-saved running sums.
+fn count_calc_pass(metrics: &mut FabricMetrics, report: CalculusReport) {
+    metrics.calc_dirty_flows.add(report.dirty_flows as u64);
+    metrics
+        .calc_iterated_flows
+        .add(report.iterated_flows as u64);
+}
+
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
@@ -1974,6 +1986,72 @@ mod tests {
         let after = fabric.rings[0].admission().admitted_count();
         assert_eq!(before, after, "ring 0's admission rolled back");
         assert_eq!(fabric.active_connections(), 0);
+    }
+
+    #[test]
+    fn ring_refusal_of_a_certified_batch_restores_every_certificate() {
+        // The certifier accepts the candidate, then ring 1 — saturated
+        // behind the certifier's back — refuses its second segment. The
+        // pending certification is dropped, so every resident keeps its
+        // bound bit for bit.
+        let topo = triangle(8, CycleBound::Calculus);
+        let cfg = FabricConfig::uniform(topo, 2048, 3).unwrap();
+        let mut fabric = Fabric::new(cfg).unwrap();
+        let residents: Vec<FabricConnectionId> = [
+            (GlobalNodeId::new(0, 2), GlobalNodeId::new(1, 3)),
+            (GlobalNodeId::new(1, 4), GlobalNodeId::new(2, 3)),
+            (GlobalNodeId::new(2, 4), GlobalNodeId::new(0, 3)),
+        ]
+        .into_iter()
+        .map(|(src, dst)| {
+            fabric
+                .open_connection(
+                    FabricConnectionSpec::unicast(src, dst).period(TimeDelta::from_ms(5)),
+                )
+                .unwrap()
+        })
+        .collect();
+        let bounds = |f: &Fabric| {
+            residents
+                .iter()
+                .map(|&r| f.e2e_bound(r))
+                .collect::<Vec<_>>()
+        };
+        let certified = |f: &Fabric| f.calculus.as_ref().unwrap().certified_flows();
+        let (before, certified_before) = (bounds(&fabric), certified(&fabric));
+        let period = fabric.segment_envs()[1].slot.times(200);
+        while fabric.rings[1]
+            .open_connection(
+                ccr_edf::connection::ConnectionSpec::unicast(
+                    ccr_phys::NodeId(2),
+                    ccr_phys::NodeId(5),
+                )
+                .period(period)
+                .size_slots(1),
+            )
+            .is_ok()
+        {}
+        let err = fabric
+            .open_connection(
+                FabricConnectionSpec::unicast(GlobalNodeId::new(0, 3), GlobalNodeId::new(1, 2))
+                    .period(period),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FabricAdmissionError::SegmentRejected { segment: 1, .. }
+            ),
+            "unexpected: {err:?}"
+        );
+        assert_eq!(
+            fabric.metrics().calc_admit_incremental.get(),
+            4,
+            "certified"
+        );
+        assert_eq!(bounds(&fabric), before, "resident certificates restored");
+        assert_eq!(certified(&fabric), certified_before);
+        assert_eq!(fabric.active_connections(), residents.len());
     }
 
     #[test]

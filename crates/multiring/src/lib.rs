@@ -63,7 +63,7 @@ pub mod metrics;
 pub mod topology;
 
 pub use admission::{FabricAdmissionError, FabricConnectionId, FabricConnectionSpec};
-pub use calculus::{CalculusAdmission, CalculusRejection, CalculusReport};
+pub use calculus::{CalculusAdmission, CalculusRejection, CalculusReport, CertifiedBatch};
 pub use engine::{
     ConnectionEvent, EgressDelivery, Fabric, FabricBuildError, FabricConfig, InjectError,
     RevokeReason,

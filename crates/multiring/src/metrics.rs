@@ -78,6 +78,12 @@ pub struct FabricMetrics {
     /// Calculus certifications that ran as a full re-solve (first fill,
     /// forced reference mode, or recovery from a tainted warm start).
     pub calc_admit_full: Counter,
+    /// Running sum, over certifications and releases, of the flows each
+    /// certifier pass re-derived (its dirty set).
+    pub calc_dirty_flows: Counter,
+    /// Running sum of the dirty flows each certifier pass iterated; the
+    /// rest were only re-priced.
+    pub calc_iterated_flows: Counter,
     /// Fabric slots during which at least one ring was in clock-loss
     /// recovery (dead time somewhere in the fabric).
     pub degraded_slots: Counter,
@@ -124,6 +130,8 @@ impl Default for FabricMetrics {
             be_bridge_drops: Counter::default(),
             calc_admit_incremental: Counter::default(),
             calc_admit_full: Counter::default(),
+            calc_dirty_flows: Counter::default(),
+            calc_iterated_flows: Counter::default(),
             degraded_slots: Counter::default(),
             ring_degraded_slots: Vec::new(),
             ring_availability: Vec::new(),

@@ -14,8 +14,8 @@
 //!
 //! 1. **Churn latency** — p50/p95/p99/max microseconds per open and per
 //!    close in both modes, plus sustained ops/s and the resulting
-//!    incremental-vs-full speedup (the PR's ≥10× target, asserted by the
-//!    `fabric_admission_10k` bench, is re-measured here under soak).
+//!    incremental-vs-full speedup. perfbench's `admission_churn` workload
+//!    times the same operations on a cyclic fabric.
 //! 2. **Steady-state headroom** — with the full resident set certified,
 //!    the distribution of relative deadline slack
 //!    `1 − bound/deadline` across residents: how much certified margin

@@ -229,3 +229,92 @@ fn closing_a_connection_reclaims_a_revoked_one() {
         "the revoked connection is back"
     );
 }
+
+/// Eight 8-node rings bridged into one cycle (node 7 of ring `r` to node
+/// 0 of ring `r + 1`), certified by the calculus.
+fn ring_of_rings() -> FabricTopology {
+    let mut b = FabricTopology::builder();
+    for _ in 0..8 {
+        b.ring(8);
+    }
+    for r in 0..8u16 {
+        b.bridge(GlobalNodeId::new(r, 7), GlobalNodeId::new((r + 1) % 8, 0));
+    }
+    b.allow_cycles_with(CycleBound::Calculus);
+    b.build().expect("ring of rings builds")
+}
+
+/// A flow between inner nodes (never a bridge port) of ring `r`, or from
+/// ring `r` to ring `r + 1` when `cross`.
+fn churn_spec(rng: &mut DetRng, r: u16, cross: bool) -> FabricConnectionSpec {
+    let src = 1 + rng.gen_range(0..6u32) as u16;
+    let (dst_ring, dst) = if cross {
+        ((r + 1) % 8, 1 + rng.gen_range(0..6u32) as u16)
+    } else {
+        (r, 1 + (src + rng.gen_range(0..5u32) as u16) % 6)
+    };
+    FabricConnectionSpec::unicast(GlobalNodeId::new(r, src), GlobalNodeId::new(dst_ring, dst))
+        .period(TimeDelta::from_ms(40 + rng.gen_range(0..80u64)))
+}
+
+#[test]
+fn ring_local_open_on_the_cycle_iterates_only_the_crossing_flows() {
+    let mut rng = DetRng::new(0xC4C1E);
+    // 320 ring-local residents, 40 per ring, plus one flow across each
+    // bridge: those close the cycle the fixed point iterates over.
+    let residents: Vec<FabricConnectionSpec> = (0..328u16)
+        .map(|i| churn_spec(&mut rng, i % 8, i >= 320))
+        .collect();
+    let build = |force_full: bool| {
+        let cfg = FabricConfig::uniform(ring_of_rings(), 2_048, 1)
+            .expect("fabric config")
+            .calculus_force_full(force_full);
+        let mut fabric = Fabric::new(cfg).expect("fabric builds");
+        fabric
+            .open_connections(&residents)
+            .expect("residents certify");
+        fabric
+    };
+    let mut warm = build(false);
+    let mut full = build(true);
+    // (re-priced, iterated) flows summed over every certifier pass.
+    let work = |f: &Fabric| {
+        (
+            f.metrics().calc_dirty_flows.get(),
+            f.metrics().calc_iterated_flows.get(),
+        )
+    };
+    // The set-up batch: every resident is new, only the crossing ones
+    // have a hop after another.
+    assert_eq!(work(&warm), (328, 8));
+
+    let local = churn_spec(&mut rng, 3, false);
+    let fw = warm.open_connection(local.clone()).expect("warm admits");
+    let ff = full.open_connection(local).expect("full admits");
+    assert_eq!(fw, ff);
+    // The cycle dirties every server, so all 329 flows are re-priced, but
+    // only the 8 crossing residents iterate.
+    assert_eq!(work(&warm), (328 + 329, 8 + 8));
+    assert_eq!(warm.metrics().calc_admit_incremental.get(), 2);
+    assert_eq!(full.metrics().calc_admit_full.get(), 2);
+
+    // A crossing open iterates itself too.
+    let cross = churn_spec(&mut rng, 5, true);
+    let fw = warm.open_connection(cross.clone()).expect("warm admits");
+    full.open_connection(cross).expect("full admits");
+    assert_eq!(work(&warm), (328 + 329 + 330, 8 + 8 + 9));
+
+    // Closing the crossing flow re-prices the rest and iterates the
+    // crossing residents again.
+    assert!(warm.close_connection(fw) && full.close_connection(fw));
+    assert_eq!(work(&warm), (328 + 329 + 330 + 329, 8 + 8 + 9 + 8));
+
+    let fids: Vec<FabricConnectionId> = (1..=331).map(FabricConnectionId).collect();
+    let bw = bounds_of(&warm, &fids);
+    assert_eq!(bw.iter().filter(|b| b.is_some()).count(), 329);
+    assert_eq!(
+        bw,
+        bounds_of(&full, &fids),
+        "warm and full certificates diverge"
+    );
+}
