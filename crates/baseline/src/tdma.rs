@@ -38,10 +38,14 @@ impl MacProtocol for TdmaMac {
         next_master_hint: Option<NodeId>,
         _topo: RingTopology,
     ) -> Request {
+        let Some(d) = desire else {
+            return Request::IDLE;
+        };
         let owner = next_master_hint.expect("engine passes the rotation hint to TDMA");
-        match desire {
-            Some(d) if node == owner => Request::transmission(d.priority, d.links, d.dests),
-            _ => Request::IDLE,
+        if node == owner {
+            Request::transmission(d.priority, d.links, d.dests)
+        } else {
+            Request::IDLE
         }
     }
 

@@ -71,8 +71,8 @@ fn bench_edf_queue(c: &mut Criterion) {
                     q.push(m);
                 }
                 while let Some(head) = q.head() {
-                    let id = head.msg.id;
-                    let _ = q.record_sent_slot(id);
+                    let key = head.key();
+                    let _ = q.record_sent_slot(key);
                 }
                 q
             },
@@ -142,10 +142,28 @@ fn bench_slot_engine(c: &mut Criterion) {
     g.bench_function("idle_slot_n16_step", |b| {
         b.iter(|| net.step_slot().slot_index)
     });
-    let mut net = RingNetwork::new_ccr_edf(bench_config(16));
-    g.bench_function("idle_slot_n16_advance", |b| {
-        b.iter(|| net.advance_slot().slot_index)
-    });
+    for n in [16u16, 64] {
+        let mut net = RingNetwork::new_ccr_edf(bench_config(n));
+        g.bench_function(format!("idle_slot_n{n}_advance"), |b| {
+            b.iter(|| net.advance_slot().slot_index)
+        });
+    }
+    // One busy slot: node 1 keeps a backlog (one message longer than any
+    // run) and every other node is empty, so the slot should cost what its
+    // one occupied node costs, whatever the ring size.
+    for n in [16u16, 64] {
+        let mut net = RingNetwork::new_ccr_edf(bench_config(n));
+        let backlog = Message::non_real_time(
+            NodeId(1),
+            Destination::Unicast(NodeId(2)),
+            u32::MAX,
+            SimTime::ZERO,
+        );
+        net.submit_message(SimTime::ZERO, backlog);
+        g.bench_function(format!("busy_slot_n{n}_one_sender"), |b| {
+            b.iter(|| net.step_slot().grant_count)
+        });
+    }
     g.finish();
 }
 
@@ -351,8 +369,8 @@ fn bench_class_queue_types(c: &mut Criterion) {
                 let mut n = 0usize;
                 let mut cur = q;
                 while let Some(h) = cur.head() {
-                    let id = h.msg.id;
-                    let _ = cur.record_sent_slot(id);
+                    let key = h.key();
+                    let _ = cur.record_sent_slot(key);
                     n += 1;
                 }
                 n

@@ -30,3 +30,35 @@ impl S {
 }
 
 fn consume<T>(_t: T) {}
+
+// A path-qualified field type is still a hash container.
+struct Qualified {
+    by_path: std::collections::HashMap<u32, u32>,
+}
+
+impl Qualified {
+    fn total(&self) -> u32 {
+        self.by_path.values().sum() //~ ERROR nondeterminism
+    }
+}
+
+// So is a field typed through an alias.
+type Index = HashMap<u32, u32>;
+
+struct Aliased {
+    index: Index,
+}
+
+impl Aliased {
+    fn first(&self) -> Option<u32> {
+        self.index.keys().next().copied() //~ ERROR nondeterminism
+    }
+
+    // rustfmt splits long chains: the receiver and the method can sit on
+    // different lines.
+    fn folded(&self) -> u32 {
+        self.index
+            .values() //~ ERROR nondeterminism
+            .fold(0, |acc, v| acc ^ v)
+    }
+}

@@ -824,42 +824,78 @@ const HASH_ITER_METHODS: &[&str] = &[
 ];
 
 /// Identifiers bound to `HashMap`/`HashSet` in this file: struct fields
-/// (`name: HashMap<..>`) and let-bindings (`let name = HashMap::new()`).
+/// (`name: HashMap<..>`) and let-bindings (`let name = HashMap::new()`),
+/// also when the type is path-qualified (`std::collections::HashMap`) or
+/// named through a `type Alias = HashMap<..>;` of this file.
 fn hash_bound_idents(clean: &str) -> BTreeSet<String> {
-    let bytes = clean.as_bytes();
+    let mut types = vec!["HashMap".to_string(), "HashSet".to_string()];
     let mut out = BTreeSet::new();
-    for ty in ["HashMap", "HashSet"] {
-        for at in token_positions(clean, ty) {
-            // Walk left over whitespace to the preceding `:` or `=`.
-            let mut j = at;
-            while j > 0 && bytes[j - 1].is_ascii_whitespace() {
-                j -= 1;
-            }
-            if j == 0 {
-                continue;
-            }
-            let sep = bytes[j - 1];
-            if sep != b':' && sep != b'=' {
-                continue;
-            }
-            let mut k = j - 1;
-            if sep == b':' && k > 0 && bytes[k - 1] == b':' {
-                // `::` path separator, not a type ascription
-                continue;
-            }
-            while k > 0 && bytes[k - 1].is_ascii_whitespace() {
-                k -= 1;
-            }
-            let end = k;
-            while k > 0 && is_ident(bytes[k - 1]) {
-                k -= 1;
-            }
-            if k < end {
-                out.insert(clean[k..end].to_string());
+    let mut i = 0;
+    while i < types.len() {
+        for at in token_positions(clean, &types[i]) {
+            match binding_of(clean, at) {
+                Some(Binding::Alias(name)) if !types.contains(&name) => types.push(name),
+                Some(Binding::Name(name)) => {
+                    out.insert(name);
+                }
+                _ => {}
             }
         }
+        i += 1;
     }
     out
+}
+
+/// What a hash-container type token at `at` is bound to.
+enum Binding {
+    /// A field, let-binding or constant (`name: T`, `name = T::new()`).
+    Name(String),
+    /// A type alias (`type Name = T;`), whose uses bind in turn.
+    Alias(String),
+}
+
+/// The binding a type token at byte `at` belongs to: walk left over its
+/// path (`std::collections::`), then over whitespace to a `:` or `=`, then
+/// to the bound identifier.
+fn binding_of(clean: &str, at: usize) -> Option<Binding> {
+    let bytes = clean.as_bytes();
+    let skip_ws = |mut j: usize| {
+        while j > 0 && bytes[j - 1].is_ascii_whitespace() {
+            j -= 1;
+        }
+        j
+    };
+    let skip_ident = |mut j: usize| {
+        while j > 0 && is_ident(bytes[j - 1]) {
+            j -= 1;
+        }
+        j
+    };
+    let mut j = at;
+    while j >= 2 && &bytes[j - 2..j] == b"::" {
+        j = skip_ident(j - 2);
+    }
+    j = skip_ws(j);
+    let sep = *bytes.get(j.checked_sub(1)?)?;
+    if sep != b':' && sep != b'=' || sep == b':' && j >= 2 && bytes[j - 2] == b':' {
+        return None; // not a type ascription or an assignment
+    }
+    let end = skip_ws(j - 1);
+    let start = skip_ident(end);
+    if start == end {
+        return None;
+    }
+    let name = clean[start..end].to_string();
+    let before = skip_ws(start);
+    let is_alias = sep == b'='
+        && before >= 4
+        && &bytes[before - 4..before] == b"type"
+        && (before == 4 || !is_ident(bytes[before - 5]));
+    Some(if is_alias {
+        Binding::Alias(name)
+    } else {
+        Binding::Name(name)
+    })
 }
 
 /// Deny wall clocks, OS randomness, ambient I/O and hash-order iteration
@@ -888,21 +924,25 @@ pub fn rule_determinism(files: &[FileModel], cfg: &RuleConfig) -> Vec<Finding> {
             }
         }
         // Hash-order iteration: only for identifiers this file binds to a
-        // hash container.
+        // hash container. The receiver and the method may sit on different
+        // lines (rustfmt splits long chains), so methods are matched over
+        // the whole cleaned text and reported on the method's line.
         let idents = hash_bound_idents(&f.clean);
         for h in &idents {
+            let mut lines = BTreeSet::new();
+            for at in token_positions(&f.clean, h) {
+                let rest = f.clean[at + h.len()..].trim_start();
+                if HASH_ITER_METHODS.iter().any(|m| rest.starts_with(m)) {
+                    lines.insert(f.line_of(f.clean.len() - rest.len()));
+                }
+            }
             for (line_no, text) in f.code_lines() {
-                let mut hit = false;
-                for m in HASH_ITER_METHODS {
-                    let pat = format!("{h}{m}");
-                    if !token_positions(text, &pat).is_empty() {
-                        hit = true;
-                    }
+                if for_loop_over(text, h) {
+                    lines.insert(line_no);
                 }
-                if !hit && for_loop_over(text, h) {
-                    hit = true;
-                }
-                if hit {
+            }
+            for line_no in lines {
+                if !f.is_test_line(line_no) {
                     findings.push(Finding {
                         path: f.path.display().to_string(),
                         line: line_no,

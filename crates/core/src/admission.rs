@@ -14,7 +14,7 @@ use crate::connection::{ConnectionId, ConnectionSpec};
 use crate::dbf;
 use crate::message::Destination;
 use ccr_phys::{NodeId, RingTopology};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Which feasibility test the controller runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,9 +80,9 @@ pub struct AdmissionController {
     model: AnalyticModel,
     topo: RingTopology,
     policy: AdmissionPolicy,
-    admitted: HashMap<ConnectionId, f64>,
+    admitted: BTreeMap<ConnectionId, f64>,
     /// Full specs of the admitted set (needed by the demand-bound test).
-    specs: HashMap<ConnectionId, ConnectionSpec>,
+    specs: BTreeMap<ConnectionId, ConnectionSpec>,
     /// Best-effort registrations: validated and id-allocated, but outside
     /// `Ma` — they contribute no utilisation and are invisible to the
     /// feasibility tests, because best-effort traffic only rides capacity
@@ -107,8 +107,8 @@ impl AdmissionController {
             model,
             topo,
             policy,
-            admitted: HashMap::new(),
-            specs: HashMap::new(),
+            admitted: BTreeMap::new(),
+            specs: BTreeMap::new(),
             best_effort: BTreeMap::new(),
             total: 0.0,
             next_id: 1,
@@ -150,9 +150,8 @@ impl AdmissionController {
     /// Revocation order is EDF-inspired: the connection with the *latest*
     /// effective deadline goes first (it has the most slack and therefore
     /// the weakest claim to the remaining capacity), ties broken by the
-    /// larger (younger) id — a total order, so the result is deterministic
-    /// even though the admitted set lives in a `HashMap`. Returns the
-    /// revoked ids in revocation order.
+    /// larger (younger) id — a total order, so the result is deterministic.
+    /// Returns the revoked ids in revocation order.
     pub fn revalidate(&mut self) -> Vec<ConnectionId> {
         // ccr-verify: allow(alloc-in-hot-path) -- runs on capacity-change fault events, not in the steady-state slot loop
         let mut revoked = Vec::new();
@@ -179,8 +178,7 @@ impl AdmissionController {
 
     /// Ids of admitted connections that source at `node` or unicast into
     /// it — the set that can no longer flow once the node is bypassed.
-    /// Sorted ascending, so the result is deterministic despite the
-    /// `HashMap` backing store. Covers reserved connections too.
+    /// Sorted ascending. Covers reserved connections too.
     pub fn connections_touching(&self, node: NodeId) -> Vec<ConnectionId> {
         let mut ids: Vec<ConnectionId> = self
             .specs
@@ -232,13 +230,9 @@ impl AdmissionController {
             });
         }
         if self.policy == AdmissionPolicy::DemandBound {
-            // Sort by id so the f64 demand sums in `dbf::feasible` see the
-            // specs in a fixed order regardless of hash-map layout.
-            let mut entries: Vec<(ConnectionId, ConnectionSpec)> =
-                // ccr-verify: allow(nondeterminism) -- collected to a Vec and sorted by id on the next line
-                self.specs.iter().map(|(id, s)| (*id, s.clone())).collect();
-            entries.sort_unstable_by_key(|(id, _)| *id);
-            let mut all: Vec<ConnectionSpec> = entries.into_iter().map(|(_, s)| s).collect();
+            // Id order (the map's) fixes the order of the f64 demand sums
+            // in `dbf::feasible`.
+            let mut all: Vec<ConnectionSpec> = self.specs.values().cloned().collect();
             all.push(spec.clone());
             let verdict = dbf::feasible(&self.model, &all);
             if !verdict.is_feasible() {

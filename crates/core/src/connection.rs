@@ -7,6 +7,7 @@
 //! their traffic is scheduled, and may be added and removed at runtime.
 
 use crate::message::Destination;
+use crate::wire::NodeSet;
 use ccr_phys::{NodeId, RingTopology};
 use ccr_sim::{SimTime, TimeDelta};
 
@@ -50,7 +51,7 @@ impl ConnectionSpec {
     }
 
     /// Start a multicast spec.
-    pub fn multicast(src: NodeId, dests: Vec<NodeId>) -> Self {
+    pub fn multicast(src: NodeId, dests: NodeSet) -> Self {
         ConnectionSpec {
             src,
             dest: Destination::Multicast(dests),
@@ -208,7 +209,7 @@ mod tests {
         assert!(ConnectionSpec::unicast(NodeId(7), NodeId(0))
             .validate(t)
             .is_err());
-        assert!(ConnectionSpec::multicast(NodeId(0), vec![])
+        assert!(ConnectionSpec::multicast(NodeId(0), NodeSet::EMPTY)
             .validate(t)
             .is_err());
         assert!(ConnectionSpec::broadcast(NodeId(3)).validate(t).is_ok());

@@ -98,6 +98,13 @@ pub trait MacProtocol: std::fmt::Debug + Send {
     /// owner of the coming slot *if the protocol pre-determines it*
     /// (CC-FPR's round-robin rotation — `None` under CCR-EDF, where the
     /// next master emerges from arbitration).
+    ///
+    /// Contract: with `desire = None` the result must be
+    /// [`Request::IDLE`], whatever `booked` and `next_master_hint` are — a
+    /// node with nothing to send can only append an idle request (Section
+    /// 3). The slot engine relies on this: it does not call
+    /// `make_request` for a node whose queues are empty, and appends
+    /// `Request::IDLE` (plus any service fields) in its place.
     fn make_request(
         &self,
         node: NodeId,

@@ -7,6 +7,7 @@
 //! multicast and broadcast transmission").
 
 use crate::connection::ConnectionId;
+use crate::wire::NodeSet;
 use ccr_phys::{NodeId, RingTopology};
 use ccr_sim::SimTime;
 
@@ -37,12 +38,13 @@ impl TrafficClass {
 pub struct MessageId(pub u64);
 
 /// Where a message is going.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Destination {
     /// One receiver.
     Unicast(NodeId),
-    /// A set of receivers; the occupied segment runs to the furthest one.
-    Multicast(Vec<NodeId>),
+    /// A set of receivers (a ring holds at most 64 nodes, so a bitmask
+    /// holds any group); the occupied segment runs to the furthest one.
+    Multicast(NodeSet),
     /// Every other node (an N−1 hop segment).
     Broadcast,
 }
@@ -52,19 +54,17 @@ impl Destination {
     pub fn receivers(&self, topo: RingTopology, src: NodeId) -> Vec<NodeId> {
         match self {
             Destination::Unicast(d) => vec![*d],
-            Destination::Multicast(ds) => ds.clone(),
+            Destination::Multicast(ds) => ds.iter().collect(),
             Destination::Broadcast => topo.broadcast_dests(src),
         }
     }
 
     /// The receivers as a bitmask — the allocation-free counterpart of
     /// [`Destination::receivers`], used on the per-slot hot path.
-    pub fn dest_set(&self, topo: RingTopology, src: NodeId) -> crate::wire::NodeSet {
-        use crate::wire::NodeSet;
+    pub fn dest_set(&self, topo: RingTopology, src: NodeId) -> NodeSet {
         match self {
             Destination::Unicast(d) => NodeSet::single(*d),
-            // ccr-verify: allow(alloc-in-hot-path) -- collects into the u64-bitmask NodeSet: FromIterator sets bits, no heap
-            Destination::Multicast(ds) => ds.iter().copied().collect(),
+            Destination::Multicast(ds) => *ds,
             Destination::Broadcast => {
                 let n = topo.n_nodes();
                 let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
@@ -77,7 +77,7 @@ impl Destination {
     pub fn span_hops(&self, topo: RingTopology, src: NodeId) -> u16 {
         match self {
             Destination::Unicast(d) => topo.hops(src, *d),
-            Destination::Multicast(ds) => ds.iter().map(|d| topo.hops(src, *d)).max().unwrap_or(0),
+            Destination::Multicast(ds) => ds.iter().map(|d| topo.hops(src, d)).max().unwrap_or(0),
             Destination::Broadcast => topo.n_nodes() - 1,
         }
     }
@@ -86,20 +86,20 @@ impl Destination {
     /// from the source, and multicast sets must be non-empty.
     // ccr-verify: event_path -- allocates only when rejecting a malformed destination
     pub fn validate(&self, topo: RingTopology, src: NodeId) -> Result<(), String> {
-        let check = |d: &NodeId| -> Result<(), String> {
+        let check = |d: NodeId| -> Result<(), String> {
             if d.0 >= topo.n_nodes() {
                 Err(format!(
                     "destination {d} outside ring of {}",
                     topo.n_nodes()
                 ))
-            } else if *d == src {
+            } else if d == src {
                 Err(format!("destination {d} equals source"))
             } else {
                 Ok(())
             }
         };
         match self {
-            Destination::Unicast(d) => check(d),
+            Destination::Unicast(d) => check(*d),
             Destination::Multicast(ds) if ds.is_empty() => Err("empty multicast set".to_string()),
             Destination::Multicast(ds) => ds.iter().try_for_each(check),
             Destination::Broadcast => Ok(()),
@@ -108,7 +108,7 @@ impl Destination {
 }
 
 /// A message queued for transmission.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Message {
     /// Identity (set by the network; `MessageId(u64::MAX)` until submitted).
     pub id: MessageId,
@@ -239,6 +239,10 @@ mod tests {
         RingTopology::new(6)
     }
 
+    fn set(ids: &[u16]) -> NodeSet {
+        ids.iter().map(|&i| NodeId(i)).collect()
+    }
+
     #[test]
     fn destination_receivers() {
         let t = topo();
@@ -247,7 +251,7 @@ mod tests {
             vec![NodeId(3)]
         );
         assert_eq!(Destination::Broadcast.receivers(t, NodeId(0)).len(), 5);
-        let mc = Destination::Multicast(vec![NodeId(2), NodeId(4)]);
+        let mc = Destination::Multicast(set(&[2, 4]));
         assert_eq!(mc.receivers(t, NodeId(0)).len(), 2);
     }
 
@@ -256,7 +260,7 @@ mod tests {
         let t = topo();
         assert_eq!(Destination::Unicast(NodeId(3)).span_hops(t, NodeId(1)), 2);
         assert_eq!(
-            Destination::Multicast(vec![NodeId(1), NodeId(5)]).span_hops(t, NodeId(4)),
+            Destination::Multicast(set(&[1, 5])).span_hops(t, NodeId(4)),
             3
         );
         assert_eq!(Destination::Broadcast.span_hops(t, NodeId(2)), 5);
@@ -271,16 +275,37 @@ mod tests {
         assert!(Destination::Unicast(NodeId(0))
             .validate(t, NodeId(0))
             .is_err());
-        assert!(Destination::Multicast(vec![])
-            .validate(t, NodeId(0))
-            .is_err());
-        assert!(Destination::Multicast(vec![NodeId(1), NodeId(0)])
-            .validate(t, NodeId(0))
-            .is_err());
         assert!(Destination::Broadcast.validate(t, NodeId(0)).is_ok());
         assert!(Destination::Unicast(NodeId(5))
             .validate(t, NodeId(0))
             .is_ok());
+        assert!(Destination::Multicast(set(&[1, 5]))
+            .validate(t, NodeId(0))
+            .is_ok());
+    }
+
+    #[test]
+    fn multicast_validation_rejects_an_empty_set() {
+        assert!(Destination::Multicast(NodeSet::EMPTY)
+            .validate(topo(), NodeId(0))
+            .is_err());
+    }
+
+    #[test]
+    fn multicast_validation_rejects_a_set_holding_the_source() {
+        assert!(Destination::Multicast(set(&[1, 0]))
+            .validate(topo(), NodeId(0))
+            .is_err());
+    }
+
+    #[test]
+    fn multicast_validation_rejects_members_beyond_the_ring() {
+        // Ring of 6: node 6 is the first id past the end, 63 the last bit.
+        for beyond in [6u16, 63] {
+            assert!(Destination::Multicast(set(&[2, beyond]))
+                .validate(topo(), NodeId(0))
+                .is_err());
+        }
     }
 
     #[test]

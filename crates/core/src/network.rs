@@ -35,25 +35,26 @@ use crate::config::NetworkConfig;
 use crate::connection::{Connection, ConnectionId, ConnectionSpec};
 use crate::fault::{elect_restart_node, ClockRecovery, FaultKind};
 use crate::mac::{ArbScratch, MacProtocol, SlotPlan};
-use crate::message::{Message, MessageId};
+use crate::message::{Destination, Message, MessageId};
 use crate::metrics::{Delivery, FaultEventRecord, Metrics, ThroughputGauge};
 use crate::node::Node;
-use crate::queues::SentOutcome;
+use crate::queues::{QueueKey, SentOutcome};
 use crate::services::short_msg::ShortDelivery;
 use crate::services::{barrier, reduce, ReduceOp, RELIABLE_TIMEOUT_SLOTS};
 use crate::wire::{self, AckWire, CollectionPacket, DistributionPacket, NodeSet, Request};
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 use ccr_sim::rng::DetRng;
 use ccr_sim::{EventQueue, SimTime, TimeDelta};
-use std::collections::HashMap;
 
 /// A release queued for the future.
 #[derive(Debug)]
 enum ReleaseEvent {
     /// A one-shot message submission.
     Msg(Box<Message>),
-    /// The next periodic release of a connection.
-    Conn(ConnectionId),
+    /// The next periodic release of connection `id`, which sits at
+    /// `entry` of the connection slab. Ids are never reused, so a release
+    /// whose entry has since been freed (or refilled) reads as absent.
+    Conn { entry: usize, id: ConnectionId },
 }
 
 /// Everything observable about one executed slot (buffers are reused across
@@ -113,7 +114,13 @@ pub struct RingNetwork<P: MacProtocol = CcrEdfMac> {
     /// Grants for the *current* slot, decided during the previous one.
     plan: SlotPlan,
     releases: EventQueue<ReleaseEvent>,
-    connections: HashMap<ConnectionId, Connection>,
+    /// Opened connections, in a slab whose free entries are reused.
+    connections: Vec<Option<Connection>>,
+    /// The nodes whose queues hold at least one message, kept in step with
+    /// every queue change so the idle guard and the collection phase pay
+    /// only for occupied nodes. A node outside the set has nothing pinned
+    /// (`requested` is `None`).
+    occupied: NodeSet,
     admission: AdmissionController,
     recovery: ClockRecovery,
     /// Cursor into `cfg.fault_script` (slot-ordered; never rewinds).
@@ -146,7 +153,7 @@ pub struct RingNetwork<P: MacProtocol = CcrEdfMac> {
     /// Drain buffer swapped with `staged_acks` at slot start.
     staged_scratch: Vec<(NodeId, AckWire)>,
     /// Reused buffer for expired stop-and-wait acks in `scan_ack_timeouts`.
-    ack_expired_scratch: Vec<(u8, MessageId)>,
+    ack_expired_scratch: Vec<(u8, QueueKey)>,
     // cached derived quantities
     t_slot: TimeDelta,
     t_node: TimeDelta,
@@ -193,7 +200,8 @@ impl<P: MacProtocol> RingNetwork<P> {
             slot_start: SimTime::ZERO,
             plan: SlotPlan::idle(NodeId(0)),
             releases: EventQueue::new(),
-            connections: HashMap::new(),
+            connections: Vec::new(),
+            occupied: NodeSet::EMPTY,
             admission,
             recovery: ClockRecovery::default(),
             script_cursor: 0,
@@ -348,8 +356,18 @@ impl<P: MacProtocol> RingNetwork<P> {
         let id = self.admission.admit(&spec)?;
         let conn = Connection::new(id, spec, self.now());
         let first = conn.next_release();
-        self.connections.insert(id, conn);
-        self.releases.schedule(first, ReleaseEvent::Conn(id));
+        let entry = match self.connections.iter().position(Option::is_none) {
+            Some(free) => {
+                self.connections[free] = Some(conn);
+                free
+            }
+            None => {
+                self.connections.push(Some(conn));
+                self.connections.len() - 1
+            }
+        };
+        self.releases
+            .schedule(first, ReleaseEvent::Conn { entry, id });
         Ok(id)
     }
 
@@ -388,8 +406,20 @@ impl<P: MacProtocol> RingNetwork<P> {
     /// utilisation. Messages already queued drain normally. Returns `false`
     /// for unknown ids.
     pub fn close_connection(&mut self, id: ConnectionId) -> bool {
-        self.connections.remove(&id);
+        self.forget_connection(id);
         self.admission.remove(id)
+    }
+
+    /// Free the slab entry of connection `id`, if it was opened (a
+    /// control-path scan; its pending release then reads as absent).
+    fn forget_connection(&mut self, id: ConnectionId) {
+        if let Some(entry) = self
+            .connections
+            .iter_mut()
+            .find(|c| c.as_ref().is_some_and(|c| c.id == id))
+        {
+            *entry = None;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -454,6 +484,7 @@ impl<P: MacProtocol> RingNetwork<P> {
         nd.alive = false;
         nd.requested = None;
         let dropped = nd.queues.clear() as u64;
+        self.occupied.remove(node);
         self.metrics.nodes_failed.incr();
         self.metrics.fault_dropped_messages.add(dropped);
 
@@ -467,8 +498,8 @@ impl<P: MacProtocol> RingNetwork<P> {
         self.admission
             .set_capacity_factor(live as f64 / self.cfg.n_nodes as f64);
         let shed = self.admission.revalidate();
-        for id in &shed {
-            self.connections.remove(id); // admission entry already released
+        for &id in &shed {
+            self.forget_connection(id); // admission entry already released
         }
         revoked.extend_from_slice(&shed);
         self.metrics.connections_revoked.add(revoked.len() as u64);
@@ -613,6 +644,11 @@ impl<P: MacProtocol> RingNetwork<P> {
     /// probability-gated), and no release becomes visible before the last
     /// skipped slot ends.
     fn fast_forward_idle(&mut self, max_slots: u64) -> u64 {
+        debug_assert_eq!(
+            self.occupied,
+            self.scan_occupied(),
+            "occupancy set out of step with the queues"
+        );
         if max_slots == 0 {
             return 0;
         }
@@ -628,14 +664,21 @@ impl<P: MacProtocol> RingNetwork<P> {
         {
             return 0;
         }
-        // Node-state guards: queued messages or pending service traffic.
-        if self.nodes.iter().any(|nd| {
-            !nd.queues.is_empty()
-                || nd.services.barrier.waiting()
-                || nd.services.reduce.operand().is_some()
-                || nd.services.short_out.peek().is_some()
-                || !nd.services.acks_out.is_empty()
-        }) {
+        // Node-state guards: queued messages (the occupancy set), or
+        // pending service traffic — which only a ring with a control-channel
+        // service configured can hold, since every service entry point
+        // asserts that its service is on.
+        if !self.occupied.is_empty() {
+            return 0;
+        }
+        if self.cfg.services.any_service()
+            && self.nodes.iter().any(|nd| {
+                nd.services.barrier.waiting()
+                    || nd.services.reduce.operand().is_some()
+                    || nd.services.short_out.peek().is_some()
+                    || !nd.services.acks_out.is_empty()
+            })
+        {
             return 0;
         }
         // How many whole slots fit before the next release becomes visible?
@@ -701,6 +744,16 @@ impl<P: MacProtocol> RingNetwork<P> {
         self.slot_index += k;
         self.throughput.fast_forwarded += k;
         k
+    }
+
+    /// The nodes holding queued messages, found by scanning every queue:
+    /// the reference the occupancy set is checked against.
+    fn scan_occupied(&self) -> NodeSet {
+        let mut set = NodeSet::EMPTY;
+        for nd in self.nodes.iter().filter(|nd| !nd.queues.is_empty()) {
+            set.insert(nd.id);
+        }
+        set
     }
 
     /// Advance exactly one slot, untimed: the O(1) idle path when the slot
@@ -791,50 +844,71 @@ impl<P: MacProtocol> RingNetwork<P> {
         }
 
         // ---- 2. collection phase ----------------------------------------
+        // Every position is walked in ring order, so releases drain at each
+        // node's decision time. A node outside the occupancy set can only
+        // append an idle request (the MAC contract of `make_request`) and
+        // has nothing pinned, so unless a control-channel service needs its
+        // fields its entry stays the IDLE the buffer is reset to.
         let n = self.cfg.n_nodes;
+        let svc = self.cfg.services;
+        let services_on = svc.any_service();
         let next_hint = self.mac.fixed_rotation(self.master, self.topo);
         let mut booked = LinkSet::EMPTY;
         self.requests.clear();
         self.requests.resize(n as usize, Request::IDLE);
         let mut hop_delay = TimeDelta::ZERO; // accumulated per-link propagation
         for pos in 0..n {
-            let nid = self.topo.downstream(self.master, pos);
+            // The node `pos` hops downstream of the master.
+            let raw = self.master.0 + pos;
+            let nid = NodeId(if raw >= n { raw - n } else { raw });
             let decision_time = t0 + self.t_node * pos as u64 + hop_delay;
             hop_delay += self.link_props[nid.idx()];
-            self.drain_releases(decision_time);
-            if !self.nodes[nid.idx()].alive {
-                continue; // bypassed: light passes through, entry stays IDLE
+            if self
+                .releases
+                .peek_time()
+                .is_some_and(|t| t <= decision_time)
+            {
+                self.drain_releases(decision_time);
             }
-            let desire = self.nodes[nid.idx()].desire(
-                decision_time,
-                self.slot_ps,
-                self.topo,
-                self.cfg.mapper,
-            );
-            let mut req =
-                self.mac
-                    .make_request(nid, desire.map(|(d, _)| d), booked, next_hint, self.topo);
+            let occupied = self.occupied.contains(nid);
+            if !occupied && !services_on || !self.nodes[nid.idx()].alive {
+                continue; // nothing to append, or bypassed: entry stays IDLE
+            }
+            let mut req = Request::IDLE;
+            let mut pinned = None;
+            if occupied {
+                let desire = self.nodes[nid.idx()].desire(
+                    decision_time,
+                    self.slot_ps,
+                    self.topo,
+                    self.cfg.mapper,
+                );
+                req = self.mac.make_request(
+                    nid,
+                    desire.map(|(d, _)| d),
+                    booked,
+                    next_hint,
+                    self.topo,
+                );
+                if req.wants_tx() {
+                    pinned = desire.map(|(_, key)| key);
+                    booked = booked.union(req.links);
+                }
+            }
             let node = &mut self.nodes[nid.idx()];
-            node.requested = if req.wants_tx() {
-                desire.map(|(_, id)| id)
-            } else {
-                None
-            };
+            node.requested = pinned;
             // Attach service fields.
-            if self.cfg.services.barrier {
+            if svc.barrier {
                 req.barrier = node.services.barrier.waiting();
             }
-            if self.cfg.services.reduction {
+            if svc.reduction {
                 req.reduce = node.services.reduce.operand();
             }
-            if self.cfg.services.short_msg {
+            if svc.short_msg {
                 req.short_msg = node.services.short_out.peek();
             }
-            if self.cfg.services.reliable {
+            if svc.reliable {
                 req.ack = node.services.acks_out.front().copied();
-            }
-            if req.wants_tx() {
-                booked = booked.union(req.links);
             }
             self.requests[nid.idx()] = req;
         }
@@ -989,7 +1063,7 @@ impl<P: MacProtocol> RingNetwork<P> {
     /// Execute one granted transmission in the data phase of the current
     /// slot.
     fn transmit(&mut self, sender: NodeId, slot_end: SimTime) {
-        let Some(id) = self.nodes[sender.idx()].requested else {
+        let Some(key) = self.nodes[sender.idx()].requested else {
             debug_assert!(false, "grant without a pinned request at {sender}");
             return;
         };
@@ -999,11 +1073,11 @@ impl<P: MacProtocol> RingNetwork<P> {
         let (reliable, span_hops, dest_node) = {
             let qm = self.nodes[sender.idx()]
                 .queues
-                .get(id)
+                .get(key)
                 .expect("pinned message vanished");
             let span = qm.msg.dest.span_hops(self.topo, sender);
-            let dest = match &qm.msg.dest {
-                crate::message::Destination::Unicast(d) => Some(*d),
+            let dest = match qm.msg.dest {
+                Destination::Unicast(d) => Some(d),
                 _ => None,
             };
             (qm.msg.reliable, span, dest)
@@ -1015,7 +1089,7 @@ impl<P: MacProtocol> RingNetwork<P> {
         if reliable {
             self.transmit_reliable(
                 sender,
-                id,
+                key,
                 dest_node.expect("reliable is unicast"),
                 arrival,
                 lost,
@@ -1029,13 +1103,14 @@ impl<P: MacProtocol> RingNetwork<P> {
             self.outcome.unreliable_lost += 1;
             let qm = self.nodes[sender.idx()]
                 .queues
-                .get_mut(id)
+                .get_mut(key)
                 .expect("pinned message vanished");
             qm.lost_slots += 1;
         }
-        match self.nodes[sender.idx()].queues.record_sent_slot(id) {
+        match self.nodes[sender.idx()].queues.record_sent_slot(key) {
             SentOutcome::Progress => {}
             SentOutcome::Finished(qm) => {
+                self.note_finished(sender);
                 if qm.lost_slots > 0 {
                     // Corrupted: the receiver missed at least one packet and
                     // no reliable service is covering this message.
@@ -1056,7 +1131,7 @@ impl<P: MacProtocol> RingNetwork<P> {
     fn transmit_reliable(
         &mut self,
         sender: NodeId,
-        id: MessageId,
+        key: QueueKey,
         dest: NodeId,
         arrival: SimTime,
         lost: bool,
@@ -1065,7 +1140,7 @@ impl<P: MacProtocol> RingNetwork<P> {
         // Assign (or reuse, on retransmission) the packet's sequence number.
         let seq = {
             let node = &mut self.nodes[sender.idx()];
-            let qm = node.queues.get_mut(id).expect("pinned message vanished");
+            let qm = node.queues.get_mut(key).expect("pinned message vanished");
             let seq = match qm.current_seq {
                 Some(s) => {
                     self.metrics.retransmissions.incr();
@@ -1079,7 +1154,7 @@ impl<P: MacProtocol> RingNetwork<P> {
                 }
             };
             qm.awaiting_ack_since = Some(slot_idx);
-            node.services.awaiting.insert(seq, id);
+            node.services.awaiting.insert(seq, key);
             seq
         };
 
@@ -1098,10 +1173,9 @@ impl<P: MacProtocol> RingNetwork<P> {
         let (is_final, msg) = {
             let qm = self.nodes[sender.idx()]
                 .queues
-                .get(id)
+                .get(key)
                 .expect("pinned message vanished");
-            // ccr-verify: allow(alloc-in-hot-path) -- one clone per completed delivery hands the message to the Delivery record
-            (qm.sent_slots + 1 == qm.msg.size_slots, qm.msg.clone())
+            (qm.sent_slots + 1 == qm.msg.size_slots, qm.msg)
         };
         if is_final {
             let d = Delivery {
@@ -1111,6 +1185,16 @@ impl<P: MacProtocol> RingNetwork<P> {
             self.metrics.record_delivery(&d, self.worst_latency);
             self.outcome.deliveries.push(d);
             self.nodes[dest.idx()].services.receiver.reset(sender);
+        }
+    }
+
+    /// A message of `node` just left its queue: once nothing else is
+    /// queued there, the node leaves the occupancy set with nothing pinned.
+    fn note_finished(&mut self, node: NodeId) {
+        let nd = &mut self.nodes[node.idx()];
+        if nd.queues.is_empty() {
+            nd.requested = None;
+            self.occupied.remove(node);
         }
     }
 
@@ -1209,15 +1293,17 @@ impl<P: MacProtocol> RingNetwork<P> {
             // The requester consumed its queued ack.
             self.nodes[requester_idx].services.acks_out.pop_front();
             let sender = ack.src;
-            let Some(id) = self.nodes[sender.idx()].services.awaiting.remove(&ack.seq) else {
+            let Some(key) = self.nodes[sender.idx()].services.awaiting.remove(&ack.seq) else {
                 continue; // stale ack (e.g. duplicate after timeout)
             };
             let sender_node = &mut self.nodes[sender.idx()];
-            if let Some(qm) = sender_node.queues.get_mut(id) {
+            if let Some(qm) = sender_node.queues.get_mut(key) {
                 qm.current_seq = None;
-                // Progress/Finished: the delivery was recorded receiver-side
-                // at packet arrival, so nothing more to record here.
-                let _ = sender_node.queues.record_sent_slot(id);
+                // The delivery was recorded receiver-side at packet arrival,
+                // so a finished message only leaves the queue here.
+                if let SentOutcome::Finished(_) = sender_node.queues.record_sent_slot(key) {
+                    self.note_finished(sender);
+                }
             }
         }
     }
@@ -1235,19 +1321,19 @@ impl<P: MacProtocol> RingNetwork<P> {
                 node.services
                     .awaiting
                     .iter()
-                    .filter(|(_, &id)| {
+                    .filter(|(_, &key)| {
                         node.queues
-                            .get(id)
+                            .get(key)
                             .and_then(|qm| qm.awaiting_ack_since)
                             .is_some_and(|since| {
                                 slot_idx.saturating_sub(since) >= RELIABLE_TIMEOUT_SLOTS
                             })
                     })
-                    .map(|(&seq, &id)| (seq, id)),
+                    .map(|(&seq, &key)| (seq, key)),
             );
-            for &(seq, id) in &expired {
+            for &(seq, key) in &expired {
                 node.services.awaiting.remove(&seq);
-                if let Some(qm) = node.queues.get_mut(id) {
+                if let Some(qm) = node.queues.get_mut(key) {
                     qm.awaiting_ack_since = None; // re-eligible; seq kept.
                 }
             }
@@ -1263,13 +1349,14 @@ impl<P: MacProtocol> RingNetwork<P> {
                 ReleaseEvent::Msg(msg) => {
                     if self.nodes[msg.src.idx()].alive {
                         self.nodes[msg.src.idx()].queues.push(*msg);
+                        self.occupied.insert(msg.src);
                     } else {
                         // Source died before release: the message is lost.
                         self.metrics.fault_dropped_messages.incr();
                     }
                 }
-                ReleaseEvent::Conn(cid) => {
-                    let Some(conn) = self.connections.get_mut(&cid) else {
+                ReleaseEvent::Conn { entry, id } => {
+                    let Some(conn) = self.connections[entry].as_mut().filter(|c| c.id == id) else {
                         continue; // closed since scheduling
                     };
                     let release = conn.next_release();
@@ -1277,12 +1364,11 @@ impl<P: MacProtocol> RingNetwork<P> {
                     let deadline = conn.deadline_for(release);
                     let mut msg = Message::real_time(
                         conn.spec.src,
-                        // ccr-verify: allow(alloc-in-hot-path) -- one owned Destination per released message; Multicast carries a Vec by design
-                        conn.spec.dest.clone(),
+                        conn.spec.dest,
                         conn.spec.size_slots,
                         release,
                         deadline,
-                        cid,
+                        id,
                     );
                     conn.mark_released();
                     let next = conn.next_release();
@@ -1290,7 +1376,9 @@ impl<P: MacProtocol> RingNetwork<P> {
                     msg.id = MessageId(self.next_msg_id);
                     self.next_msg_id += 1;
                     self.nodes[src.idx()].queues.push(msg);
-                    self.releases.schedule(next, ReleaseEvent::Conn(cid));
+                    self.occupied.insert(src);
+                    self.releases
+                        .schedule(next, ReleaseEvent::Conn { entry, id });
                 }
             }
         }
@@ -1435,7 +1523,7 @@ mod tests {
             deadline: SimTime::from_us(20),
             src: NodeId(3),
             dest: Destination::Unicast(NodeId(4)),
-            ..relaxed.clone()
+            ..relaxed
         };
         let id_relaxed = net.submit_message(SimTime::ZERO, relaxed);
         let id_urgent = net.submit_message(SimTime::ZERO, urgent);

@@ -3,7 +3,7 @@
 use crate::mac::Desire;
 use crate::message::TrafficClass;
 use crate::priority::{MapperKind, Priority};
-use crate::queues::NodeQueues;
+use crate::queues::{NodeQueues, QueueKey};
 use crate::services::NodeServiceState;
 use crate::wire::NodeSet;
 use ccr_phys::{NodeId, RingTopology};
@@ -16,10 +16,11 @@ pub struct Node {
     pub id: NodeId,
     /// Its transmission queues.
     pub queues: NodeQueues,
-    /// The message pinned by the most recent request — the one that will be
-    /// transmitted if the grant arrives (arbitration answers one slot
-    /// later, so the node must remember what it asked for).
-    pub requested: Option<crate::message::MessageId>,
+    /// The queue key of the message pinned by the most recent request —
+    /// the one that will be transmitted if the grant arrives (arbitration
+    /// answers one slot later, so the node must remember what it asked
+    /// for).
+    pub requested: Option<QueueKey>,
     /// Service-layer state (barrier, reduction, short messages, acks).
     pub services: NodeServiceState,
     /// False once the node has failed and been optically bypassed: it no
@@ -50,7 +51,7 @@ impl Node {
         slot_ps: u64,
         topo: RingTopology,
         mapper: MapperKind,
-    ) -> Option<(Desire, crate::message::MessageId)> {
+    ) -> Option<(Desire, QueueKey)> {
         let head = self.queues.head()?;
         let m = &head.msg;
         let laxity = m.laxity_slots(now, slot_ps);
@@ -69,7 +70,7 @@ impl Node {
                 links,
                 dests,
             },
-            m.id,
+            head.key(),
         ))
     }
 }
@@ -118,10 +119,10 @@ mod tests {
             SimTime::from_us(2), // laxity 2 slots at t=0
             ConnectionId(0),
         )]);
-        let (d, id) = n
+        let (d, key) = n
             .desire(SimTime::ZERO, slot_ps(), topo, MapperKind::Logarithmic)
             .unwrap();
-        assert_eq!(id, MessageId(0));
+        assert_eq!(n.queues.get(key).unwrap().msg.id, MessageId(0));
         // laxity 2 → band offset 1 → level 30
         assert_eq!(d.priority, Priority::new(30));
         assert_eq!(d.links, topo.segment(NodeId(0), NodeId(3)));

@@ -9,23 +9,31 @@
 //! A message of `e` slots stays queued until all `e` data packets have been
 //! granted and sent; progress is tracked per message. Because the grant for
 //! slot *k+1* answers the request made during slot *k*, the network pins the
-//! requested message by id and later needs id-based access — hence the
-//! key-sorted representation plus an id index rather than a plain binary
-//! heap.
+//! requested message by its [`QueueKey`] — class, deadline and arrival
+//! sequence — which names the message's class queue and its place in that
+//! queue's order, so finding it again is one binary search and no
+//! per-message index has to be kept in step with the queues.
 //!
-//! Each class queue is a `Vec<(Key, QueuedMessage)>` kept sorted by key
-//! (deadline, arrival sequence), with inserts and removals by binary
-//! search. Unlike a `BTreeMap` — which allocates tree nodes on every
-//! insert — the vectors and the id index retain their capacity across the
-//! queue/dequeue cycles of steady-state operation, so a warmed-up network
-//! enqueues and dequeues without touching the heap.
+//! Each class queue is a `Vec<QueuedMessage>` kept sorted by (deadline,
+//! arrival sequence), with inserts and removals by binary search. Unlike a
+//! `BTreeMap` — which allocates tree nodes on every insert — the vectors
+//! retain their capacity across the queue/dequeue cycles of steady-state
+//! operation, so a warmed-up network enqueues and dequeues without touching
+//! the heap.
 
-use crate::message::{Message, MessageId, TrafficClass};
+use crate::message::{Message, TrafficClass};
 use ccr_sim::SimTime;
-use std::collections::HashMap;
 
-/// Ordering key inside a class queue: (deadline, arrival sequence).
-type Key = (SimTime, u64);
+/// Where a queued message sits: its class queue, then its place in that
+/// queue's (deadline, arrival sequence) order. Unique per node and fixed
+/// while the message stays queued — the handle a node pins when it
+/// requests, and the one every later lookup takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueKey {
+    class: TrafficClass,
+    deadline: SimTime,
+    seq: u64,
+}
 
 /// A queued message with its transmission progress.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,23 +51,19 @@ pub struct QueuedMessage {
     /// Reliable service: slot index at which the in-flight packet was sent,
     /// `None` when no packet awaits acknowledgement.
     pub awaiting_ack_since: Option<u64>,
+    key: QueueKey,
 }
 
 impl QueuedMessage {
-    fn new(msg: Message) -> Self {
-        QueuedMessage {
-            msg,
-            sent_slots: 0,
-            lost_slots: 0,
-            current_seq: None,
-            awaiting_ack_since: None,
-        }
-    }
-
     /// Remaining packets to send. Saturating: a stray extra ack after the
     /// last packet must read as "0 left", not a debug-mode panic mid-slot.
     pub fn remaining(&self) -> u32 {
         self.msg.size_slots.saturating_sub(self.sent_slots)
+    }
+
+    /// This message's queue key.
+    pub fn key(&self) -> QueueKey {
+        self.key
     }
 }
 
@@ -76,31 +80,16 @@ pub enum SentOutcome {
 /// One deadline-sorted class queue.
 #[derive(Debug, Default)]
 struct ClassQueue {
-    entries: Vec<(Key, QueuedMessage)>,
+    entries: Vec<QueuedMessage>,
 }
 
 impl ClassQueue {
     /// Position of `key`, or the insertion point keeping `entries` sorted.
-    /// Keys are unique (the arrival sequence is), so `Ok` is an exact hit.
-    fn search(&self, key: Key) -> Result<usize, usize> {
-        self.entries.binary_search_by(|(k, _)| k.cmp(&key))
-    }
-
-    fn insert(&mut self, key: Key, qm: QueuedMessage) {
-        let pos = self.search(key).unwrap_err();
-        self.entries.insert(pos, (key, qm));
-    }
-
-    fn get(&self, key: Key) -> Option<&QueuedMessage> {
-        self.search(key).ok().map(|i| &self.entries[i].1)
-    }
-
-    fn get_mut(&mut self, key: Key) -> Option<&mut QueuedMessage> {
-        self.search(key).ok().map(|i| &mut self.entries[i].1)
-    }
-
-    fn remove(&mut self, key: Key) -> Option<QueuedMessage> {
-        self.search(key).ok().map(|i| self.entries.remove(i).1)
+    /// Orders are unique (the arrival sequence is), so `Ok` is an exact
+    /// hit.
+    fn search(&self, key: QueueKey) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|m| (m.key.deadline, m.key.seq).cmp(&(key.deadline, key.seq)))
     }
 }
 
@@ -110,7 +99,6 @@ pub struct NodeQueues {
     rt: ClassQueue,
     be: ClassQueue,
     nrt: ClassQueue,
-    index: HashMap<MessageId, (TrafficClass, Key)>,
     next_seq: u64,
 }
 
@@ -136,64 +124,74 @@ impl NodeQueues {
         }
     }
 
-    /// Enqueue a message (id must already be assigned and unique).
-    pub fn push(&mut self, msg: Message) {
+    /// Enqueue a message (id must already be assigned), returning its key.
+    pub fn push(&mut self, msg: Message) -> QueueKey {
         debug_assert_ne!(msg.id, Message::UNASSIGNED, "unassigned message id");
-        let key = (msg.deadline, self.next_seq);
+        let key = QueueKey {
+            class: msg.class,
+            deadline: msg.deadline,
+            seq: self.next_seq,
+        };
         self.next_seq += 1;
-        let class = msg.class;
-        let id = msg.id;
-        let prev = self.index.insert(id, (class, key));
-        debug_assert!(prev.is_none(), "duplicate message id {id:?}");
-        self.queue_mut(class).insert(key, QueuedMessage::new(msg));
+        let q = self.queue_mut(key.class);
+        let pos = q.search(key).unwrap_err();
+        q.entries.insert(
+            pos,
+            QueuedMessage {
+                msg,
+                sent_slots: 0,
+                lost_slots: 0,
+                current_seq: None,
+                awaiting_ack_since: None,
+                key,
+            },
+        );
+        key
     }
 
     /// The message the node would request next: earliest deadline in the
     /// highest non-empty class, skipping messages stalled on an
     /// acknowledgement.
     pub fn head(&self) -> Option<&QueuedMessage> {
-        [&self.rt, &self.be, &self.nrt].into_iter().find_map(|q| {
-            q.entries
-                .iter()
-                .map(|(_, m)| m)
-                .find(|m| m.awaiting_ack_since.is_none())
-        })
+        [&self.rt, &self.be, &self.nrt]
+            .into_iter()
+            .find_map(|q| q.entries.iter().find(|m| m.awaiting_ack_since.is_none()))
     }
 
-    /// Look up a queued message by id.
-    pub fn get(&self, id: MessageId) -> Option<&QueuedMessage> {
-        let (class, key) = self.index.get(&id)?;
-        self.queue(*class).get(*key)
+    /// Look up a queued message by key.
+    pub fn get(&self, key: QueueKey) -> Option<&QueuedMessage> {
+        let q = self.queue(key.class);
+        q.search(key).ok().map(|i| &q.entries[i])
     }
 
-    /// Mutable lookup by id.
-    pub fn get_mut(&mut self, id: MessageId) -> Option<&mut QueuedMessage> {
-        let (class, key) = *self.index.get(&id)?;
-        self.queue_mut(class).get_mut(key)
+    /// Mutable lookup by key.
+    pub fn get_mut(&mut self, key: QueueKey) -> Option<&mut QueuedMessage> {
+        let q = self.queue_mut(key.class);
+        q.search(key).ok().map(|i| &mut q.entries[i])
     }
 
-    /// Account one successfully sent packet of message `id`; removes the
-    /// message when complete.
+    /// Account one successfully sent packet of the message at `key`;
+    /// removes the message when complete.
     ///
     /// # Panics
-    /// Panics if `id` is not queued.
-    pub fn record_sent_slot(&mut self, id: MessageId) -> SentOutcome {
-        let qm = self.get_mut(id).expect("record_sent_slot: unknown message");
+    /// Panics if `key` is not queued.
+    pub fn record_sent_slot(&mut self, key: QueueKey) -> SentOutcome {
+        let q = self.queue_mut(key.class);
+        let i = q.search(key).expect("record_sent_slot: unknown message");
+        let qm = &mut q.entries[i];
         qm.sent_slots += 1;
         qm.awaiting_ack_since = None;
         if qm.remaining() == 0 {
-            let (class, key) = self.index.remove(&id).expect("present");
-            let qm = self.queue_mut(class).remove(key).expect("present");
-            SentOutcome::Finished(qm)
+            SentOutcome::Finished(q.entries.remove(i))
         } else {
             SentOutcome::Progress
         }
     }
 
     /// Remove a message outright (e.g. connection torn down), returning it.
-    pub fn remove(&mut self, id: MessageId) -> Option<Message> {
-        let (class, key) = self.index.remove(&id)?;
-        self.queue_mut(class).remove(key).map(|qm| qm.msg)
+    pub fn remove(&mut self, key: QueueKey) -> Option<Message> {
+        let q = self.queue_mut(key.class);
+        q.search(key).ok().map(|i| q.entries.remove(i).msg)
     }
 
     /// Drop everything (node failed and is bypassed), returning how many
@@ -203,7 +201,6 @@ impl NodeQueues {
         self.rt.entries.clear();
         self.be.entries.clear();
         self.nrt.entries.clear();
-        self.index.clear();
         dropped
     }
 
@@ -229,14 +226,13 @@ impl NodeQueues {
             .iter()
             .chain(self.be.entries.iter())
             .chain(self.nrt.entries.iter())
-            .map(|(_, m)| m)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Destination;
+    use crate::message::{Destination, MessageId};
     use ccr_phys::NodeId;
 
     fn msg(id: u64, class: TrafficClass, deadline_us: u64, size: u32) -> Message {
@@ -283,10 +279,10 @@ mod tests {
     fn edf_order_within_class() {
         let mut q = NodeQueues::new();
         q.push(msg(1, TrafficClass::RealTime, 300, 1));
-        q.push(msg(2, TrafficClass::RealTime, 100, 1));
+        let k2 = q.push(msg(2, TrafficClass::RealTime, 100, 1));
         q.push(msg(3, TrafficClass::RealTime, 200, 1));
         assert_eq!(q.head().unwrap().msg.id, MessageId(2));
-        match q.record_sent_slot(MessageId(2)) {
+        match q.record_sent_slot(k2) {
             SentOutcome::Finished(qm) => {
                 assert_eq!(qm.msg.id, MessageId(2));
                 assert_eq!(qm.sent_slots, 1);
@@ -308,27 +304,27 @@ mod tests {
     #[test]
     fn multi_slot_message_progress() {
         let mut q = NodeQueues::new();
-        q.push(msg(7, TrafficClass::RealTime, 100, 3));
-        assert_eq!(q.record_sent_slot(MessageId(7)), SentOutcome::Progress);
-        assert_eq!(q.get(MessageId(7)).unwrap().remaining(), 2);
-        assert_eq!(q.record_sent_slot(MessageId(7)), SentOutcome::Progress);
-        match q.record_sent_slot(MessageId(7)) {
+        let k7 = q.push(msg(7, TrafficClass::RealTime, 100, 3));
+        assert_eq!(q.record_sent_slot(k7), SentOutcome::Progress);
+        assert_eq!(q.get(k7).unwrap().remaining(), 2);
+        assert_eq!(q.record_sent_slot(k7), SentOutcome::Progress);
+        match q.record_sent_slot(k7) {
             SentOutcome::Finished(qm) => assert_eq!(qm.msg.id, MessageId(7)),
             other => panic!("expected Finished, got {other:?}"),
         }
         assert!(q.is_empty());
-        assert!(q.get(MessageId(7)).is_none());
+        assert!(q.get(k7).is_none());
     }
 
     #[test]
     fn remove_by_id() {
         let mut q = NodeQueues::new();
-        q.push(msg(1, TrafficClass::RealTime, 100, 1));
+        let k1 = q.push(msg(1, TrafficClass::RealTime, 100, 1));
         q.push(msg(2, TrafficClass::BestEffort, 100, 1));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.remove(MessageId(1)).unwrap().id, MessageId(1));
+        assert_eq!(q.remove(k1).unwrap().id, MessageId(1));
         assert_eq!(q.len(), 1);
-        assert!(q.remove(MessageId(1)).is_none());
+        assert!(q.remove(k1).is_none());
         assert_eq!(q.class_len(TrafficClass::BestEffort), 1);
         assert_eq!(q.class_len(TrafficClass::RealTime), 0);
     }
@@ -336,12 +332,12 @@ mod tests {
     #[test]
     fn awaiting_ack_skipped_by_head() {
         let mut q = NodeQueues::new();
-        q.push(msg(1, TrafficClass::RealTime, 100, 2));
+        let k1 = q.push(msg(1, TrafficClass::RealTime, 100, 2));
         q.push(msg(2, TrafficClass::RealTime, 200, 1));
-        q.get_mut(MessageId(1)).unwrap().awaiting_ack_since = Some(5);
+        q.get_mut(k1).unwrap().awaiting_ack_since = Some(5);
         // head skips the stalled message
         assert_eq!(q.head().unwrap().msg.id, MessageId(2));
-        q.get_mut(MessageId(1)).unwrap().awaiting_ack_since = None;
+        q.get_mut(k1).unwrap().awaiting_ack_since = None;
         assert_eq!(q.head().unwrap().msg.id, MessageId(1));
     }
 
@@ -357,12 +353,12 @@ mod tests {
     #[test]
     fn clear_drops_everything_and_reports_count() {
         let mut q = NodeQueues::new();
-        q.push(msg(1, TrafficClass::RealTime, 100, 1));
+        let k1 = q.push(msg(1, TrafficClass::RealTime, 100, 1));
         q.push(msg(2, TrafficClass::BestEffort, 100, 1));
         q.push(msg(3, TrafficClass::NonRealTime, 0, 2));
         assert_eq!(q.clear(), 3);
         assert!(q.is_empty());
-        assert!(q.get(MessageId(1)).is_none());
+        assert!(q.get(k1).is_none());
         assert_eq!(q.clear(), 0);
         // Queues stay usable after a clear.
         q.push(msg(4, TrafficClass::RealTime, 50, 1));
@@ -373,6 +369,7 @@ mod tests {
     #[should_panic(expected = "unknown message")]
     fn record_unknown_id_panics() {
         let mut q = NodeQueues::new();
-        q.record_sent_slot(MessageId(99));
+        let elsewhere = NodeQueues::new().push(msg(99, TrafficClass::RealTime, 100, 1));
+        q.record_sent_slot(elsewhere);
     }
 }

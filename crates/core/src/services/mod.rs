@@ -21,7 +21,7 @@ pub use reduce::{ReduceOp, ReduceState};
 pub use reliable::{ReceiverState, RELIABLE_TIMEOUT_SLOTS};
 pub use short_msg::ShortMsgOutbox;
 
-use crate::message::MessageId;
+use crate::queues::QueueKey;
 use crate::wire::AckWire;
 use std::collections::{HashMap, VecDeque};
 
@@ -41,6 +41,6 @@ pub struct NodeServiceState {
     /// Reliable sender: next sequence number to assign.
     pub next_seq: u8,
     /// Reliable sender: in-flight packets awaiting acknowledgement,
-    /// sequence number → message.
-    pub awaiting: HashMap<u8, MessageId>,
+    /// sequence number → the message's queue key.
+    pub awaiting: HashMap<u8, QueueKey>,
 }

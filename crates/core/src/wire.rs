@@ -37,6 +37,11 @@ impl NodeSet {
         self.0 |= 1 << n.0;
     }
 
+    /// Remove a node.
+    pub fn remove(&mut self, n: NodeId) {
+        self.0 &= !(1 << n.0);
+    }
+
     /// Membership test.
     pub const fn contains(self, n: NodeId) -> bool {
         self.0 & (1 << n.0) != 0
@@ -119,6 +124,12 @@ impl ServiceWireConfig {
     pub const fn with_crc(mut self) -> Self {
         self.crc = true;
         self
+    }
+
+    /// True when a service that keeps per-node state rides the packets
+    /// (the CRC alone keeps none).
+    pub(crate) const fn any_service(self) -> bool {
+        self.barrier || self.reduction || self.short_msg || self.reliable
     }
 
     /// Extra bits appended to one request.
@@ -1156,6 +1167,10 @@ mod tests {
         let c: NodeSet = [NodeId(0), NodeId(3)].into_iter().collect();
         assert_eq!(c, s);
         assert_eq!(NodeSet::single(NodeId(5)).len(), 1);
+        s.remove(NodeId(3));
+        s.remove(NodeId(3));
+        s.remove(NodeId(1));
+        assert_eq!(s, NodeSet::single(NodeId(0)));
     }
 
     #[test]

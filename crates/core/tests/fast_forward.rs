@@ -7,11 +7,13 @@
 //! `Metrics`, identical per-slot outcome traces, and the same final
 //! clock, slot index and master.
 
-use ccr_edf::config::NetworkConfig;
+use ccr_edf::config::{FaultConfig, NetworkConfig};
 use ccr_edf::connection::ConnectionSpec;
+use ccr_edf::fault::{FaultKind, FaultScript};
 use ccr_edf::message::MessageId;
 use ccr_edf::message::{Destination, Message};
 use ccr_edf::network::RingNetwork;
+use ccr_edf::wire::{NodeSet, ServiceWireConfig};
 use ccr_edf::{NodeId, SimTime, TimeDelta};
 
 fn cfg(n: u16, seed: u64) -> NetworkConfig {
@@ -207,6 +209,138 @@ fn one_shot_bursts_are_bit_identical() {
     );
     let mut net = build();
     net.run_slots(1_500);
+    assert_eq!(net.metrics().delivered.get(), 8);
+}
+
+#[test]
+fn services_and_reliable_acks_are_bit_identical() {
+    // Every service on: reliable messages leave their queue only when the
+    // last ack comes back in a distribution packet, while a barrier and
+    // short messages ride the control channel; idle stretches separate the
+    // reliable bursts.
+    let build = || {
+        let c = NetworkConfig::builder(8)
+            .slot_bytes(2048)
+            .services(ServiceWireConfig::ALL)
+            .seed(19)
+            .build_auto_slot()
+            .unwrap();
+        let slot = c.slot_time();
+        let mut net = RingNetwork::new_ccr_edf(c);
+        for burst in 0..3u64 {
+            let at = SimTime::ZERO + slot * (burst * 400);
+            for (src, dst, size) in [(1u16, 5u16, 2u32), (6, 2, 1)] {
+                let msg = Message::non_real_time(
+                    NodeId(src),
+                    Destination::Unicast(NodeId(dst)),
+                    size,
+                    at,
+                );
+                net.submit_message(at, msg.with_reliable());
+            }
+        }
+        for i in 0..8u16 {
+            net.barrier_enter(NodeId(i));
+        }
+        net.short_send(NodeId(2), NodeId(7), 0xABCD);
+        net.short_send(NodeId(4), NodeId(0), 0x1234);
+        net
+    };
+    let ff = assert_fast_forward_invisible(&build, 1_500);
+    assert!(
+        ff > 1_000,
+        "gaps between bursts should fast-forward, got {ff}"
+    );
+    let mut net = build();
+    net.run_slots(1_500);
+    let m = net.metrics();
+    assert_eq!(m.delivered_nrt.get(), 6);
+    assert_eq!(m.barriers_completed.get(), 1);
+    assert_eq!(m.short_delivered.get(), 2);
+}
+
+#[test]
+fn failing_a_node_with_queued_messages_is_bit_identical() {
+    // Node 2 dies at slot 40 with a backlog in its queues; one-shot bursts
+    // elsewhere keep the ring busy now and then afterwards.
+    let build = || {
+        let c = NetworkConfig::builder(6)
+            .slot_bytes(1024)
+            .seed(23)
+            .fault_script(FaultScript::new().at(40, FaultKind::FailNode(NodeId(2))))
+            .faults(FaultConfig {
+                recovery_timeout_slots: 4,
+                ..Default::default()
+            })
+            .build()
+            .unwrap();
+        let slot = c.slot_time();
+        let mut net = RingNetwork::new_ccr_edf(c);
+        for _ in 0..6 {
+            let msg = Message::non_real_time(
+                NodeId(2),
+                Destination::Unicast(NodeId(4)),
+                8,
+                SimTime::ZERO,
+            );
+            net.submit_message(SimTime::ZERO, msg);
+        }
+        for burst in 0..4u64 {
+            let at = SimTime::ZERO + slot * (burst * 300 + 100);
+            net.submit_message(
+                at,
+                Message::non_real_time(NodeId(0), Destination::Unicast(NodeId(3)), 2, at),
+            );
+        }
+        net
+    };
+    let ff = assert_fast_forward_invisible(&build, 1_500);
+    assert!(ff > 1_000, "the ring idles after the failure, got {ff}");
+    let mut net = build();
+    net.run_slots(1_500);
+    let m = net.metrics();
+    assert_eq!(m.nodes_failed.get(), 1);
+    assert!(
+        m.fault_dropped_messages.get() > 0,
+        "the backlog died with node 2"
+    );
+    assert_eq!(m.delivered.get() + m.fault_dropped_messages.get(), 10);
+}
+
+#[test]
+fn multicast_one_shots_are_bit_identical() {
+    let build = || {
+        let c = cfg(8, 29);
+        let slot = c.slot_time();
+        let mut net = RingNetwork::new_ccr_edf(c);
+        let wide: NodeSet = [NodeId(2), NodeId(5), NodeId(7)].into_iter().collect();
+        let pair: NodeSet = [NodeId(0), NodeId(3)].into_iter().collect();
+        for burst in 0..4u64 {
+            let at = SimTime::ZERO + slot * (burst * 250);
+            net.submit_message(
+                at,
+                Message::non_real_time(NodeId(1), Destination::Multicast(wide), 2, at),
+            );
+            net.submit_message(
+                at + TimeDelta::from_ns(7),
+                Message::best_effort(
+                    NodeId(6),
+                    Destination::Multicast(pair),
+                    1,
+                    at,
+                    at + slot * 50,
+                ),
+            );
+        }
+        net
+    };
+    let ff = assert_fast_forward_invisible(&build, 1_200);
+    assert!(
+        ff > 800,
+        "gaps between bursts should fast-forward, got {ff}"
+    );
+    let mut net = build();
+    net.run_slots(1_200);
     assert_eq!(net.metrics().delivered.get(), 8);
 }
 

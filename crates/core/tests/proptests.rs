@@ -294,9 +294,9 @@ fn queue_edf_order() {
         let mut drained: Vec<SimTime> = vec![];
         while let Some(h) = q.head() {
             assert_eq!(h.msg.class, TrafficClass::BestEffort);
-            let id = h.msg.id;
+            let key = h.key();
             drained.push(h.msg.deadline);
-            let _ = q.record_sent_slot(id);
+            let _ = q.record_sent_slot(key);
         }
         assert_eq!(drained.len(), deadlines.len());
         assert!(drained.windows(2).all(|w| w[0] <= w[1]));

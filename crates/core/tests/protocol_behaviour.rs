@@ -33,7 +33,7 @@ fn multicast_completion_is_timed_at_furthest_receiver() {
         SimTime::ZERO,
         Message::non_real_time(
             NodeId(1),
-            Destination::Multicast(vec![NodeId(3), NodeId(6)]),
+            Destination::Multicast([NodeId(3), NodeId(6)].into_iter().collect()),
             1,
             SimTime::ZERO,
         ),

@@ -57,7 +57,7 @@ use ccr_edf::metrics::{Delivery, Metrics};
 use ccr_edf::network::RingNetwork;
 use ccr_edf::NodeId;
 use ccr_sim::{SimTime, TimeDelta};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Why a fabric could not be constructed.
 #[derive(Debug)]
@@ -265,6 +265,7 @@ impl ConnClass {
 /// dropped in one piece when it closes.
 #[derive(Debug)]
 struct ActiveConnection {
+    fid: FabricConnectionId,
     plan: ConnectionPlan,
     /// Per-segment ring-level connection ids (opened on segment 0,
     /// reserved on the rest).
@@ -431,8 +432,15 @@ pub struct Fabric {
     queue_egress: Vec<usize>,
     /// Connections currently reserving a buffer slot in each queue.
     queue_resident: Vec<usize>,
-    connections: HashMap<FabricConnectionId, ActiveConnection>,
-    by_ring_conn: HashMap<(u16, ConnectionId), (FabricConnectionId, usize)>,
+    /// Admitted connections, in a slab whose free entries are reused.
+    conns: Vec<Option<ActiveConnection>>,
+    /// Slab entry of each connection, indexed by its [`FabricConnectionId`]
+    /// (ids are never reused); `None` once it closed.
+    by_fid: Vec<Option<usize>>,
+    /// Per ring, indexed by that ring's dense [`ConnectionId`]: the slab
+    /// entry and segment index of the fabric connection the ring
+    /// connection carries. `None` for ring ids the fabric does not own.
+    by_ring_conn: Vec<Vec<Option<(usize, usize)>>>,
     metrics: FabricMetrics,
     next_fid: u64,
     fwd_seq: u64,
@@ -571,8 +579,9 @@ impl Fabric {
             be_queues: (0..n_queues).map(|_| BridgeQueue::new()).collect(),
             queue_egress,
             queue_resident: vec![0; n_queues],
-            connections: HashMap::new(),
-            by_ring_conn: HashMap::new(),
+            conns: Vec::new(),
+            by_fid: Vec::new(),
+            by_ring_conn: vec![Vec::new(); n_rings as usize],
             metrics: FabricMetrics::new(),
             next_fid: 1,
             fwd_seq: 0,
@@ -633,7 +642,17 @@ impl Fabric {
 
     /// Number of admitted end-to-end connections.
     pub fn active_connections(&self) -> usize {
-        self.connections.len()
+        self.conns.iter().flatten().count()
+    }
+
+    /// The slab entry of open connection `fid`.
+    fn entry_of(&self, fid: FabricConnectionId) -> Option<usize> {
+        self.by_fid.get(fid.0 as usize).copied().flatten()
+    }
+
+    /// Open connection `fid`.
+    fn conn(&self, fid: FabricConnectionId) -> Option<&ActiveConnection> {
+        self.entry_of(fid).and_then(|e| self.conns[e].as_ref())
     }
 
     /// Plan `spec` around the bridges that are dead right now — the one
@@ -832,26 +851,33 @@ impl Fabric {
         // Bookkeeping — the batch is in.
         self.next_fid += plans.len() as u64;
         for ((&fid, plan), ring_conns) in fids.iter().zip(plans).zip(admitted) {
+            let entry = match self.conns.iter().position(Option::is_none) {
+                Some(free) => free,
+                None => {
+                    self.conns.push(None);
+                    self.conns.len() - 1
+                }
+            };
             for (i, (&rc, seg)) in ring_conns.iter().zip(plan.segments.iter()).enumerate() {
-                self.by_ring_conn.insert((seg.segment.ring.0, rc), (fid, i));
+                let table = &mut self.by_ring_conn[seg.segment.ring.0 as usize];
+                set_entry(table, rc.0 as usize, (entry, i));
             }
+            set_entry(&mut self.by_fid, fid.0 as usize, entry);
             if class != ConnClass::BestEffort {
                 for q in plan.queues() {
                     self.queue_resident[q] += 1;
                 }
             }
             let inflight = plan.segments.iter().map(|_| VecDeque::new()).collect();
-            self.connections.insert(
+            self.conns[entry] = Some(ActiveConnection {
                 fid,
-                ActiveConnection {
-                    plan,
-                    ring_conns,
-                    class,
-                    delivered: 0,
-                    inflight,
-                    observed_max: None,
-                },
-            );
+                plan,
+                ring_conns,
+                class,
+                delivered: 0,
+                inflight,
+                observed_max: None,
+            });
         }
         Ok(fids)
     }
@@ -874,12 +900,14 @@ impl Fabric {
     /// The teardown itself, with no reclaim trigger — what internal
     /// callers (reclaim, reconcile) use to avoid re-entering reclaim.
     fn close_connection_impl(&mut self, fid: FabricConnectionId) -> bool {
-        let Some(active) = self.connections.remove(&fid) else {
+        let Some(entry) = self.by_fid.get_mut(fid.0 as usize).and_then(Option::take) else {
             return false;
         };
+        let active = self.conns[entry].take().expect("by_fid names live entries");
         for (&rc, seg) in active.ring_conns.iter().zip(active.plan.segments.iter()) {
-            self.rings[seg.segment.ring.0 as usize].close_connection(rc);
-            self.by_ring_conn.remove(&(seg.segment.ring.0, rc));
+            let ring = seg.segment.ring.0 as usize;
+            self.rings[ring].close_connection(rc);
+            self.by_ring_conn[ring][rc.0 as usize] = None;
         }
         if active.class != ConnClass::BestEffort {
             for q in active.plan.queues() {
@@ -903,7 +931,7 @@ impl Fabric {
     /// Largest end-to-end latency observed so far for connection `fid`
     /// (final deliveries only). `None` before its first delivery.
     pub fn observed_e2e_max(&self, fid: FabricConnectionId) -> Option<TimeDelta> {
-        self.connections.get(&fid).and_then(|a| a.observed_max)
+        self.conn(fid).and_then(|a| a.observed_max)
     }
 
     /// Inject one externally produced message (e.g. a gateway datagram)
@@ -919,9 +947,12 @@ impl Fabric {
     /// admitted period consumes more than the certified arrival curve and
     /// voids the bound (the gateway's token buckets enforce this).
     pub fn inject(&mut self, fid: FabricConnectionId) -> Result<SimTime, InjectError> {
-        let Some(active) = self.connections.get(&fid) else {
+        let Some(entry) = self.entry_of(fid) else {
             return Err(InjectError::UnknownConnection);
         };
+        let active = self.conns[entry]
+            .as_ref()
+            .expect("by_fid names live entries");
         if !active.class.is_injected() {
             return Err(InjectError::NotExternal);
         }
@@ -1070,9 +1101,10 @@ impl Fabric {
     // ccr-verify: event_path -- re-admission runs once per bridge/node fault, not per slot
     fn reconcile_connections(&mut self) {
         let mut broken: Vec<FabricConnectionId> = self
-            .connections
+            .conns
             .iter()
-            .filter(|(_, a)| {
+            .flatten()
+            .filter(|a| {
                 a.plan.bridges().any(|b| self.dead_bridges[b])
                     || a.ring_conns
                         .iter()
@@ -1083,12 +1115,12 @@ impl Fabric {
                                 .is_admitted(rc)
                         })
             })
-            .map(|(&fid, _)| fid)
+            .map(|a| a.fid)
             .collect();
         broken.sort_unstable();
         for fid in broken {
             let (spec, class) = {
-                let active = &self.connections[&fid];
+                let active = self.conn(fid).expect("broken connections are open");
                 (active.plan.spec.clone(), active.class)
             };
             self.close_connection_impl(fid);
@@ -1198,11 +1230,13 @@ impl Fabric {
                 None => self.revoked_specs.push((spec, class, old_fid)),
             }
         }
-        // ccr-verify: allow(nondeterminism) -- collected to a Vec and sorted by id on the next line
-        let mut fids: Vec<FabricConnectionId> = self.connections.keys().copied().collect();
+        let mut fids: Vec<FabricConnectionId> =
+            self.conns.iter().flatten().map(|a| a.fid).collect();
         fids.sort_unstable();
         for fid in fids {
-            let active = &self.connections[&fid];
+            let active = self
+                .conn(fid)
+                .expect("listed connections stay open until their turn");
             let Ok(preferred) = self.plan(&active.plan.spec) else {
                 continue;
             };
@@ -1359,7 +1393,10 @@ impl Fabric {
         self.metrics.record_forward(wait);
         // A connection closed or rerouted while its forward waited is gone:
         // the message still rides its egress ring, but no record awaits it.
-        if let Some(active) = self.connections.get_mut(&pf.fid) {
+        if let Some(entry) = self.entry_of(pf.fid) {
+            let active = self.conns[entry]
+                .as_mut()
+                .expect("by_fid names live entries");
             active.inflight[pf.seg_idx].push_back(Inflight {
                 entered: pf.enqueued,
                 accumulated: pf.accumulated,
@@ -1374,13 +1411,14 @@ impl Fabric {
         let Some(conn) = d.msg.connection else {
             return;
         };
-        let Some(&(fid, seg_idx)) = self.by_ring_conn.get(&(ring, conn)) else {
+        let Some(&Some((entry, seg_idx))) = self.by_ring_conn[ring as usize].get(conn.0 as usize)
+        else {
             return;
         };
-        let active = self
-            .connections
-            .get_mut(&fid)
-            .expect("by_ring_conn names live connections");
+        let active = self.conns[entry]
+            .as_mut()
+            .expect("by_ring_conn names live entries");
+        let fid = active.fid;
         let (entered, accumulated) = if seg_idx == 0 {
             (d.msg.released, TimeDelta::ZERO)
         } else {
@@ -1447,6 +1485,15 @@ impl Fabric {
     }
 }
 
+/// Fill index `at` of a dense id-indexed table, growing it with `None`s
+/// as far as needed.
+fn set_entry<T: Copy>(table: &mut Vec<Option<T>>, at: usize, value: T) {
+    if table.len() <= at {
+        table.resize(at + 1, None);
+    }
+    table[at] = Some(value);
+}
+
 /// Add one certifier pass to the work-saved running sums.
 fn count_calc_pass(metrics: &mut FabricMetrics, report: CalculusReport) {
     metrics.calc_dirty_flows.add(report.dirty_flows as u64);
@@ -1460,7 +1507,7 @@ impl std::fmt::Debug for Fabric {
         f.debug_struct("Fabric")
             .field("rings", &self.rings.len())
             .field("bridges", &self.topo.bridges().len())
-            .field("connections", &self.connections.len())
+            .field("connections", &self.active_connections())
             .field("slots", &self.metrics.slots.get())
             .finish()
     }
@@ -1521,7 +1568,7 @@ mod tests {
         let err = fabric.open_connection(spec(2, 4)).unwrap_err();
         assert_eq!(err, FabricAdmissionError::BridgeOverload { bridge: 0 });
         // closing releases the reservation
-        let ids: Vec<FabricConnectionId> = fabric.connections.keys().copied().collect();
+        let ids: Vec<FabricConnectionId> = fabric.conns.iter().flatten().map(|a| a.fid).collect();
         fabric.close_connection(ids[0]);
         assert!(fabric.open_connection(spec(2, 4)).is_ok());
     }
@@ -1552,8 +1599,8 @@ mod tests {
         assert_eq!(fabric.metrics().bridges_killed.get(), 1);
         assert_eq!(fabric.metrics().e2e_revoked.get(), 1);
         assert_eq!(fabric.metrics().e2e_rerouted.get(), 0);
-        assert!(!fabric.connections.contains_key(&crossing));
-        assert!(fabric.connections.contains_key(&local));
+        assert!(fabric.conn(crossing).is_none());
+        assert!(fabric.conn(local).is_some());
         // The bridge station's port nodes died with it.
         assert!(!fabric.node_alive(GlobalNodeId::new(0, 5)));
         assert!(!fabric.node_alive(GlobalNodeId::new(1, 0)));
@@ -1601,9 +1648,9 @@ mod tests {
         // The connection came back over the detour through ring 2.
         assert_eq!(fabric.metrics().e2e_rerouted.get(), 1);
         assert_eq!(fabric.metrics().e2e_revoked.get(), 0);
-        assert!(!fabric.connections.contains_key(&fid), "old id is gone");
+        assert!(fabric.conn(fid).is_none(), "old id is gone");
         assert_eq!(fabric.active_connections(), 1);
-        let active = fabric.connections.values().next().unwrap();
+        let active = fabric.conns.iter().flatten().next().unwrap();
         assert_eq!(active.plan.segments.len(), 3, "detour crosses two bridges");
         assert_eq!(
             active.plan.bridges().collect::<Vec<_>>(),
@@ -1723,10 +1770,7 @@ mod tests {
         assert_eq!(fabric.metrics().bridges_repaired.get(), 1);
         assert_eq!(fabric.metrics().e2e_reclaimed.get(), 1);
         assert_eq!(fabric.active_connections(), 1);
-        assert!(
-            !fabric.connections.contains_key(&fid),
-            "fresh id on reclaim"
-        );
+        assert!(fabric.conn(fid).is_none(), "fresh id on reclaim");
         // Traffic flows end-to-end again.
         let before = fabric.metrics().e2e_delivered.get();
         fabric.run_slots(2_000);
@@ -1751,12 +1795,12 @@ mod tests {
         assert!(fabric.kill_bridge(0));
         assert_eq!(fabric.metrics().e2e_rerouted.get(), 1);
         {
-            let active = fabric.connections.values().next().unwrap();
+            let active = fabric.conns.iter().flatten().next().unwrap();
             assert_eq!(active.plan.bridges().collect::<Vec<_>>(), vec![2, 1]);
         }
         assert!(fabric.repair_bridge(0));
         assert_eq!(fabric.metrics().e2e_reclaimed.get(), 1);
-        let active = fabric.connections.values().next().unwrap();
+        let active = fabric.conns.iter().flatten().next().unwrap();
         assert_eq!(
             active.plan.bridges().collect::<Vec<_>>(),
             vec![0],
@@ -1785,7 +1829,7 @@ mod tests {
             .unwrap();
         fabric.run_slots(30);
         assert!(!fabric.bridge_alive(0));
-        assert!(!fabric.connections.contains_key(&fid));
+        assert!(fabric.conn(fid).is_none());
         fabric.run_slots(40);
         assert!(fabric.bridge_alive(0), "repair landed");
         assert_eq!(fabric.metrics().bridges_repaired.get(), 1);
@@ -1829,7 +1873,7 @@ mod tests {
             .unwrap();
         fabric.run_slots(30);
         assert!(!fabric.node_alive(GlobalNodeId::new(0, 1)));
-        assert!(!fabric.connections.contains_key(&fid));
+        assert!(fabric.conn(fid).is_none());
         // The source died, so there is nothing to reroute.
         assert_eq!(fabric.metrics().e2e_revoked.get(), 1);
         assert_eq!(fabric.metrics().e2e_rerouted.get(), 0);
@@ -1935,8 +1979,9 @@ mod tests {
             assert!(fabric.observed_e2e_max(fid).is_some());
         }
         assert!(fabric
-            .connections
-            .values()
+            .conns
+            .iter()
+            .flatten()
             .all(|a| a.inflight.iter().all(VecDeque::is_empty)));
         // A connection opened afterwards on the same route delivers.
         let fresh = fabric.open_connection(spec(2)).unwrap();

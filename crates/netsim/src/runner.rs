@@ -60,14 +60,7 @@ pub fn expand_periodic(
         let deadline = t + spec.period;
         out.push((
             t,
-            Message::real_time(
-                spec.src,
-                spec.dest.clone(),
-                spec.size_slots,
-                t,
-                deadline,
-                conn,
-            ),
+            Message::real_time(spec.src, spec.dest, spec.size_slots, t, deadline, conn),
         ));
         t += spec.period;
     }
@@ -191,7 +184,7 @@ pub fn run_with_mac<P: MacProtocol>(
         }
     }
     for (at, msg) in &workload.messages {
-        net.submit_message(*at, msg.clone());
+        net.submit_message(*at, *msg);
     }
     net.run_slots(slots);
     RunSummary::from_network(&net, &name, rejected)
