@@ -24,7 +24,6 @@
 
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::config::NetworkConfig;
-use ccr_edf::connection::ConnectionSpec;
 use ccr_sim::TimeDelta;
 
 /// Closed-form CC-FPR bounds for one configuration.
@@ -69,25 +68,6 @@ impl CcFprAnalysis {
         self.guaranteed_node_fraction() * self.slot_time_fraction()
     }
 
-    /// Number of slots out of every N in which a message spanning
-    /// `span_hops` is blocked by the rotating clock break.
-    pub fn break_blocked_slots(&self, span_hops: u16) -> u16 {
-        debug_assert!(span_hops < self.n_nodes);
-        span_hops
-    }
-
-    /// Worst-case wait (in slots) for a node's first booking opportunity.
-    pub fn worst_wait_slots(&self) -> u16 {
-        self.n_nodes - 1
-    }
-
-    /// Pessimistic per-node feasibility test: all of one node's connections
-    /// must fit in its guaranteed 1/N share.
-    pub fn node_feasible(&self, specs_of_node: &[ConnectionSpec]) -> bool {
-        let u: f64 = specs_of_node.iter().map(|s| s.utilisation(self.slot)).sum();
-        u <= self.u_guaranteed() + 1e-12
-    }
-
     /// Ratio of CCR-EDF's guaranteed utilisation to CC-FPR's for the same
     /// configuration — the headline number of experiment E12.
     pub fn ccr_edf_advantage(&self, ccr: &AnalyticModel) -> f64 {
@@ -98,7 +78,6 @@ impl CcFprAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccr_phys::NodeId;
 
     fn cfg(n: u16) -> NetworkConfig {
         NetworkConfig::builder(n)
@@ -131,27 +110,5 @@ mod tests {
         let small = CcFprAnalysis::new(&cfg(4));
         let large = CcFprAnalysis::new(&cfg(32));
         assert!(large.u_guaranteed() < small.u_guaranteed());
-    }
-
-    #[test]
-    fn blocking_grows_with_span() {
-        let a = CcFprAnalysis::new(&cfg(8));
-        assert_eq!(a.break_blocked_slots(1), 1);
-        assert_eq!(a.break_blocked_slots(7), 7);
-        assert_eq!(a.worst_wait_slots(), 7);
-    }
-
-    #[test]
-    fn per_node_feasibility() {
-        let c = cfg(8);
-        let a = CcFprAnalysis::new(&c);
-        let slot = c.slot_time();
-        let fit = ConnectionSpec::unicast(NodeId(0), NodeId(1))
-            .period(TimeDelta::from_ps(
-                (slot.as_ps() as f64 / (a.u_guaranteed() * 0.9)) as u64,
-            ))
-            .size_slots(1);
-        assert!(a.node_feasible(std::slice::from_ref(&fit)));
-        assert!(!a.node_feasible(&[fit.clone(), fit]));
     }
 }

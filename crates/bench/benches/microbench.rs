@@ -136,8 +136,8 @@ fn bench_slot_engine(c: &mut Criterion) {
             )
         });
     }
-    // One idle slot: the full step against the untimed per-slot entry's
-    // O(1) idle path.
+    // One idle slot: the full step against `run_slots(1)`'s O(1) idle
+    // path, the per-slot entry the fabric's ring phase takes.
     let mut net = RingNetwork::new_ccr_edf(bench_config(16));
     g.bench_function("idle_slot_n16_step", |b| {
         b.iter(|| net.step_slot().slot_index)
@@ -145,7 +145,10 @@ fn bench_slot_engine(c: &mut Criterion) {
     for n in [16u16, 64] {
         let mut net = RingNetwork::new_ccr_edf(bench_config(n));
         g.bench_function(format!("idle_slot_n{n}_advance"), |b| {
-            b.iter(|| net.advance_slot().slot_index)
+            b.iter(|| {
+                net.run_slots(1);
+                net.last_outcome().slot_index
+            })
         });
     }
     // One busy slot: node 1 keeps a backlog (one message longer than any
@@ -301,10 +304,9 @@ fn bench_certifier(c: &mut Criterion) {
 }
 
 fn bench_parallel_map(c: &mut Criterion) {
-    use ccr_sim::parallel::{parallel_map, parallel_map_chunked};
+    use ccr_sim::parallel::parallel_map;
     // The sweep workload: one short simulation per input, the shape every
-    // experiment's parameter sweep has. Compares the per-item atomic
-    // cursor against chunked stealing (see ccr_sim::parallel docs).
+    // experiment's parameter sweep has, over the per-item atomic cursor.
     let mut g = c.benchmark_group("parallel_map");
     g.sample_size(10);
     let inputs: Vec<u64> = (0..32).collect();
@@ -315,12 +317,6 @@ fn bench_parallel_map(c: &mut Criterion) {
     };
     g.bench_function("sweep32_per_item", |b| {
         b.iter(|| parallel_map(black_box(inputs.clone()), 4, work))
-    });
-    g.bench_function("sweep32_chunk4", |b| {
-        b.iter(|| parallel_map_chunked(black_box(inputs.clone()), 4, 4, work))
-    });
-    g.bench_function("sweep32_chunk8", |b| {
-        b.iter(|| parallel_map_chunked(black_box(inputs.clone()), 4, 8, work))
     });
     g.finish();
 }

@@ -297,15 +297,8 @@ impl ArrivalCurve {
         idx
     }
 
-    /// Pointwise sum `(α₁ + α₂)(t)` — exact on merged breakpoints.
-    pub fn plus(&self, other: &ArrivalCurve) -> ArrivalCurve {
-        let mut out = ArrivalCurve { pieces: Vec::new() };
-        self.plus_into(other, &mut out);
-        out
-    }
-
-    /// Allocation-free [`ArrivalCurve::plus`]: writes the exact sum into
-    /// `out`, reusing its piece storage. Both inputs are in normal form, so
+    /// Pointwise sum `(α₁ + α₂)(t)`, exact on merged breakpoints, written
+    /// into `out` (reusing its piece storage). Both inputs are in normal form, so
     /// a single merge walk over the two breakpoint sequences emits the sum's
     /// active pieces directly in rate-descending order — the result is a
     /// true lower envelope without sorting or re-normalising.
@@ -389,16 +382,6 @@ impl ArrivalCurve {
         self.pieces.extend_from_slice(&src.pieces);
     }
 
-    /// Partial order: `self ≤ other` pointwise (checked exactly on the
-    /// merged breakpoint set and both tail rates).
-    pub fn le(&self, other: &ArrivalCurve) -> bool {
-        let mut xs: Vec<f64> = vec![0.0];
-        xs.extend(self.breakpoints());
-        xs.extend(other.breakpoints());
-        xs.iter().all(|&x| self.eval(x) <= other.eval(x) + 1e-9)
-            && self.rate() <= other.rate() + 1e-15
-    }
-
     /// `α(t + d)` for a constant delay `d ≥ 0` — models a constant-delay
     /// element (e.g. a bridge crossing): each piece's burst grows by
     /// `rate·d`.
@@ -445,6 +428,7 @@ impl ArrivalCurve {
     }
 
     /// Allocating wrapper around [`ArrivalCurve::advance_time_into`].
+    #[cfg(test)]
     pub fn advance_time(&self, d: f64) -> ArrivalCurve {
         let mut out = ArrivalCurve { pieces: Vec::new() };
         self.advance_time_into(d, &mut out);
@@ -498,14 +482,8 @@ impl ArrivalCurve {
         None
     }
 
-    /// Min-plus deconvolution `(α ⊘ β_{R,T})(t) = sup_u (α(t+u) − β(u))`
-    /// against a rate-latency service curve — the exact output arrival
-    /// curve of a flow `α` served by `β_{R,T}`.
-    ///
-    /// Closed form: shift `α` left by `T` (burst += rate·T per piece), and
-    /// clip the prefix steeper than `R` by an `R`-rate piece through the
-    /// point where the envelope slope first drops to ≤ `R`. Returns `None`
-    /// when `α`'s long-run rate exceeds `R` (backlog grows without bound).
+    /// Allocating wrapper around [`ArrivalCurve::deconvolve_into`].
+    #[cfg(test)]
     pub fn deconvolve(&self, service: RateLatency) -> Option<ArrivalCurve> {
         let mut out = ArrivalCurve { pieces: Vec::new() };
         if self.deconvolve_into(service, &mut out) {
@@ -515,9 +493,15 @@ impl ArrivalCurve {
         }
     }
 
-    /// Allocation-free [`ArrivalCurve::deconvolve`]: writes the output
-    /// envelope into `out` and returns `false` when the flow's long-run
-    /// rate exceeds the service rate (unbounded backlog). The clipped
+    /// Min-plus deconvolution `(α ⊘ β_{R,T})(t) = sup_u (α(t+u) − β(u))`
+    /// against a rate-latency service curve — the exact output arrival
+    /// curve of a flow `α` served by `β_{R,T}`.
+    ///
+    /// Closed form: shift `α` left by `T` (burst += rate·T per piece), and
+    /// clip the prefix steeper than `R` by an `R`-rate piece through the
+    /// point where the envelope slope first drops to ≤ `R`. Writes the
+    /// output envelope into `out` and returns `false` when the flow's
+    /// long-run rate exceeds the service rate (unbounded backlog). The clipped
     /// `R`-rate piece is the steepest surviving piece, so emitting it first
     /// keeps the list rate-descending for the in-place envelope chain.
     pub fn deconvolve_into(&self, service: RateLatency, out: &mut ArrivalCurve) -> bool {
@@ -744,6 +728,7 @@ impl ServiceCurve {
     /// Min-plus convolution `β₁ ⊗ β₂` of two convex service curves: the
     /// slope-sorted concatenation of their segments (latencies add, the
     /// flatter tail wins).
+    #[cfg(test)]
     pub fn convolve(&self, other: &ServiceCurve) -> ServiceCurve {
         let tail = self.tail_rate().min(other.tail_rate());
         // Finite segments (slope, length) of each curve, slopes < tail.
@@ -980,7 +965,8 @@ mod tests {
     fn plus_and_min_are_exact() {
         let a = tb(3.0, 2.0).min(&tb(10.0, 0.5));
         let b = tb(1.0, 1.0);
-        let s = a.plus(&b);
+        let mut s = ArrivalCurve::zero();
+        a.plus_into(&b, &mut s);
         for t in [0.0, 0.1, 1.0, 4.0, 4.6666, 10.0, 100.0] {
             assert!((s.eval(t) - (a.eval(t) + b.eval(t))).abs() < 1e-9);
             assert!((a.min(&b).eval(t) - a.eval(t).min(b.eval(t))).abs() < 1e-9);

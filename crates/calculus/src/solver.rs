@@ -753,25 +753,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// Re-derive every arrival and bound from scratch; an exact outcome
-    /// clears the taint. Exposed for benchmarks and as the reference path.
-    pub fn resolve_full(&mut self) -> Result<SolveReport, SolveError> {
-        self.scratch.dirty_server.clear();
-        self.scratch.dirty_server.resize(self.services.len(), true);
-        self.collect_dirty_flows();
-        self.reinit_dirty();
-        match self.run_to_bounds() {
-            Ok((iterations, exact)) => {
-                self.settle_taint(exact, true);
-                Ok(self.report(iterations, exact, true))
-            }
-            Err(e) => {
-                self.tainted = true;
-                Err(e)
-            }
-        }
-    }
-
     /// Open a candidate-scoped session: admissions made through it are
     /// undone exactly when the session drops, unless
     /// [`SolverSession::commit`] is called. This is the "try a candidate,

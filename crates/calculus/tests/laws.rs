@@ -68,7 +68,8 @@ fn convolution_is_monotone() {
         // a2 ≥ a pointwise: add a constant offset to every piece.
         let bump = ArrivalCurve::token_bucket(1.0 + rng.gen_f64() * 5.0, 0.0)
             .expect("constant bump curve");
-        let a2 = a.plus(&bump);
+        let mut a2 = ArrivalCurve::zero();
+        a.plus_into(&bump, &mut a2);
         let (lo, hi) = (a.min(&b), a2.min(&b));
         for t in SAMPLE_TS {
             assert!(
@@ -91,9 +92,11 @@ fn deconvolution_is_the_residual_of_convolution() {
             latency: rng.gen_f64() * 5.0,
         };
         let beta = rl.to_curve();
-        let gamma = alpha
-            .deconvolve(rl)
-            .expect("rate fits, deconvolution exists");
+        let mut gamma = ArrivalCurve::zero();
+        assert!(
+            alpha.deconvolve_into(rl, &mut gamma),
+            "rate fits, deconvolution exists"
+        );
         for t in SAMPLE_TS {
             // sup dominance: γ(t) ≥ α(t+u) − β(u) for every u ≥ 0.
             for k in 0..40 {
@@ -130,7 +133,8 @@ fn delay_bound_is_monotone_in_burst() {
         }
         let bump = ArrivalCurve::token_bucket(0.5 + rng.gen_f64() * 4.0, 0.0)
             .expect("constant bump curve");
-        let fatter = alpha.plus(&bump);
+        let mut fatter = ArrivalCurve::zero();
+        alpha.plus_into(&bump, &mut fatter);
         let d1 = delay_bound(&alpha, &beta).expect("rate fits");
         let d2 = delay_bound(&fatter, &beta).expect("rate unchanged, still fits");
         assert!(

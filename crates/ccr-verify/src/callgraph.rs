@@ -314,11 +314,6 @@ pub fn call_sites(body: &str) -> Vec<CallSite> {
     out
 }
 
-/// Extract the set of called identifiers from a body (name-only view).
-pub fn calls_in(body: &str) -> BTreeSet<String> {
-    call_sites(body).into_iter().map(|s| s.name).collect()
-}
-
 // ---------------------------------------------------------------------
 // Type text manipulation
 // ---------------------------------------------------------------------
@@ -1155,7 +1150,11 @@ mod tests {
 
     #[test]
     fn extracts_calls() {
-        let calls = calls_in("{ alpha(); x.beta(1); if gamma() { } vec.push(2) }");
+        let calls: BTreeSet<String> =
+            call_sites("{ alpha(); x.beta(1); if gamma() { } vec.push(2) }")
+                .into_iter()
+                .map(|s| s.name)
+                .collect();
         assert!(calls.contains("alpha"));
         assert!(calls.contains("beta"));
         assert!(calls.contains("gamma"));

@@ -5,8 +5,11 @@
 //! arithmetic) are *invariants of the source*, not just properties a test
 //! happens to observe. This crate enforces them statically:
 //!
-//! * [`rules`] — four CCR-specific lint families over a hand-rolled lexer
-//!   (the workspace is registry-free, so no `syn`);
+//! * [`rules`] — nine CCR-specific rules over a hand-rolled lexer (the
+//!   workspace is registry-free, so no `syn`): hot-path allocation,
+//!   blocking and overflow walks, unit-dimension mixing, nondeterminism,
+//!   time casts, unwraps in library code, protocol pins, and dead public
+//!   functions;
 //! * [`deps`] — an offline dependency/licensing audit (the `cargo-deny`
 //!   stand-in);
 //! * an allow-marker mechanism (`// ccr-verify: allow(rule) -- reason`)
@@ -97,53 +100,63 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
+/// Parse every `.rs` file under `dir` as part of crate `name`, with paths
+/// relative to `root`.
+fn parse_tree(root: &Path, dir: &Path, name: &str, out: &mut Vec<FileModel>) {
+    let mut files = Vec::new();
+    rs_files(dir, &mut files);
+    for path in files {
+        if let Ok(raw) = std::fs::read_to_string(&path) {
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+            out.push(FileModel::parse(rel, name, raw));
+        }
+    }
+}
+
+/// Member crate directories under `crates/`, sorted.
+fn crate_dirs(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(root.join("crates")) else {
+        return Vec::new();
+    };
+    let mut dirs: Vec<_> = entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|d| d.join("Cargo.toml").is_file())
+        .collect();
+    dirs.sort();
+    dirs
+}
+
 /// Parse all workspace sources into [`FileModel`]s. Returns the models and
 /// every member manifest (for the deps audit).
 pub fn load_workspace(root: &Path) -> (Vec<FileModel>, Vec<PathBuf>) {
     let mut models = Vec::new();
     let mut manifests = vec![root.join("Cargo.toml")];
-    let root_name =
-        package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "workspace-root".into());
-
+    for dir in crate_dirs(root) {
+        let manifest = dir.join("Cargo.toml");
+        let name = package_name(&manifest).unwrap_or_else(|| "unknown".into());
+        manifests.push(manifest);
+        parse_tree(root, &dir.join("src"), &name, &mut models);
+    }
     // Root facade crate: src/ only (tests/ and examples/ are test code by
     // definition and exempt from the library rules).
-    let mut files = Vec::new();
-    rs_files(&root.join("src"), &mut files);
-
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
-        let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-        dirs.sort();
-        for dir in dirs {
-            let manifest = dir.join("Cargo.toml");
-            if !manifest.is_file() {
-                continue;
-            }
-            manifests.push(manifest.clone());
-            let name = package_name(&manifest).unwrap_or_else(|| "unknown".into());
-            let mut crate_files = Vec::new();
-            rs_files(&dir.join("src"), &mut crate_files);
-            for path in crate_files {
-                if let Ok(raw) = std::fs::read_to_string(&path) {
-                    let rel = path
-                        .strip_prefix(root)
-                        .map(|p| p.to_path_buf())
-                        .unwrap_or_else(|_| path.clone());
-                    models.push(FileModel::parse(rel, &name, raw));
-                }
-            }
-        }
-    }
-    for path in files {
-        if let Ok(raw) = std::fs::read_to_string(&path) {
-            let rel = path
-                .strip_prefix(root)
-                .map(|p| p.to_path_buf())
-                .unwrap_or_else(|_| path.clone());
-            models.push(FileModel::parse(rel, &root_name, raw));
-        }
-    }
+    let root_name =
+        package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "workspace-root".into());
+    parse_tree(root, &root.join("src"), &root_name, &mut models);
     (models, manifests)
+}
+
+/// Parse the code that only calls into the workspace: the examples, every
+/// crate's benches and the perfbench workloads. Only the `dead-pub` rule
+/// reads these, as entry points.
+pub fn load_callers(root: &Path) -> Vec<FileModel> {
+    let mut callers = Vec::new();
+    parse_tree(root, &root.join("examples"), "examples", &mut callers);
+    for dir in crate_dirs(root) {
+        parse_tree(root, &dir.join("benches"), "benches", &mut callers);
+    }
+    parse_tree(root, &root.join("perfbench/src"), "perfbench", &mut callers);
+    callers
 }
 
 /// Run the full gate over the workspace at `root`.
@@ -155,6 +168,7 @@ pub fn run(root: &Path, cfg: &RuleConfig) -> Report {
 
     let mut findings = rules::run_all(&models, cfg);
     findings.extend(rules::rule_protocol_pin(root, &models, cfg));
+    findings.extend(rules::rule_dead_pub(&models, &load_callers(root), cfg));
     findings.extend(deps::audit(root, &manifests));
     findings.sort();
 

@@ -59,6 +59,8 @@ pub struct FnDef {
     /// True when the body lies inside `#[cfg(test)]` code or the fn is
     /// `#[test]`-annotated.
     pub is_test: bool,
+    /// True for a plain `pub fn` (not `pub(crate)` or narrower).
+    pub is_pub: bool,
     /// True when a `ccr-verify: hot_path` marker sits within two lines
     /// above the `fn` keyword.
     pub hot_root: bool,
@@ -400,11 +402,13 @@ fn parse_fns(
                 let event_path = event_lines.iter().any(|&el| el < line && line - el <= 3);
                 let sig = &clean[sig_start..open];
                 let (generics, params, ret) = parse_signature(sig);
+                let prefix = &clean[line_starts[line - 1]..i];
                 fns.push(FnDef {
                     name,
                     line,
                     body: (open, close),
                     is_test,
+                    is_pub: prefix.split_whitespace().next() == Some("pub"),
                     hot_root,
                     event_path,
                     owner: FnOwner::Free,
@@ -883,6 +887,16 @@ mod tests {
         assert_eq!(m.fns[1].line, 2);
         let body = &m.clean[m.fns[0].body.0..=m.fns[0].body.1];
         assert!(body.contains("beta()"));
+    }
+
+    #[test]
+    fn only_plain_pub_fns_are_public() {
+        let m = model("pub fn a() {}\npub(crate) fn b() {}\nfn c() {}\npub const fn d() {}\n");
+        let public: Vec<_> = m.fns.iter().map(|f| (f.name.as_str(), f.is_pub)).collect();
+        assert_eq!(
+            public,
+            [("a", true), ("b", false), ("c", false), ("d", true)]
+        );
     }
 
     #[test]

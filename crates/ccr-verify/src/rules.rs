@@ -1,6 +1,6 @@
 //! The CCR-EDF-specific lint rules.
 //!
-//! Eight rule families (see `DESIGN.md` §10 for the full rationale table):
+//! Nine rule families (see `DESIGN.md` §10 for the full rationale table):
 //!
 //! * `alloc-in-hot-path` — no allocation or cloning in functions reachable
 //!   from the slot-engine hot-path roots. The walk distinguishes steady
@@ -26,9 +26,13 @@
 //!   in non-test library code; state the invariant in an `expect` message
 //!   or return a typed error.
 //! * `protocol-pin` — declaratively pinned code fragments (the parallel
-//!   chunk-claim protocol) must appear verbatim both at their anchor and in
+//!   claim protocol) must appear verbatim both at their anchor and in
 //!   every mirror (the loom model), so the model checker and the
 //!   implementation cannot drift apart silently.
+//! * `dead-pub` — every non-test `pub fn` of a library crate must be
+//!   reached from a real entry point (a binary, an example, a bench, a
+//!   perfbench workload, a trait impl, the facade prelude) or be declared
+//!   intentional API in [`RuleConfig::workspace`].
 //!
 //! The hot-path walks ride on the type-aware call graph: trait-dispatched
 //! calls fan out to every impl, and each finding prints the resolved chain
@@ -39,8 +43,8 @@
 //! mandatory and unused markers are themselves findings.
 
 use crate::callgraph::{CallGraph, FnRef, ReachMap};
-use crate::model::{FileModel, FnDef};
-use std::collections::BTreeSet;
+use crate::model::{match_brace, FileModel, FnDef, FnOwner};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
@@ -54,6 +58,7 @@ pub const RULE_UNWRAP: &str = "unwrap-in-lib";
 pub const RULE_DEPS: &str = "deps";
 pub const RULE_MARKER: &str = "allow-marker";
 pub const RULE_PIN: &str = "protocol-pin";
+pub const RULE_DEAD_PUB: &str = "dead-pub";
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -120,6 +125,9 @@ pub struct RuleConfig {
     pub det_exempt: Vec<String>,
     /// Declaratively pinned protocols (see [`ProtocolPin`]).
     pub protocol_pins: Vec<ProtocolPin>,
+    /// `(crate, fn name, reason)`: public functions kept although no entry
+    /// point reaches them. They root the `dead-pub` walk.
+    pub declared_api: &'static [(&'static str, &'static str, &'static str)],
 }
 
 impl RuleConfig {
@@ -160,10 +168,68 @@ impl RuleConfig {
                 "gateway/src/handoff.rs".into(),
             ],
             protocol_pins: vec![ProtocolPin {
-                name: "parallel-chunk-claim".into(),
+                name: "parallel-claim".into(),
                 anchor: "crates/sim/src/parallel.rs".into(),
                 mirrors: vec!["verify/loom/src/lib.rs".into()],
             }],
+            declared_api: &[
+                (
+                    "ccr-calculus",
+                    "left_over",
+                    "oracle for left_over_into in tests/laws.rs",
+                ),
+                (
+                    "ccr-edf",
+                    "admitted_count",
+                    "policies compared in tests/proptests.rs",
+                ),
+                (
+                    "ccr-edf",
+                    "decode_with_errors",
+                    "degraded decoder, checked by proptests",
+                ),
+                (
+                    "ccr-multiring",
+                    "repair_bridge_at",
+                    "repair half of kill_bridge_at",
+                ),
+                (
+                    "ccr-phys",
+                    "intersection",
+                    "LinkSet algebra, pinned by proptests",
+                ),
+                (
+                    "ccr-phys",
+                    "multicast_segment",
+                    "multicast geometry, pinned by proptests",
+                ),
+                (
+                    "ccr-phys",
+                    "upstream",
+                    "inverse of downstream, pinned by proptests",
+                ),
+                (
+                    "ccr-phys",
+                    "with_link_length",
+                    "link length swept by the timing proptests",
+                ),
+                (
+                    "ccr-sim",
+                    "from_ns",
+                    "ns member of the from_ps/us/ms constructors",
+                ),
+                ("ccr-sim", "merge", "stats combination, pinned by proptests"),
+                (
+                    "ccr-sim",
+                    "n_rows",
+                    "row counts asserted by ccr-netsim's tests",
+                ),
+                (
+                    "ccr-sim",
+                    "variance",
+                    "Summary moment; the merge proptest reads it",
+                ),
+            ],
         }
     }
 }
@@ -1089,6 +1155,138 @@ pub fn rule_unwrap(files: &[FileModel], cfg: &RuleConfig) -> Vec<Finding> {
         }
     }
     findings
+}
+
+// ---------------------------------------------------------------------
+// Rule: dead-pub
+// ---------------------------------------------------------------------
+
+/// A binary target's source: `src/main.rs` or a file under `src/bin/`.
+fn is_bin(f: &FileModel) -> bool {
+    let path = f.path.to_string_lossy();
+    path.ends_with("src/main.rs") || path.contains("src/bin/")
+}
+
+/// The identifier tokens of `text`.
+fn idents(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|t| !t.is_empty())
+}
+
+/// Flag every non-test `pub fn`, free or inherent, that no real entry point
+/// reaches, in the `lib_crates` and in every crate that ships a binary.
+///
+/// The roots are every non-test fn of a binary target and of `callers`
+/// (examples, benches, perfbench: parsed for this rule only), every
+/// trait-impl method and trait default body, the names in the facade's
+/// `prelude` (`src/lib.rs`), and `cfg.declared_api`. A reached body
+/// reaches every non-test fn whose name appears in it as an identifier
+/// token, which covers calls, `Type::name` paths and fns passed as values.
+/// Matching by name can miss a dead fn that shares its name with a live
+/// one; it never flags a reached one.
+pub fn rule_dead_pub(files: &[FileModel], callers: &[FileModel], cfg: &RuleConfig) -> Vec<Finding> {
+    let all: Vec<&FileModel> = files.iter().chain(callers).collect();
+    let mut by_name: BTreeMap<&str, Vec<FnRef>> = BTreeMap::new();
+    let mut todo: Vec<FnRef> = Vec::new();
+    let mut names: Vec<&str> = Vec::new();
+    for (fi, f) in all.iter().enumerate() {
+        let entry = fi >= files.len() || is_bin(f);
+        for (gi, g) in f.fns.iter().enumerate() {
+            if g.is_test {
+                continue;
+            }
+            by_name.entry(&g.name).or_default().push((fi, gi));
+            let declared = cfg
+                .declared_api
+                .iter()
+                .any(|(c, n, _)| *c == f.crate_name && *n == g.name);
+            if entry || declared || !inherent(f, g) {
+                todo.push((fi, gi));
+            }
+        }
+        if f.path.as_path() == Path::new("src/lib.rs") {
+            if let Some(at) = token_positions(&f.clean, "mod prelude").first() {
+                let open = at + f.clean[*at..].find('{').unwrap_or(0);
+                names.extend(idents(&f.clean[open..=match_brace(&f.clean, open)]));
+            }
+        }
+    }
+    let mut reached = BTreeSet::new();
+    let mut expanded = BTreeSet::new();
+    loop {
+        while let Some(name) = names.pop() {
+            if expanded.insert(name) {
+                todo.extend(by_name.get(name).into_iter().flatten());
+            }
+        }
+        let Some(at) = todo.pop() else { break };
+        if reached.insert(at) {
+            let (f, g) = (all[at.0], &all[at.0].fns[at.1]);
+            names.extend(idents(&f.clean[g.body.0..=g.body.1]));
+        }
+    }
+
+    let mut scope: BTreeSet<&str> = cfg.lib_crates.iter().map(String::as_str).collect();
+    scope.extend(
+        files
+            .iter()
+            .filter(|f| is_bin(f))
+            .map(|f| f.crate_name.as_str()),
+    );
+    let mut findings = Vec::new();
+    let mut declared_found = vec![false; cfg.declared_api.len()];
+    for (fi, f) in files.iter().enumerate() {
+        if !scope.contains(f.crate_name.as_str()) {
+            continue;
+        }
+        for (gi, g) in f.fns.iter().enumerate() {
+            if !g.is_pub || g.is_test || !inherent(f, g) {
+                continue;
+            }
+            for (k, (c, n, _)) in cfg.declared_api.iter().enumerate() {
+                declared_found[k] |= *c == f.crate_name && *n == g.name;
+            }
+            if !reached.contains(&(fi, gi)) {
+                findings.push(Finding {
+                    path: f.path.display().to_string(),
+                    line: g.line,
+                    rule: RULE_DEAD_PUB,
+                    message: format!(
+                        "`pub fn {}` is reached from no binary, example, bench, perfbench \
+                         workload or trait impl: delete it, move it under #[cfg(test)], or \
+                         declare it in RuleConfig::workspace()",
+                        g.name
+                    ),
+                    snippet: f.snippet(g.line).to_string(),
+                });
+            }
+        }
+    }
+    // A declared entry must name a live `pub fn` and say why it is kept.
+    for ((c, n, reason), found) in cfg.declared_api.iter().zip(declared_found) {
+        if !found || reason.trim().is_empty() {
+            findings.push(Finding {
+                path: format!("RuleConfig::workspace() declared_api {c}::{n}"),
+                line: 1,
+                rule: RULE_DEAD_PUB,
+                message: "a declared entry must name a non-test `pub fn` in scope and give a \
+                          reason"
+                    .into(),
+                snippet: String::new(),
+            });
+        }
+    }
+    findings
+}
+
+/// A free fn or an inherent method: not a trait default body or a
+/// trait-impl method.
+fn inherent(f: &FileModel, g: &FnDef) -> bool {
+    match g.owner {
+        FnOwner::Free => true,
+        FnOwner::Impl(i) => f.impls[i].trait_name.is_none(),
+        FnOwner::Trait(_) => false,
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //! * `//~^ ERROR <rule>` — a finding of `<rule>` on the previous line
 
 use ccr_verify::model::FileModel;
-use ccr_verify::rules::{rule_protocol_pin, run_all, ProtocolPin, RuleConfig};
+use ccr_verify::rules::{rule_dead_pub, rule_protocol_pin, run_all, ProtocolPin, RuleConfig};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -20,6 +20,7 @@ fn fixture_config() -> RuleConfig {
         cast_exempt: Vec::new(),
         det_exempt: Vec::new(),
         protocol_pins: Vec::new(),
+        declared_api: &[],
     }
 }
 
@@ -52,9 +53,12 @@ fn fixture_findings(path: &Path) -> Vec<ccr_verify::rules::Finding> {
 }
 
 fn check_fixture(path: &Path) {
+    assert_annotated(path, &fixture_findings(path));
+}
+
+fn assert_annotated(path: &Path, findings: &[ccr_verify::rules::Finding]) {
     let raw = std::fs::read_to_string(path).expect("fixture readable");
     let expected = expectations(&raw);
-    let findings = fixture_findings(path);
     let actual: BTreeSet<(String, usize)> = findings
         .iter()
         .map(|f| (f.rule.to_string(), f.line))
@@ -132,6 +136,32 @@ fn seeded_dimension_mixing_is_detected() {
     check_fixture(&fixture_path("dimension_mix.rs"));
 }
 
+/// `dead-pub` needs callers outside the library, so it runs apart from
+/// `run_all`: the fixture is the library and a one-line example the root.
+#[test]
+fn dead_public_functions_are_detected() {
+    let path = fixture_path("dead_pub.rs");
+    let raw = std::fs::read_to_string(&path).expect("fixture readable");
+    let lib = FileModel::parse(path.clone(), "fixture", raw);
+    let example = FileModel::parse(
+        PathBuf::from("examples/demo.rs"),
+        "examples",
+        "fn main() { fixture::reached_from_root(); }".into(),
+    );
+    let mut cfg = fixture_config();
+    cfg.declared_api = &[("fixture", "declared_api", "kept")];
+    assert_annotated(&path, &rule_dead_pub(&[lib], &[example], &cfg));
+
+    // A declared entry that names no public fn is itself a finding.
+    cfg.declared_api = &[("fixture", "gone", "kept")];
+    let lib = FileModel::parse(path, "fixture", "pub fn gone_too() {}".into());
+    let findings = rule_dead_pub(&[lib], &[], &cfg);
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    assert!(findings
+        .iter()
+        .any(|f| f.path.contains("declared_api fixture::gone")));
+}
+
 /// The diagnostic must let a reader audit the resolution: the chain text
 /// names every hop *and* the trait-dispatch edge taken.
 #[test]
@@ -182,6 +212,7 @@ fn every_fixture_is_covered_by_a_test() {
             "blocking.rs",
             "casts.rs",
             "clean.rs",
+            "dead_pub.rs",
             "dimension_mix.rs",
             "event_path.rs",
             "hot_alloc.rs",

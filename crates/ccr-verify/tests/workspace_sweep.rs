@@ -44,9 +44,30 @@ fn workspace_sweep_is_clean_with_all_rules_armed() {
 fn every_allow_marker_is_honoured() {
     let rep = run(&workspace_root(), &rules::RuleConfig::workspace());
     assert_eq!(
-        rep.markers_honoured, 16,
+        rep.markers_honoured, 12,
         "marker census drifted — audit `grep -rn 'ccr-verify:' crates/ src/`"
     );
+}
+
+/// `dead-pub` roots its walk at the code that only calls the workspace. A
+/// path typo that silently dropped perfbench, the examples or the benches
+/// would flag what only they reach, so the caller set is pinned here.
+#[test]
+fn dead_pub_callers_include_perfbench_an_example_and_a_bench() {
+    let callers = ccr_verify::load_callers(&workspace_root());
+    let paths: Vec<String> = callers
+        .iter()
+        .map(|m| m.path.display().to_string())
+        .collect();
+    assert!(
+        paths.iter().any(|p| p == "perfbench/src/main.rs"),
+        "{paths:?}"
+    );
+    assert!(
+        paths.iter().any(|p| p.starts_with("examples/")),
+        "{paths:?}"
+    );
+    assert!(paths.iter().any(|p| p.contains("/benches/")), "{paths:?}");
 }
 
 #[test]

@@ -213,6 +213,7 @@ impl AdmissionController {
     }
 
     /// Headroom left under `U_max`.
+    #[cfg(test)]
     pub fn headroom(&self) -> f64 {
         (self.u_max() - self.total).max(0.0)
     }
@@ -275,6 +276,7 @@ impl AdmissionController {
     }
 
     /// Number of registered best-effort connections.
+    #[cfg(test)]
     pub fn best_effort_count(&self) -> usize {
         self.best_effort.len()
     }

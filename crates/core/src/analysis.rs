@@ -39,16 +39,6 @@ impl AnalyticModel {
         }
     }
 
-    /// Construct directly from a timing model and slot length
-    /// (homogeneous links).
-    pub fn from_parts(timing: TimingModel, slot: TimeDelta) -> Self {
-        AnalyticModel {
-            timing,
-            slot,
-            h_max: timing.max_handover(),
-        }
-    }
-
     /// The worst-case hand-over gap this model uses.
     pub fn max_handover(&self) -> TimeDelta {
         self.h_max
@@ -78,12 +68,6 @@ impl AnalyticModel {
         self.slot * 2 + self.h_max
     }
 
-    /// **Equation 3**: user-perceived delay bound for a message with
-    /// relative deadline `t_deadline`.
-    pub fn max_delay(&self, t_deadline: TimeDelta) -> TimeDelta {
-        t_deadline + self.worst_latency()
-    }
-
     /// Utilisation of a connection set (the left side of Equation 5).
     pub fn utilisation(&self, specs: &[ConnectionSpec]) -> f64 {
         specs.iter().map(|s| s.utilisation(self.slot)).sum()
@@ -96,11 +80,13 @@ impl AnalyticModel {
 
     /// Worst-case *effective* slot rate: slots per second when every
     /// hand-over takes the maximum gap.
+    #[cfg(test)]
     pub fn worst_slot_rate(&self) -> f64 {
         1.0 / (self.slot + self.h_max).as_secs_f64()
     }
 
     /// Best-case slot rate (master never moves: gap 0).
+    #[cfg(test)]
     pub fn best_slot_rate(&self) -> f64 {
         1.0 / self.slot.as_secs_f64()
     }
@@ -151,11 +137,6 @@ mod tests {
         let a = AnalyticModel::new(&c);
         let expect = c.slot_time() * 2 + c.timing().max_handover();
         assert_eq!(a.worst_latency(), expect);
-        // Eq 3 adds the deadline on top
-        assert_eq!(
-            a.max_delay(TimeDelta::from_us(100)),
-            TimeDelta::from_us(100) + expect
-        );
     }
 
     #[test]

@@ -20,15 +20,8 @@ pub struct CcrEdfMac;
 impl CcrEdfMac {
     /// Sort requesting nodes by (priority desc, node index asc) — Section 3:
     /// "the requests are processed … sorted … In the event priority ties
-    /// the index of the node resolves the tie."
-    pub fn sorted_requesters(requests: &[Request]) -> Vec<NodeId> {
-        let mut order = Vec::new();
-        Self::sorted_requesters_into(requests, &mut order);
-        order
-    }
-
-    /// Allocation-free variant of [`CcrEdfMac::sorted_requesters`]: fills
-    /// `order` in place, reusing its capacity. `sort_unstable_by` keeps the
+    /// the index of the node resolves the tie." Fills `order` in place,
+    /// reusing its capacity. `sort_unstable_by` keeps the
     /// sort itself off the heap (the stable sort allocates a merge buffer).
     pub fn sorted_requesters_into(requests: &[Request], order: &mut Vec<NodeId>) {
         order.clear();
@@ -173,18 +166,7 @@ pub struct CcrEdfRotatingMac;
 
 impl CcrEdfRotatingMac {
     /// Sort requesting nodes by (priority desc, downstream distance from
-    /// the current master asc).
-    pub fn sorted_requesters(
-        requests: &[Request],
-        master: NodeId,
-        topo: RingTopology,
-    ) -> Vec<NodeId> {
-        let mut order = Vec::new();
-        Self::sorted_requesters_into(requests, master, topo, &mut order);
-        order
-    }
-
-    /// Allocation-free variant of [`CcrEdfRotatingMac::sorted_requesters`].
+    /// the current master asc) into `order`, reusing its capacity.
     pub fn sorted_requesters_into(
         requests: &[Request],
         master: NodeId,
@@ -415,9 +397,11 @@ mod tests {
         let t = topo(4);
         let mut rs = idle_all(4);
         rs[1] = req(t, 1, 2, 5);
-        let order = CcrEdfMac::sorted_requesters(&rs);
+        let mut order = Vec::new();
+        CcrEdfMac::sorted_requesters_into(&rs, &mut order);
         assert_eq!(order, vec![NodeId(1)]);
-        assert!(CcrEdfMac::sorted_requesters(&idle_all(4)).is_empty());
+        CcrEdfMac::sorted_requesters_into(&idle_all(4), &mut order);
+        assert!(order.is_empty());
     }
 
     #[test]
@@ -481,7 +465,7 @@ mod tests {
         rs[2] = Request::transmission(
             Priority::new(31),
             t.segment_hops(NodeId(2), 5),
-            t.broadcast_dests(NodeId(2)).into_iter().collect(),
+            t.nodes().filter(|&d| d != NodeId(2)).collect(),
         );
         rs[0] = req(t, 0, 1, 30);
         let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);

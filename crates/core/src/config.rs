@@ -244,15 +244,6 @@ impl NetworkConfig {
         }
     }
 
-    /// The longest single link's propagation delay.
-    pub fn max_link_prop(&self) -> TimeDelta {
-        self.topology()
-            .links()
-            .map(|l| self.link_prop_of(l))
-            .max()
-            .unwrap_or(TimeDelta::ZERO)
-    }
-
     /// Per-node control-packet delay `t_node` (Equation 2): fixed
     /// processing latency plus serialisation of one request.
     pub fn t_node(&self) -> TimeDelta {

@@ -7,6 +7,7 @@
 //! their traffic is scheduled, and may be added and removed at runtime.
 
 use crate::message::Destination;
+#[cfg(test)]
 use crate::wire::NodeSet;
 use ccr_phys::{NodeId, RingTopology};
 use ccr_sim::{SimTime, TimeDelta};
@@ -51,6 +52,7 @@ impl ConnectionSpec {
     }
 
     /// Start a multicast spec.
+    #[cfg(test)]
     pub fn multicast(src: NodeId, dests: NodeSet) -> Self {
         ConnectionSpec {
             src,
@@ -63,6 +65,7 @@ impl ConnectionSpec {
     }
 
     /// Start a broadcast spec.
+    #[cfg(test)]
     pub fn broadcast(src: NodeId) -> Self {
         ConnectionSpec {
             src,

@@ -73,6 +73,7 @@ impl SlotPlan {
     }
 
     /// The grant for `node`, if present.
+    #[cfg(test)]
     pub fn grant_for(&self, node: NodeId) -> Option<&Grant> {
         self.grants.iter().find(|g| g.node == node)
     }

@@ -51,11 +51,12 @@ pub enum Destination {
 
 impl Destination {
     /// The receivers of this destination on ring `topo`, from sender `src`.
+    #[cfg(test)]
     pub fn receivers(&self, topo: RingTopology, src: NodeId) -> Vec<NodeId> {
         match self {
             Destination::Unicast(d) => vec![*d],
             Destination::Multicast(ds) => ds.iter().collect(),
-            Destination::Broadcast => topo.broadcast_dests(src),
+            Destination::Broadcast => topo.nodes().filter(|&d| d != src).collect(),
         }
     }
 

@@ -89,6 +89,7 @@ impl FaultLog {
     }
 
     /// Add collateral losses to the most recent record.
+    #[cfg(test)]
     pub fn add_losses(&mut self, messages_lost: u64, connections_revoked: u32) {
         if let Some(e) = self.events.back_mut() {
             e.messages_lost += messages_lost;
@@ -167,7 +168,7 @@ impl Delivery {
 /// no wall-clock state — so two runs of the same scenario must compare
 /// equal with `==` regardless of how fast they executed. The differential
 /// tests rely on this to prove the idle-slot fast-forward path is
-/// bit-identical to slot-by-slot execution. Wall-clock throughput lives in
+/// bit-identical to slot-by-slot execution. The fast-forward count lives in
 /// the separate [`ThroughputGauge`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
@@ -400,24 +401,6 @@ impl Metrics {
         }
     }
 
-    /// Busy fraction of each link over the run's slots.
-    pub fn link_utilisation(&self) -> Vec<f64> {
-        let slots = self.slots.get().max(1) as f64;
-        self.link_busy_slots
-            .iter()
-            .map(|&b| b as f64 / slots)
-            .collect()
-    }
-
-    /// Deliveries of one traffic class.
-    pub fn class_count(&self, class: TrafficClass) -> u64 {
-        match class {
-            TrafficClass::RealTime => self.delivered_rt.get(),
-            TrafficClass::BestEffort => self.delivered_be.get(),
-            TrafficClass::NonRealTime => self.delivered_nrt.get(),
-        }
-    }
-
     /// RT deadline-miss ratio.
     pub fn rt_miss_ratio(&self) -> f64 {
         self.rt_deadline_misses
@@ -432,46 +415,16 @@ impl Metrics {
     }
 }
 
-/// Wall-clock throughput of the slot engine itself (simulator performance,
-/// not a property of the simulated network).
+/// Slot-engine counters that are not a property of the simulated network.
 ///
-/// Kept outside [`Metrics`] so that `Metrics` stays deterministic and
-/// comparable with `==` across runs; wall time never is.
+/// Kept outside [`Metrics`] so that `Metrics` compares equal with `==`
+/// between a run that steps every slot and one that skips idle stretches.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ThroughputGauge {
-    /// Wall-clock nanoseconds spent executing slots.
-    pub wall_nanos: u64,
-    /// Simulated slots executed in that time by the timed drivers,
-    /// [`crate::network::RingNetwork::run_slots`] and
-    /// [`crate::network::RingNetwork::run_until`] (fast-forwarded idle
-    /// slots count individually — they are the point of the optimisation).
-    pub slots: u64,
-    /// Slots that took the O(1) idle path, timed or not: those the timed
-    /// drivers fast-forward and those the untimed
-    /// [`crate::network::RingNetwork::advance_slot`] advances, so it is not
-    /// a subset of `slots`. Deterministic for a fixed scenario and run
-    /// pattern, so tests can assert the fast path actually engaged.
+    /// Slots that took the O(1) idle path. Deterministic for a fixed
+    /// scenario and run pattern, so tests can assert the fast path
+    /// actually engaged.
     pub fast_forwarded: u64,
-}
-
-impl ThroughputGauge {
-    /// Fresh, zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Account `slots` simulated slots executed over `wall` elapsed time.
-    pub fn record(&mut self, slots: u64, wall: std::time::Duration) {
-        self.slots += slots;
-        self.wall_nanos = self.wall_nanos.saturating_add(wall.as_nanos() as u64);
-    }
-
-    /// Simulated slots per wall-clock second, or `None` before any
-    /// measured work.
-    pub fn slots_per_sec(&self) -> Option<f64> {
-        (self.wall_nanos > 0 && self.slots > 0)
-            .then(|| self.slots as f64 * 1e9 / self.wall_nanos as f64)
-    }
 }
 
 #[cfg(test)]
@@ -589,16 +542,6 @@ mod tests {
         m.slots.add(10);
         m.idle_slots.add(4);
         assert!((m.busy_fraction() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn throughput_gauge_rates() {
-        let mut g = ThroughputGauge::new();
-        assert_eq!(g.slots_per_sec(), None);
-        g.record(1_000, std::time::Duration::from_millis(2));
-        g.record(1_000, std::time::Duration::from_millis(2));
-        // 2000 slots in 4 ms → 500k slots/s
-        assert!((g.slots_per_sec().unwrap() - 500_000.0).abs() < 1e-6);
     }
 
     #[test]

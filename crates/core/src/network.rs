@@ -210,7 +210,7 @@ impl<P: MacProtocol> RingNetwork<P> {
             scripted_corrupt_victims: NodeSet::EMPTY,
             reduce_op: ReduceOp::default(),
             metrics: Metrics::new(),
-            throughput: ThroughputGauge::new(),
+            throughput: ThroughputGauge::default(),
             rng,
             next_msg_id: 0,
             outcome: SlotOutcome::default(),
@@ -263,11 +263,8 @@ impl<P: MacProtocol> RingNetwork<P> {
         &self.metrics
     }
 
-    /// Wall-clock throughput of the slot engine, accumulated by
-    /// [`RingNetwork::run_slots`] / [`RingNetwork::run_until`] (direct
-    /// [`RingNetwork::step_slot`] and [`RingNetwork::advance_slot`] calls
-    /// are not timed; `advance_slot` still counts its idle-path slots in
-    /// [`ThroughputGauge::fast_forwarded`]).
+    /// Slot-engine counters kept outside [`Metrics`]: how many slots took
+    /// the O(1) idle path ([`ThroughputGauge::fast_forwarded`]).
     pub fn throughput(&self) -> ThroughputGauge {
         self.throughput
     }
@@ -598,8 +595,6 @@ impl<P: MacProtocol> RingNetwork<P> {
 
     /// Run `k` slots, fast-forwarding through provably idle stretches.
     pub fn run_slots(&mut self, k: u64) {
-        // ccr-verify: allow(nondeterminism) -- wall-clock throughput metric only; never feeds simulation state
-        let wall = std::time::Instant::now();
         let target = self.slot_index + k;
         while self.slot_index < target {
             let remaining = target - self.slot_index;
@@ -607,15 +602,11 @@ impl<P: MacProtocol> RingNetwork<P> {
                 self.step_slot();
             }
         }
-        self.throughput.record(k, wall.elapsed());
     }
 
     /// Run until simulated time reaches at least `t`, fast-forwarding
     /// through provably idle stretches.
     pub fn run_until(&mut self, t: SimTime) {
-        // ccr-verify: allow(nondeterminism) -- wall-clock throughput metric only; never feeds simulation state
-        let wall = std::time::Instant::now();
-        let start_index = self.slot_index;
         while self.slot_start < t {
             // The number of idle slots stepping would take to reach `t`
             // (idle slots have a zero hand-over gap, so each advances time
@@ -626,8 +617,6 @@ impl<P: MacProtocol> RingNetwork<P> {
                 self.step_slot();
             }
         }
-        self.throughput
-            .record(self.slot_index - start_index, wall.elapsed());
     }
 
     /// Advance up to `max_slots` slots in O(1) when the network is provably
@@ -754,20 +743,6 @@ impl<P: MacProtocol> RingNetwork<P> {
             set.insert(nd.id);
         }
         set
-    }
-
-    /// Advance exactly one slot, untimed: the O(1) idle path when the slot
-    /// is provably idle, [`RingNetwork::step_slot`] otherwise. Every
-    /// outcome field and metric matches `step_slot`'s; only
-    /// [`ThroughputGauge::fast_forwarded`] tells the two apart. This is the
-    /// per-slot entry for lockstep drivers (a bridged fabric steps each
-    /// ring once per fabric slot), which must not pay the two wall-clock
-    /// reads [`RingNetwork::run_slots`] takes for the gauge.
-    pub fn advance_slot(&mut self) -> &SlotOutcome {
-        if self.fast_forward_idle(1) == 0 {
-            self.step_slot();
-        }
-        &self.outcome
     }
 
     /// The outcome of the most recently executed (or fast-forwarded) slot.

@@ -215,6 +215,7 @@ impl NodeQueues {
     }
 
     /// Queue depth of one class.
+    #[cfg(test)]
     pub fn class_len(&self, class: TrafficClass) -> usize {
         self.queue(class).entries.len()
     }

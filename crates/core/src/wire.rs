@@ -121,6 +121,7 @@ impl ServiceWireConfig {
     };
 
     /// Same configuration with CRC protection enabled.
+    #[cfg(test)]
     pub const fn with_crc(mut self) -> Self {
         self.crc = true;
         self
@@ -551,6 +552,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits consumed so far.
+    #[cfg(test)]
     pub fn bit_pos(&self) -> u64 {
         self.pos
     }

@@ -1,9 +1,9 @@
 //! Differential tests: the idle-slot fast-forward must be *invisible* in
-//! every deterministic observable. Each scenario is run four ways —
+//! every deterministic observable. Each scenario is run three ways —
 //! slot-by-slot via `step_slot` (never fast-forwards), slot-by-slot via
-//! `run_slots(1)` and via the untimed `advance_slot` (each fast-forwards
-//! one slot at a time), and in one `run_slots(k)` chunk (fast-forwards
-//! whole idle stretches) — and all four must produce byte-identical
+//! `run_slots(1)` (fast-forwards one slot at a time, as the fabric's ring
+//! phase does), and in one `run_slots(k)` chunk (fast-forwards whole idle
+//! stretches) — and all three must produce byte-identical
 //! `Metrics`, identical per-slot outcome traces, and the same final
 //! clock, slot index and master.
 
@@ -50,7 +50,7 @@ fn fingerprint(out: &ccr_edf::network::SlotOutcome) -> SlotTrace {
     )
 }
 
-/// Drive `slots` slots four ways and assert every observable matches.
+/// Drive `slots` slots three ways and assert every observable matches.
 /// Returns the number of slots the chunked run fast-forwarded.
 fn assert_fast_forward_invisible(build: &dyn Fn() -> RingNetwork, slots: u64) -> u64 {
     // Reference: pure step_slot, which never takes the fast path.
@@ -75,26 +75,6 @@ fn assert_fast_forward_invisible(build: &dyn Fn() -> RingNetwork, slots: u64) ->
         stepped.metrics(),
         single.metrics(),
         "metrics differ (single)"
-    );
-
-    // Untimed per-slot driver: the fabric's ring phase.
-    let mut advanced = build();
-    let trace_advanced: Vec<SlotTrace> = (0..slots)
-        .map(|_| fingerprint(advanced.advance_slot()))
-        .collect();
-    assert_eq!(
-        trace_stepped, trace_advanced,
-        "per-slot outcome traces differ (advance_slot)"
-    );
-    assert_eq!(
-        stepped.metrics(),
-        advanced.metrics(),
-        "metrics differ (advance_slot)"
-    );
-    assert_eq!(
-        single.throughput().fast_forwarded,
-        advanced.throughput().fast_forwarded,
-        "advance_slot takes the idle path exactly where run_slots(1) does"
     );
 
     // Chunked driver: one run_slots call fast-forwards whole idle
@@ -388,14 +368,14 @@ fn fault_injection_disables_fast_forward() {
         net.metrics().tokens_lost.get() > 0,
         "faults must still fire"
     );
-    let mut advanced = RingNetwork::new_ccr_edf(c);
+    let mut single = RingNetwork::new_ccr_edf(c);
     for _ in 0..2_000 {
-        advanced.advance_slot();
+        single.run_slots(1);
     }
-    assert_eq!(advanced.throughput().fast_forwarded, 0);
+    assert_eq!(single.throughput().fast_forwarded, 0);
     assert_eq!(
-        advanced.metrics(),
+        single.metrics(),
         net.metrics(),
-        "advance_slot ≡ run_slots"
+        "run_slots(1) ≡ run_slots(k)"
     );
 }

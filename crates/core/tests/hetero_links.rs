@@ -43,7 +43,6 @@ fn per_link_propagation_and_aggregates() {
     assert_eq!(c.segment_prop(NodeId(1), 3), TimeDelta::from_ns(700));
     // worst (N-1)-hop segment = ring minus cheapest link (link 0)
     assert_eq!(c.max_handover(), TimeDelta::from_ns(700));
-    assert_eq!(c.max_link_prop(), TimeDelta::from_ns(400));
 }
 
 #[test]

@@ -171,7 +171,10 @@ fn decoders_never_panic_on_bit_flipped_packets() {
     for case in 0..256u64 {
         let mut rng = SeedSequence::new(0xB17F).stream("flip", case);
         let n = rng.gen_range(2u16..=64);
-        let svc = ServiceWireConfig::ALL.with_crc();
+        let svc = ServiceWireConfig {
+            crc: true,
+            ..ServiceWireConfig::ALL
+        };
         let coll = CollectionPacket {
             requests: arb_requests(&mut rng, n),
         };
@@ -225,7 +228,8 @@ fn arbitration_invariants() {
         let break_link = topo.ingress(plan.next_master);
         assert!(!acc.contains(break_link));
         // 3: hp granted + master
-        let order = CcrEdfMac::sorted_requesters(&requests);
+        let mut order = Vec::new();
+        CcrEdfMac::sorted_requesters_into(&requests, &mut order);
         match order.first() {
             Some(&hp) => {
                 assert_eq!(plan.next_master, hp);

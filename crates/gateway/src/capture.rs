@@ -1,13 +1,11 @@
 //! Recorded-datagram capture: a length-prefixed binary log of
-//! slot-stamped wire frames, written at the UDP edge and replayed
-//! bit-identically through the loopback backend.
+//! slot-stamped wire frames, replayed bit-identically through the
+//! loopback backend.
 //!
-//! The UDP backend quantises every arrival to a fabric slot index — the
-//! only timestamp the deterministic core accepts — so a capture is
-//! exactly a [`LoopbackBackend`] schedule serialised to bytes. Record a
-//! real overload session once, then soak it offline under any chaos
-//! config; E22 pins the replay down to identical egress bytes and
-//! `==`-equal metrics.
+//! Every record is stamped with a fabric slot index — the only timestamp
+//! the deterministic core accepts — so a capture is exactly a
+//! [`LoopbackBackend`] schedule serialised to bytes. E22 pins the replay
+//! down to identical egress bytes and `==`-equal metrics.
 //!
 //! Layout (all integers big-endian, like the wire header):
 //!
@@ -25,9 +23,6 @@
 //! [`CaptureError`], never a panic and never a silently shortened log.
 //!
 //! [`LoopbackBackend`]: crate::loopback::LoopbackBackend
-
-use std::io;
-use std::path::Path;
 
 /// First four bytes of every capture.
 pub const CAPTURE_MAGIC: [u8; 4] = *b"CCRC";
@@ -92,7 +87,7 @@ impl Capture {
     }
 
     /// Append one frame observed at `slot`. Slots must be offered
-    /// non-decreasing (arrival order *is* slot order at the UDP edge).
+    /// non-decreasing, as a slot-ordered arrival schedule is.
     ///
     /// # Panics
     /// Debug builds assert the slot monotonicity; release builds rely on
@@ -179,22 +174,6 @@ impl Capture {
         }
         Ok(Capture { records })
     }
-
-    /// Write the capture to `path`.
-    ///
-    /// The codec itself is `to_bytes`/`from_bytes` (pure, fully swept);
-    /// `save`/`load` only move those bytes to and from disk for operators
-    /// and never sit on a simulation path.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        // ccr-verify: allow(nondeterminism) -- persistence edge over the pure codec
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Read a capture back from `path`.
-    pub fn load(path: &Path) -> io::Result<Result<Self, CaptureError>> {
-        // ccr-verify: allow(nondeterminism) -- persistence edge over the pure codec
-        Ok(Self::from_bytes(&std::fs::read(path)?))
-    }
 }
 
 #[cfg(test)]
@@ -276,17 +255,5 @@ mod tests {
             Capture::from_bytes(&bytes),
             Err(CaptureError::OutOfOrder { record: 1 })
         ));
-    }
-
-    #[test]
-    fn save_and_load_through_a_file() {
-        let dir = std::env::temp_dir().join("ccr-capture-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("soak.ccrc");
-        let c = sample();
-        c.save(&path).unwrap();
-        let back = Capture::load(&path).unwrap().unwrap();
-        assert_eq!(back, c);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -4,11 +4,12 @@
 //!
 //! The fabric already has a chaos story ([`ccr_edf::fault::FaultScript`]
 //! corrupts the ring's control channel); this module gives the *edge*
-//! the same treatment. A [`WireChaos`] sits between a backend's arrival
-//! stream and [`Gateway::ingress`], mangling frames exactly the way a
-//! lossy wire would — but from a [`DetRng`] and a slot-indexed
-//! [`ChaosScript`], so a chaotic run is still a pure function of
-//! `(config, schedule, chaos seed, script)` and replays bit-identically.
+//! the same treatment. A [`WireChaos`] sits between the loopback
+//! backend's arrival schedule and [`Gateway::ingress`], mangling frames
+//! exactly the way a lossy wire would — but from a [`DetRng`] and a
+//! slot-indexed [`ChaosScript`], so a chaotic run is still a pure
+//! function of `(config, schedule, chaos seed, script)` and replays
+//! bit-identically.
 //! The differential suites hold it to that.
 //!
 //! Per offered frame the RNG draws one decision per impairment in a
@@ -185,6 +186,7 @@ impl WireChaos {
     }
 
     /// Frames currently held for later delivery.
+    #[cfg(test)]
     pub fn pending_delayed(&self) -> usize {
         self.delayed.len()
     }

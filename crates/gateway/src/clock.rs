@@ -44,11 +44,6 @@ impl WallClock {
         }
     }
 
-    /// The wall duration of one fabric slot (dilation applied).
-    pub fn slot_wall(&self) -> Duration {
-        self.slot
-    }
-
     /// The slot index the wall clock is currently inside.
     pub fn slot_now(&self) -> u64 {
         let elapsed = self.epoch.elapsed();

@@ -694,14 +694,4 @@ impl Gateway {
     pub fn link_health(&self, id: u16) -> Option<LinkHealth> {
         self.by_id.get(&id).map(|&i| self.links[i].health)
     }
-
-    /// The fabric connection a link rides, by wire id.
-    pub fn link_fid(&self, id: u16) -> Option<FabricConnectionId> {
-        self.by_id.get(&id).map(|&i| self.links[i].fid)
-    }
-
-    /// Served link ids, ascending.
-    pub fn link_ids(&self) -> impl Iterator<Item = u16> + '_ {
-        self.by_id.keys().copied()
-    }
 }

@@ -18,11 +18,9 @@
 //! - [`WallClock::sleep_until_slot`] lateness is aggregated into
 //!   [`JitterStats`] (p50/p99/max) on [`UdpRunStats`], so drift between
 //!   dilated sim time and the wall deadline is observable.
-//! - A [`Capture`] can record every drained arrival with its quantised
-//!   slot index; the log replays bit-identically through
-//!   [`LoopbackBackend`](crate::loopback::LoopbackBackend).
-//! - An optional [`WireChaos`] layer mangles arrivals exactly as on the
-//!   loopback backend (slot-indexed, deterministic given arrival order).
+//!
+//! Wire chaos and capture replay are exercised on the deterministic
+//! [`LoopbackBackend`](crate::loopback::LoopbackBackend), not here.
 //!
 //! The workspace carries no async runtime (zero external dependencies —
 //! a tokio/io_uring backend slots in behind the same [`handoff`]
@@ -45,8 +43,6 @@ use std::time::Duration;
 use ccr_multiring::engine::Fabric;
 use ccr_sim::TimeDelta;
 
-use crate::capture::Capture;
-use crate::chaos::WireChaos;
 use crate::clock::{JitterStats, WallClock};
 use crate::gateway::{ControlFrame, EgressFrame, Gateway};
 use crate::handoff::{handoff, HandoffReceiver, Stamped};
@@ -87,14 +83,9 @@ pub struct UdpBackend {
     /// Reply route: the peer that most recently sent a well-formed
     /// `Data` frame on each link.
     peers: HashMap<u16, SocketAddr>,
-    /// Optional wire-chaos layer applied to drained arrivals.
-    chaos: Option<WireChaos>,
-    /// Optional capture of drained arrivals, slot-stamped.
-    capture: Option<Capture>,
     arrivals: Vec<Stamped<(Vec<u8>, SocketAddr)>>,
     egress: Vec<EgressFrame>,
     controls: Vec<ControlFrame>,
-    chaos_out: Vec<Vec<u8>>,
     lateness_ns: Vec<u64>,
     wire_buf: Vec<u8>,
 }
@@ -136,12 +127,9 @@ impl UdpBackend {
             stop,
             clock: WallClock::new(slot, dilation),
             peers: HashMap::new(),
-            chaos: None,
-            capture: None,
             arrivals: Vec::new(),
             egress: Vec::new(),
             controls: Vec::new(),
-            chaos_out: Vec::new(),
             lateness_ns: Vec::new(),
             wire_buf: Vec::new(),
         })
@@ -152,28 +140,9 @@ impl UdpBackend {
         self.socket.local_addr()
     }
 
-    /// Interpose `chaos` between the handoff and ingress. Chaos slots
-    /// are run-relative (slot `k` of each [`UdpBackend::run`] call).
-    pub fn set_chaos(&mut self, chaos: WireChaos) {
-        self.chaos = Some(chaos);
-    }
-
-    /// Start recording drained arrivals into a fresh [`Capture`],
-    /// slot-stamped with the *fabric* slot they were quantised to — the
-    /// log replays through the loopback backend against a fabric built
-    /// from the same config.
-    pub fn start_capture(&mut self) {
-        self.capture = Some(Capture::new());
-    }
-
-    /// Stop recording and take the capture (None if never started).
-    pub fn take_capture(&mut self) -> Option<Capture> {
-        self.capture.take()
-    }
-
     /// Drive `slots` wall slots of the gateway+fabric pair: each slot,
-    /// drain the handoff, ingress the arrivals at the current sim time
-    /// (through chaos, when interposed), pace, step the fabric, send
+    /// drain the handoff, ingress the arrivals at the current sim time,
+    /// pace, step the fabric, send
     /// every egress frame back to its link's most recent peer as a
     /// `Deliver` wire frame, and transmit queued control frames.
     pub fn run(
@@ -190,35 +159,18 @@ impl UdpBackend {
             self.lateness_ns
                 .push(late.as_nanos().min(u64::MAX as u128) as u64);
             let now = fabric.now();
-            let fabric_slot = fabric.metrics().slots.get();
             gateway.reconcile(fabric);
             self.arrivals.clear();
             self.rx.drain(&mut self.arrivals);
-            self.chaos_out.clear();
-            if let Some(ch) = &mut self.chaos {
-                ch.release_due(k, &mut self.chaos_out);
-            }
             for s in &self.arrivals {
                 let (frame, peer) = (&s.value.0, s.value.1);
                 stats.frames_in += 1;
-                // Learn the reply route before ingress consumes the
-                // frame — even a frame chaos will mangle identifies the
-                // client that sent it (chaos models the wire *beyond*
-                // this socket, not the client's own uplink).
+                // Learn the reply route from every well-formed data frame.
                 if let Ok((h, _)) = Header::decode(frame) {
                     if h.kind == PacketKind::Data {
                         self.peers.insert(h.link, peer);
                     }
                 }
-                if let Some(cap) = &mut self.capture {
-                    cap.record(fabric_slot, frame);
-                }
-                match &mut self.chaos {
-                    Some(ch) => ch.offer(k, frame, &mut self.chaos_out),
-                    None => self.chaos_out.push(frame.clone()),
-                }
-            }
-            for frame in &self.chaos_out {
                 gateway.ingress(now, frame, fabric);
             }
             gateway.pace(now, fabric);

@@ -28,7 +28,7 @@
 //! deadline and a bridge hands a message to the next ring no later than
 //! the end of its segment budget. This summation argument is only sound on
 //! acyclic fabrics — cyclic ring graphs (see
-//! [`crate::topology::FabricTopology::is_cyclic`]) need network-calculus
+//! [`crate::topology::FabricTopology::cycle_bound`]) need network-calculus
 //! machinery beyond this model, which is why the topology builder rejects
 //! them by default.
 

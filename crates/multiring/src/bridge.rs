@@ -154,6 +154,7 @@ impl BridgeQueue {
     }
 
     /// Peek the earliest deadline without removing.
+    #[cfg(test)]
     pub fn earliest_deadline(&self) -> Option<SimTime> {
         self.items.iter().map(|p| p.msg.deadline).min()
     }

@@ -220,6 +220,7 @@ impl CalculusAdmission {
     }
 
     /// Number of flows currently certified.
+    #[cfg(test)]
     pub fn certified_flows(&self) -> usize {
         self.solver.len()
     }

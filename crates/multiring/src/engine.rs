@@ -5,7 +5,7 @@
 //! has three phases, all on the calling thread:
 //!
 //! 1. **Ring phase** — every ring advances one slot through
-//!    [`ccr_edf::network::RingNetwork::advance_slot`] in ring-index order:
+//!    [`ccr_edf::network::RingNetwork::run_slots`]`(1)` in ring-index order:
 //!    a provably idle ring takes the O(1) idle path, any other ring
 //!    executes `step_slot`, and both leave the same outcome, clock and
 //!    metrics, which are all the later phases read. Most ring slots of a
@@ -1004,6 +1004,7 @@ impl Fabric {
     // --- fault injection & self-healing --------------------------------
 
     /// Is bridge `b` still forwarding?
+    #[cfg(test)]
     pub fn bridge_alive(&self, b: usize) -> bool {
         b < self.dead_bridges.len() && !self.dead_bridges[b]
     }
@@ -1325,7 +1326,7 @@ impl Fabric {
         // any delivery is handled: a bridge hand-off is stamped with its
         // egress ring's post-step clock.
         for ring in &mut self.rings {
-            ring.advance_slot();
+            ring.run_slots(1);
         }
 
         // Phase 1.5 — health scan, fault runs only.

@@ -231,17 +231,6 @@ impl FabricMetrics {
         }
     }
 
-    /// Cumulative availability of ring `r` over all health-scanned slots
-    /// (1.0 when the ring was never degraded or never scanned).
-    pub fn ring_availability_total(&self, r: usize) -> f64 {
-        let total = self.slots.get();
-        let degraded = self.ring_degraded_slots.get(r).map_or(0, Counter::get);
-        if total == 0 {
-            return 1.0;
-        }
-        1.0 - degraded as f64 / total as f64
-    }
-
     // ccr-verify: event_path -- first-contact growth: runs once per new ring, not per slot
     fn grow_rings(&mut self, n: usize) {
         while self.ring_degraded_slots.len() < n {
@@ -314,8 +303,7 @@ mod tests {
         assert_eq!(m.ring_availability[0].points(), &[(511.0, 1.0)]);
         assert_eq!(m.ring_availability[1].points(), &[(511.0, 0.75)]);
         assert_eq!(m.ring_degraded_slots[1].get(), RING_AVAILABILITY_WINDOW / 4);
-        assert!((m.ring_availability_total(1) - 0.75).abs() < 1e-12);
-        assert_eq!(m.ring_availability_total(0), 1.0);
+        assert_eq!(m.ring_degraded_slots[0].get(), 0);
 
         // A partial window only lands once flushed.
         m.slots.incr();

@@ -20,9 +20,9 @@
 //! admission through the `ccr-calculus` min-plus fixed-point solver
 //! (certified finite e2e bounds, the default), while
 //! [`CycleBound::Unbounded`] is the explicit simulation-only escape
-//! hatch. The decision is preserved as [`FabricTopology::is_cyclic`] /
-//! [`FabricTopology::cycle_bound`] so admission and reporting layers can
-//! surface it.
+//! hatch. The decision is preserved as [`FabricTopology::cycle_bound`]
+//! (`Some` exactly for cyclic fabrics) so admission and reporting layers
+//! can surface it.
 
 use ccr_phys::NodeId;
 
@@ -273,7 +273,6 @@ impl FabricTopologyBuilder {
         Ok(FabricTopology {
             ring_sizes: self.ring_sizes.clone(),
             bridges: self.bridges.clone(),
-            cyclic,
             cycle_bound: if cyclic { self.cycle_bound } else { None },
         })
     }
@@ -285,7 +284,6 @@ impl FabricTopologyBuilder {
 pub struct FabricTopology {
     ring_sizes: Vec<u16>,
     bridges: Vec<Bridge>,
-    cyclic: bool,
     cycle_bound: Option<CycleBound>,
 }
 
@@ -360,12 +358,6 @@ impl FabricTopology {
         } else {
             2 * bridge + 1
         }
-    }
-
-    /// True when the ring graph contains a cycle (only possible when the
-    /// builder was told to allow them).
-    pub fn is_cyclic(&self) -> bool {
-        self.cyclic
     }
 
     /// The bounding policy this cyclic fabric was built with; `None` for
@@ -483,7 +475,7 @@ mod tests {
         let t = FabricTopology::chain(3, 4);
         assert_eq!(t.n_rings(), 3);
         assert_eq!(t.bridges().len(), 2);
-        assert!(!t.is_cyclic());
+        assert!(t.cycle_bound().is_none());
         let r = t.route(RingId(0), RingId(2), &[]).unwrap();
         assert_eq!(r.rings, vec![RingId(0), RingId(1), RingId(2)]);
         assert_eq!(r.bridges, vec![0, 1]);
@@ -555,7 +547,7 @@ mod tests {
         assert_eq!(err, TopologyError::CyclicFabric { closing_bridge: 2 });
         b.allow_cycles_with(CycleBound::Calculus);
         let t = b.build().unwrap();
-        assert!(t.is_cyclic());
+        assert!(t.cycle_bound().is_some());
         assert_eq!(t.cycle_bound(), Some(CycleBound::Calculus));
         // routes still defined (shortest path, one crossing each)
         assert_eq!(t.route(r0, r1, &[]).unwrap().bridges.len(), 1);

@@ -114,9 +114,6 @@ pub struct RunSummary {
     pub rejected_connections: u64,
     /// Messages still queued at the end (backlog).
     pub backlog: u64,
-    /// Simulated slots per wall-clock second (engine speed, not a network
-    /// property; 0.0 when nothing was timed).
-    pub slots_per_sec: f64,
 }
 
 impl RunSummary {
@@ -154,7 +151,6 @@ impl RunSummary {
             admitted_utilisation: net.admission().admitted_utilisation(),
             rejected_connections: rejected,
             backlog: net.queued_messages() as u64,
-            slots_per_sec: net.throughput().slots_per_sec().unwrap_or(0.0),
         }
     }
 }

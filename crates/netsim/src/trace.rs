@@ -105,6 +105,7 @@ impl TraceRecorder {
     }
 
     /// Slots in which the master moved.
+    #[cfg(test)]
     pub fn handovers(&self) -> impl Iterator<Item = &SlotRecord> {
         self.records.iter().filter(|r| r.handover_hops > 0)
     }
@@ -327,30 +328,6 @@ impl GatewayTraceRecorder {
     pub fn render(&self) -> String {
         self.table().render()
     }
-
-    /// Render the retained windows as JSON Lines (hand-rolled like
-    /// [`TraceRecorder::to_jsonl`]; every field is a number).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.records.len() * 96);
-        for r in &self.records {
-            out.push_str(&format!(
-                concat!(
-                    "{{\"slot\":{},\"frames_in\":{},\"injected\":{},",
-                    "\"shed\":{},\"nacks\":{},\"backoffs\":{},",
-                    "\"delivered\":{},\"deadline_missed\":{}}}\n"
-                ),
-                r.slot,
-                r.frames_in,
-                r.injected,
-                r.shed,
-                r.nacks,
-                r.backoffs,
-                r.delivered,
-                r.deadline_missed,
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -506,9 +483,5 @@ mod tests {
         assert_eq!(recs[1].deadline_missed, 1);
 
         assert!(tr.render().contains("gateway trace"));
-        let jsonl = tr.to_jsonl();
-        assert!(jsonl.contains("\"slot\":200,\"frames_in\":2,"));
-        assert!(jsonl.contains("\"shed\":1,\"nacks\":1,\"backoffs\":1,"));
-        assert!(jsonl.contains("\"deadline_missed\":1}"));
     }
 }

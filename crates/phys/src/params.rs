@@ -113,11 +113,6 @@ impl PhysParams {
         8.0 / self.clock_period.as_secs_f64()
     }
 
-    /// Control-channel bandwidth in bits per second (1 fibre × clock rate).
-    pub fn control_bandwidth_bps(&self) -> f64 {
-        1.0 / self.clock_period.as_secs_f64()
-    }
-
     /// Propagation delay across one link.
     ///
     /// # Panics
@@ -157,9 +152,8 @@ mod tests {
     #[test]
     fn default_matches_optobus_era() {
         let p = PhysParams::default();
-        // 400 MHz clock → 3.2 Gbit/s data channel, 400 Mbit/s control.
+        // 400 MHz clock → 3.2 Gbit/s data channel.
         assert!((p.data_bandwidth_bps() - 3.2e9).abs() < 1e3);
-        assert!((p.control_bandwidth_bps() - 4.0e8).abs() < 1e2);
     }
 
     #[test]

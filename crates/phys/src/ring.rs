@@ -246,11 +246,6 @@ impl RingTopology {
             .unwrap_or(0);
         self.segment_hops(from, max_hops)
     }
-
-    /// The destination set for a broadcast: every node except the sender.
-    pub fn broadcast_dests(self, from: NodeId) -> Vec<NodeId> {
-        self.nodes().filter(|&d| d != from).collect()
-    }
 }
 
 #[cfg(test)]
@@ -322,7 +317,7 @@ mod tests {
     fn broadcast_spans_n_minus_1_links() {
         let r = RingTopology::new(7);
         for from in r.nodes() {
-            let dests = r.broadcast_dests(from);
+            let dests: Vec<NodeId> = r.nodes().filter(|&d| d != from).collect();
             assert_eq!(dests.len(), 6);
             let seg = r.multicast_segment(from, dests);
             assert_eq!(seg.len(), 6);

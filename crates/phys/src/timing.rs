@@ -80,6 +80,7 @@ impl TimingModel {
     /// End-to-end delivery latency of a `bytes`-byte packet sent over
     /// `hops` hops: serialisation + propagation (cut-through, byte-level
     /// pipelining as in the paper's ribbon links).
+    #[cfg(test)]
     pub fn delivery_latency(&self, bytes: u32, hops: u16) -> TimeDelta {
         self.phys.data_tx_time(bytes) + self.phys.hops_prop(hops)
     }

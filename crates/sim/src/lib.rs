@@ -26,7 +26,7 @@ pub mod time;
 pub mod toml;
 
 pub use engine::{EventQueue, ScheduledEvent};
-pub use parallel::{parallel_map, parallel_map_chunked};
+pub use parallel::parallel_map;
 pub use rng::SeedSequence;
 pub use time::{SimTime, TimeDelta, TimeFromF64Error};
 

@@ -14,22 +14,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// The claim-protocol expressions shared verbatim between the worker loop
 /// below and the loom models in `verify/loom/src/lib.rs`.
 ///
-/// The loom models cannot link against `parallel_map_impl` directly
+/// The loom models cannot link against [`parallel_map`] directly
 /// (`std::thread::scope` has no loom shim), so they re-express the same
-/// protocol by hand. These constants pin the three expressions both sides
+/// protocol by hand. These constants pin the two expressions both sides
 /// must agree on; `tests::loom_models_pin_the_same_protocol` asserts each
 /// appears verbatim in both files, so editing the protocol here without
 /// updating the model (or vice versa) fails the build's test run rather
 /// than silently verifying a different algorithm.
 pub mod protocol {
-    /// The atomic claim: a read-modify-write hands each window start to
-    /// exactly one worker even under `Relaxed` ordering.
-    pub const CLAIM: &str = "next.fetch_add(chunk, Ordering::Relaxed)";
-    /// The termination check: a claimed start past the input length means
+    /// The atomic claim: a read-modify-write hands each index to exactly
+    /// one worker even under `Relaxed` ordering.
+    pub const CLAIM: &str = "next.fetch_add(1, Ordering::Relaxed)";
+    /// The termination check: a claimed index past the input length means
     /// the cursor has run dry.
-    pub const TERMINATE: &str = "start >= n";
-    /// The ragged-tail window bound for the chunked variant.
-    pub const TAIL: &str = "(start + chunk).min(n)";
+    pub const TERMINATE: &str = "i >= n";
 }
 
 /// Run `f` over `inputs` on up to `threads` worker threads, preserving
@@ -40,31 +38,6 @@ pub mod protocol {
 /// is re-raised on the calling thread via [`std::panic::resume_unwind`],
 /// exactly as if `f` had panicked inline.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    parallel_map_impl(inputs, threads, f, 1)
-}
-
-/// Like [`parallel_map`], but workers claim contiguous chunks of
-/// `chunk` indices per steal instead of single items.
-///
-/// Fewer cursor contentions per item; the trade-off is coarser load
-/// balancing at the tail. `benches/microbench.rs` compares the two on the
-/// sweep workload — for slot-engine-sized work items the difference is in
-/// the noise, so the per-item cursor stays the default.
-pub fn parallel_map_chunked<I, O, F>(inputs: Vec<I>, threads: usize, chunk: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    parallel_map_impl(inputs, threads, f, chunk.max(1))
-}
-
-fn parallel_map_impl<I, O, F>(inputs: Vec<I>, threads: usize, f: F, chunk: usize) -> Vec<O>
 where
     I: Sync,
     O: Send,
@@ -87,14 +60,11 @@ where
             handles.push(scope.spawn(move || {
                 let mut local: Vec<(usize, O)> = Vec::new();
                 loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
                         break;
                     }
-                    let end = (start + chunk).min(n);
-                    for (i, input) in (start..end).zip(&inputs_ref[start..end]) {
-                        local.push((i, f_ref(input)));
-                    }
+                    local.push((i, f_ref(&inputs_ref[i])));
                 }
                 local
             }));
@@ -169,14 +139,13 @@ mod tests {
         assert_eq!(out, expect);
     }
 
-    /// The determinism contract: for any input shape,
-    /// `parallel_map_chunked` must return byte-identical output to
-    /// `parallel_map`, whatever the thread count or chunk size. A
-    /// property-style loop over a few dozen (len × threads × chunk)
-    /// shapes, with a non-trivial per-item function whose output encodes
-    /// the item index so misplaced results are caught.
+    /// The determinism contract: for any input shape, `parallel_map` must
+    /// return byte-identical output whatever the thread count. A
+    /// property-style loop over (len × threads) shapes against the
+    /// one-thread reference, with a non-trivial per-item function whose
+    /// output encodes the item index so misplaced results are caught.
     #[test]
-    fn chunked_is_byte_identical_to_per_item_across_shapes() {
+    fn per_item_is_byte_identical_to_one_thread_across_shapes() {
         let work = |&x: &u64| -> Vec<u8> {
             let h = (0..64).fold(x ^ 0x9E37_79B9, |acc, i| {
                 acc.wrapping_mul(6364136223846793005).wrapping_add(i)
@@ -189,13 +158,6 @@ mod tests {
             for threads in [1usize, 2, 3, 8] {
                 let per_item = parallel_map(inputs.clone(), threads, work);
                 assert_eq!(per_item, reference, "len={len} threads={threads}");
-                for chunk in [0usize, 1, 2, 5, 16, 1024] {
-                    let chunked = parallel_map_chunked(inputs.clone(), threads, chunk, work);
-                    assert_eq!(
-                        chunked, reference,
-                        "len={len} threads={threads} chunk={chunk}"
-                    );
-                }
             }
         }
     }
@@ -219,19 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn panic_in_chunked_variant_propagates_too() {
-        let result = std::panic::catch_unwind(|| {
-            parallel_map_chunked((0..64u64).collect(), 4, 8, |&x| {
-                if x == 60 {
-                    panic!("late panic");
-                }
-                x
-            })
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
     }
@@ -250,7 +199,6 @@ mod tests {
         for (name, expr) in [
             ("CLAIM", super::protocol::CLAIM),
             ("TERMINATE", super::protocol::TERMINATE),
-            ("TAIL", super::protocol::TAIL),
         ] {
             // The constant's own definition also matches in this file;
             // require a second occurrence — the real worker-loop code.

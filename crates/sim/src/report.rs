@@ -50,6 +50,7 @@ impl Table {
     }
 
     /// Append one row from displayable values.
+    #[cfg(test)]
     pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
         let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
         self.row(&cells);

@@ -166,6 +166,7 @@ impl Histogram {
     }
 
     /// Iterate non-empty buckets as `(lower_edge, count)`.
+    #[cfg(test)]
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()

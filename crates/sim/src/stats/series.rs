@@ -43,11 +43,13 @@ impl Series {
 
     /// The y value recorded for the smallest x ≥ `x`, if any
     /// (assumes points were pushed in ascending x order).
+    #[cfg(test)]
     pub fn y_at_or_after(&self, x: f64) -> Option<f64> {
         self.points.iter().find(|(px, _)| *px >= x).map(|(_, y)| *y)
     }
 
     /// Linear interpolation of y at `x`; `None` outside the x range.
+    #[cfg(test)]
     pub fn interpolate(&self, x: f64) -> Option<f64> {
         if self.points.is_empty() {
             return None;
@@ -67,6 +69,7 @@ impl Series {
 
     /// The x at which the series first crosses `threshold` going upward,
     /// linearly interpolated; `None` if it never does.
+    #[cfg(test)]
     pub fn first_upward_crossing(&self, threshold: f64) -> Option<f64> {
         for w in self.points.windows(2) {
             let (x0, y0) = w[0];

@@ -61,11 +61,13 @@ impl Summary {
     }
 
     /// Sample (Bessel-corrected) variance; `None` for fewer than 2 samples.
+    #[cfg(test)]
     pub fn sample_variance(&self) -> Option<f64> {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
     }
 
     /// Population standard deviation.
+    #[cfg(test)]
     pub fn std_dev(&self) -> Option<f64> {
         self.variance().map(f64::sqrt)
     }

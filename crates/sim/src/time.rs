@@ -145,6 +145,7 @@ impl TimeDelta {
 
     /// Construct from fractional nanoseconds, rounding to the nearest ps.
     #[inline]
+    #[cfg(test)]
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns >= 0.0 && ns.is_finite());
         TimeDelta((ns * PS_PER_NS as f64).round() as u64)
@@ -231,6 +232,7 @@ impl TimeDelta {
     /// # Panics
     /// Panics if `other` is zero.
     #[inline]
+    #[cfg(test)]
     pub fn div_delta(self, other: TimeDelta) -> u64 {
         self.0 / other.0
     }

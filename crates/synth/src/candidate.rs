@@ -30,14 +30,6 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// Every station on one ring — the cheapest conceivable shape.
-    pub fn single_ring(stations: u16) -> Self {
-        Candidate {
-            rings: vec![(0..stations).map(StationId).collect()],
-            bridges: Vec::new(),
-        }
-    }
-
     /// Bridges incident to ring `r`, in global bridge order.
     fn incident(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
         self.bridges
@@ -218,9 +210,6 @@ mod tests {
         c.bridges.clear();
         assert!(!c.connected());
         assert!(!c.shape_ok(), "multi-ring candidates need bridges");
-        let single = Candidate::single_ring(6);
-        assert!(single.shape_ok() && single.connected());
-        assert_eq!(single.n_nodes(), 6);
     }
 
     #[test]

@@ -46,6 +46,7 @@ impl PeriodicSetBuilder {
     }
 
     /// Restrict destinations to at most `hops` downstream of the source.
+    #[cfg(test)]
     pub fn locality(mut self, hops: u16) -> Self {
         self.locality_hops = Some(hops);
         self
@@ -101,6 +102,7 @@ impl PeriodicSetBuilder {
     }
 
     /// Generate and report the achieved utilisation (after rounding).
+    #[cfg(test)]
     pub fn generate_with_util(&self, rng: &mut DetRng) -> (Vec<ConnectionSpec>, f64) {
         let set = self.generate(rng);
         let u = set.iter().map(|s| s.utilisation(self.slot)).sum();

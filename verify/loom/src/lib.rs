@@ -1,13 +1,12 @@
 //! loom models of the concurrency protocol in `crates/sim/src/parallel.rs`.
 //!
-//! `parallel_map_impl` relies on exactly two synchronisation facts:
+//! `parallel_map` relies on exactly two synchronisation facts:
 //!
 //! 1. **Claim partition** — workers claim input indices with
-//!    `next.fetch_add(chunk, Ordering::Relaxed)` and stop once the claimed
-//!    start passes `n`. Because `fetch_add` is an atomic read-modify-write,
-//!    every index in `0..n` is claimed by *exactly one* worker even under
-//!    `Relaxed` ordering, including the chunked variant's
-//!    `(start + chunk).min(n)` tail window.
+//!    `next.fetch_add(1, Ordering::Relaxed)` and stop once the claimed
+//!    index reaches `n` (`i >= n`). Because `fetch_add` is an atomic
+//!    read-modify-write, every index in `0..n` is claimed by *exactly one*
+//!    worker even under `Relaxed` ordering.
 //! 2. **Publish-then-join visibility** — each worker writes its results
 //!    unsynchronised (no locks, no atomics) into slots it exclusively
 //!    claimed; the caller only reads them after `join()`, whose
@@ -17,8 +16,7 @@
 //! shim, so the models re-express the identical protocol with
 //! `loom::thread::spawn` + `join`. Problem sizes are tiny (2 workers,
 //! n ≤ 4) to keep the exhaustive interleaving search tractable; the
-//! protocol has no size-dependent behaviour beyond the tail window, which
-//! the chunked model covers explicitly.
+//! protocol has no size-dependent behaviour.
 
 #[cfg(test)]
 mod models {
@@ -40,23 +38,20 @@ mod models {
         }
     }
 
-    /// Run the worker loop of `parallel_map_impl` against `slots`: claim
-    /// `chunk`-sized windows off the shared cursor and bump every claimed
-    /// slot. "f(x) = slot += 1" makes double-claims visible as counts > 1.
-    fn worker(next: &AtomicUsize, slots: &Slots, n: usize, chunk: usize) {
+    /// Run the worker loop of `parallel_map` against `slots`: claim indices
+    /// off the shared cursor and bump every claimed slot. "f(x) = slot += 1"
+    /// makes double-claims visible as counts > 1.
+    fn worker(next: &AtomicUsize, slots: &Slots, n: usize) {
         loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
                 break;
             }
-            let end = (start + chunk).min(n);
-            for i in start..end {
-                slots.0[i].with_mut(|p| unsafe { *p += 1 });
-            }
+            slots.0[i].with_mut(|p| unsafe { *p += 1 });
         }
     }
 
-    fn check_partition(n: usize, chunk: usize, workers: usize) {
+    fn check_partition(n: usize, workers: usize) {
         loom::model(move || {
             let next = Arc::new(AtomicUsize::new(0));
             let slots = Arc::new(Slots::new(n));
@@ -64,7 +59,7 @@ mod models {
                 .map(|_| {
                     let next = Arc::clone(&next);
                     let slots = Arc::clone(&slots);
-                    thread::spawn(move || worker(&next, &slots, n, chunk))
+                    thread::spawn(move || worker(&next, &slots, n))
                 })
                 .collect();
             for h in handles {
@@ -82,22 +77,14 @@ mod models {
     /// exactly, with no lost or doubly-claimed index, in every interleaving.
     #[test]
     fn per_item_claims_partition_the_range() {
-        check_partition(3, 1, 2);
+        check_partition(3, 2);
     }
 
-    /// Chunked claiming (`parallel_map_chunked`) with a ragged tail:
-    /// n = 3, chunk = 2 exercises the `(start + chunk).min(n)` bound — the
-    /// second window must shrink to the single trailing index.
-    #[test]
-    fn chunked_claims_partition_ragged_tail() {
-        check_partition(3, 2, 2);
-    }
-
-    /// More workers than items: surplus workers must observe `start >= n`
+    /// More workers than items: surplus workers must observe `i >= n`
     /// and exit without touching any slot.
     #[test]
     fn surplus_workers_terminate_without_claiming() {
-        check_partition(1, 1, 3);
+        check_partition(1, 3);
     }
 
     /// The visibility claim in isolation: results written by a worker
