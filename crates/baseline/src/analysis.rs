@@ -40,11 +40,11 @@ impl CcFprAnalysis {
         CcFprAnalysis {
             n_nodes: cfg.n_nodes,
             slot: cfg.slot_time(),
-            hop_gap: cfg.timing().handover_time(1),
+            hop_gap: AnalyticModel::new(cfg).max_link_prop(),
         }
     }
 
-    /// The constant hand-over gap (always one hop).
+    /// The constant hand-over gap: one hop, priced at the longest link.
     pub fn constant_gap(&self) -> TimeDelta {
         self.hop_gap
     }
@@ -90,7 +90,8 @@ mod tests {
     fn constant_gap_is_one_hop() {
         let c = cfg(10);
         let a = CcFprAnalysis::new(&c);
-        assert_eq!(a.constant_gap(), c.timing().handover_time(1));
+        let one_hop = AnalyticModel::new(&c).segment_prop(ccr_edf::NodeId(0), 1);
+        assert_eq!(a.constant_gap(), one_hop);
         assert!(a.slot_time_fraction() > 0.9, "short constant gap");
     }
 

@@ -206,7 +206,7 @@ fn bench_admission(c: &mut Criterion) {
         .period(ccr_sim::TimeDelta::from_ms(1))
         .size_slots(1);
     c.bench_function("admission_check", |b| {
-        let ctl = ccr_edf::admission::AdmissionController::new(model, topo);
+        let ctl = ccr_edf::admission::AdmissionController::new(model.clone(), topo);
         b.iter(|| ctl.check(black_box(&spec)))
     });
     // demand-bound feasibility over a 20-connection constrained set

@@ -27,7 +27,7 @@ use ccr_sim::TimeDelta;
 /// The ring's rate-latency abstraction, exactly as the fabric certifier
 /// builds it: `R` in slots per picosecond, `T` in picoseconds.
 fn ring_service(model: &AnalyticModel) -> ServiceCurve {
-    let per_slot = (model.slot() + model.max_handover()).as_ps() as f64;
+    let per_slot = model.guaranteed_period().as_ps() as f64;
     let latency = model.worst_latency().as_ps() as f64;
     ServiceCurve::rate_latency(1.0 / per_slot, latency).expect("valid ring service curve")
 }
@@ -41,7 +41,7 @@ fn flow_arrival(spec: &ConnectionSpec) -> ArrivalCurve {
 }
 
 fn sweep_windows(model: &AnalyticModel) -> Vec<u64> {
-    let per_slot = (model.slot() + model.max_handover()).as_ps();
+    let per_slot = model.guaranteed_period().as_ps();
     let latency = model.worst_latency().as_ps();
     let mut ts = vec![0, 1, per_slot - 1, per_slot, per_slot + 1, latency];
     for k in 1..=256u64 {
@@ -112,7 +112,7 @@ fn single_ring_delay_bound_dominates_worst_latency() {
         "calculus bound {bound}ps below analytic worst latency {worst}ps"
     );
     // And it stays finite and sane: latency plus the burst drained at R.
-    let per_slot = (model.slot() + model.max_handover()).as_ps() as f64;
+    let per_slot = model.guaranteed_period().as_ps() as f64;
     let expected = worst + 3.0 * per_slot;
     assert!(
         (bound - expected).abs() < 1e-6,

@@ -209,25 +209,14 @@ impl RuleConfig {
                     "inverse of downstream, pinned by proptests",
                 ),
                 (
-                    "ccr-phys",
-                    "with_link_length",
-                    "link length swept by the timing proptests",
-                ),
-                (
                     "ccr-sim",
                     "from_ns",
                     "ns member of the from_ps/us/ms constructors",
                 ),
-                ("ccr-sim", "merge", "stats combination, pinned by proptests"),
                 (
                     "ccr-sim",
                     "n_rows",
                     "row counts asserted by ccr-netsim's tests",
-                ),
-                (
-                    "ccr-sim",
-                    "variance",
-                    "Summary moment; the merge proptest reads it",
                 ),
             ],
         }

@@ -401,7 +401,7 @@ mod tests {
                 .deadline(slot * 7)
         };
         // utilisation policy (paper) happily admits both…
-        let mut util = AdmissionController::new(model, cfg.topology());
+        let mut util = AdmissionController::new(model.clone(), cfg.topology());
         util.admit(&tight(1)).unwrap();
         util.admit(&tight(2)).unwrap();
         // …the demand-bound policy refuses the second.

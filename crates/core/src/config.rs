@@ -9,10 +9,11 @@
 //! within slot N).
 
 use crate::admission::AdmissionPolicy;
+use crate::analysis::AnalyticModel;
 use crate::fault::{FaultKind, FaultScript};
 use crate::priority::MapperKind;
 use crate::wire::{self, ServiceWireConfig};
-use ccr_phys::{LinkId, NodeId, PhysParams, RingTopology, TimingModel};
+use ccr_phys::{NodeId, PhysParams, RingTopology};
 use ccr_sim::TimeDelta;
 
 /// Fault-injection parameters (Section 8 "future work", implemented here as
@@ -193,57 +194,6 @@ impl NetworkConfig {
         RingTopology::new(self.n_nodes)
     }
 
-    /// The timing model for this ring.
-    pub fn timing(&self) -> TimingModel {
-        TimingModel::new(self.phys, self.n_nodes)
-    }
-
-    /// Propagation delay of one specific link (honours per-link lengths).
-    pub fn link_prop_of(&self, link: LinkId) -> TimeDelta {
-        match &self.link_lengths_m {
-            Some(ls) => {
-                TimeDelta::try_from_ps_f64(self.phys.prop_per_m.as_ps() as f64 * ls[link.idx()])
-                    .expect("invariant: validated link lengths yield representable delays")
-            }
-            None => self.phys.link_prop(),
-        }
-    }
-
-    /// Propagation over the contiguous segment of `hops` links starting at
-    /// `from`'s egress.
-    pub fn segment_prop(&self, from: NodeId, hops: u16) -> TimeDelta {
-        let n = self.n_nodes;
-        debug_assert!(hops <= n);
-        let mut acc = TimeDelta::ZERO;
-        for k in 0..hops {
-            acc += self.link_prop_of(LinkId((from.0 + k) % n));
-        }
-        acc
-    }
-
-    /// Propagation around the whole ring (`t_prop` of Equation 2).
-    pub fn ring_prop(&self) -> TimeDelta {
-        self.segment_prop(NodeId(0), self.n_nodes)
-    }
-
-    /// Worst-case hand-over gap: the longest (N−1)-hop segment — equal to
-    /// `P·L·(N−1)` for homogeneous links, segment-exact otherwise.
-    pub fn max_handover(&self) -> TimeDelta {
-        match &self.link_lengths_m {
-            None => self.timing().max_handover(),
-            Some(_) => {
-                // ring minus the cheapest single link
-                let min_link = self
-                    .topology()
-                    .links()
-                    .map(|l| self.link_prop_of(l))
-                    .min()
-                    .unwrap_or(TimeDelta::ZERO);
-                self.ring_prop() - min_link
-            }
-        }
-    }
-
     /// Per-node control-packet delay `t_node` (Equation 2): fixed
     /// processing latency plus serialisation of one request.
     pub fn t_node(&self) -> TimeDelta {
@@ -258,42 +208,13 @@ impl NetworkConfig {
         self.phys.data_tx_time(self.slot_bytes)
     }
 
-    /// Time for the collection phase to circulate: `N · t_node + t_prop`
-    /// (Equation 2's lower bound on the slot length; segment-exact for
-    /// heterogeneous links).
-    pub fn collection_time(&self) -> TimeDelta {
-        self.t_node() * self.n_nodes as u64 + self.ring_prop()
-    }
-
-    /// Transmission + worst-case propagation time of the distribution
-    /// packet (its N−1 hops start at whichever node is master).
-    pub fn distribution_time(&self) -> TimeDelta {
-        let bits = wire::distribution_bits(self.n_nodes, self.services);
-        self.phys.control_tx_time(bits) + self.max_handover()
-    }
-
-    /// The slot length the control phases require: collection followed by
-    /// arbitration/distribution must fit within one slot (Figure 3).
-    pub fn control_phases_time(&self) -> TimeDelta {
-        self.collection_time() + self.distribution_time()
-    }
-
-    /// Minimum feasible slot payload in bytes for this configuration.
-    pub fn min_feasible_slot_bytes(&self) -> u32 {
-        let need = self.control_phases_time().as_ps();
-        let per_byte = self.phys.clock_period.as_ps();
-        need.div_ceil(per_byte) as u32
-    }
-
     /// Validate all constraints.
     // ccr-verify: event_path -- config validation runs once at network build
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.slot_bytes == 0 {
             return Err(ConfigError::EmptySlot);
         }
-        if let Err(e) = self.phys.validate() {
-            return Err(ConfigError::BadPhysParams(e.to_string()));
-        }
+        let model = AnalyticModel::try_new(self)?;
         self.faults.validate()?;
         if self.faults.recovery_timeout_slots == 0 && self.fault_script.has_clock_faults() {
             return Err(ConfigError::ZeroRecoveryTimeout);
@@ -307,21 +228,7 @@ impl NetworkConfig {
                 }
             }
         }
-        if let Some(ls) = &self.link_lengths_m {
-            if ls.len() != self.n_nodes as usize {
-                return Err(ConfigError::BadLinkLengths(format!(
-                    "{} entries for {} links",
-                    ls.len(),
-                    self.n_nodes
-                )));
-            }
-            if ls.iter().any(|&l| l <= 0.0 || !l.is_finite()) {
-                return Err(ConfigError::BadLinkLengths(
-                    "lengths must be positive and finite".into(),
-                ));
-            }
-        }
-        let need = self.min_feasible_slot_bytes();
+        let need = model.min_slot_bytes();
         if self.slot_bytes < need {
             return Err(ConfigError::SlotTooShort {
                 got_bytes: self.slot_bytes,
@@ -347,21 +254,9 @@ impl NetworkConfigBuilder {
         self
     }
 
-    /// Set physical parameters.
-    pub fn phys(mut self, p: PhysParams) -> Self {
-        self.cfg.phys = p;
-        self
-    }
-
     /// Set the link length in metres, keeping other physical defaults.
     pub fn link_length_m(mut self, m: f64) -> Self {
         self.cfg.phys.link_length_m = m;
-        self
-    }
-
-    /// Choose the laxity mapper.
-    pub fn mapper(mut self, m: MapperKind) -> Self {
-        self.cfg.mapper = m;
         self
     }
 
@@ -422,10 +317,8 @@ impl NetworkConfigBuilder {
     /// Build, automatically enlarging the slot to the minimum feasible
     /// size if the requested one is too short.
     pub fn build_auto_slot(mut self) -> Result<NetworkConfig, ConfigError> {
-        let need = self.cfg.min_feasible_slot_bytes();
-        if self.cfg.slot_bytes < need {
-            self.cfg.slot_bytes = need;
-        }
+        let need = AnalyticModel::try_new(&self.cfg)?.min_slot_bytes();
+        self.cfg.slot_bytes = self.cfg.slot_bytes.max(need);
         self.build()
     }
 }
@@ -438,7 +331,7 @@ mod tests {
     fn default_config_is_valid() {
         let cfg = NetworkConfig::builder(8).build().unwrap();
         assert_eq!(cfg.n_nodes, 8);
-        assert!(cfg.slot_time() >= cfg.control_phases_time());
+        assert!(cfg.slot_time() >= AnalyticModel::new(&cfg).control_phases_time());
     }
 
     #[test]
@@ -451,8 +344,8 @@ mod tests {
     #[test]
     fn equation2_collection_time() {
         let cfg = NetworkConfig::builder(4).build().unwrap();
-        let expect = cfg.t_node() * 4 + cfg.phys.hops_prop(4);
-        assert_eq!(cfg.collection_time(), expect);
+        let expect = cfg.t_node() * 4 + cfg.phys.link_prop() * 4;
+        assert_eq!(AnalyticModel::new(&cfg).collection_time(), expect);
     }
 
     #[test]
@@ -485,7 +378,7 @@ mod tests {
             .slot_bytes(1)
             .build_auto_slot()
             .unwrap();
-        assert_eq!(cfg.slot_bytes, cfg.min_feasible_slot_bytes());
+        assert_eq!(cfg.slot_bytes, AnalyticModel::new(&cfg).min_slot_bytes());
     }
 
     #[test]
@@ -596,7 +489,9 @@ mod tests {
             .services(ServiceWireConfig::ALL)
             .build_auto_slot()
             .unwrap();
-        assert!(all.min_feasible_slot_bytes() > plain.min_feasible_slot_bytes());
+        assert!(
+            AnalyticModel::new(&all).min_slot_bytes() > AnalyticModel::new(&plain).min_slot_bytes()
+        );
         assert!(all.t_node() > plain.t_node());
     }
 
@@ -610,7 +505,10 @@ mod tests {
             .link_length_m(500.0)
             .build_auto_slot()
             .unwrap();
-        assert!(long.min_feasible_slot_bytes() > short.min_feasible_slot_bytes());
+        assert!(
+            AnalyticModel::new(&long).min_slot_bytes()
+                > AnalyticModel::new(&short).min_slot_bytes()
+        );
     }
 
     #[test]

@@ -44,8 +44,7 @@ pub fn demand_slots(spec: &ConnectionSpec, t: TimeDelta) -> u64 {
 /// Worst-case slot supply in a window of length `t`: one slot per
 /// `t_slot + t_handover_max`.
 pub fn supply_slots(model: &AnalyticModel, t: TimeDelta) -> u64 {
-    let per_slot = model.slot() + model.max_handover();
-    t.as_ps() / per_slot.as_ps()
+    t.as_ps() / model.guaranteed_period().as_ps()
 }
 
 /// Outcome of the demand-bound feasibility test.
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn supply_is_worst_case_slot_rate() {
         let m = model();
-        let per = m.slot() + m.timing().max_handover();
+        let per = m.slot() + m.max_handover();
         assert_eq!(supply_slots(&m, per * 7), 7);
         assert_eq!(supply_slots(&m, per * 7 - TimeDelta::from_ps(1)), 6);
         assert_eq!(supply_slots(&m, TimeDelta::ZERO), 0);

@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::message::{Destination, Message, MessageId, TrafficClass};
     pub use crate::metrics::Metrics;
     pub use crate::network::RingNetwork;
-    pub use crate::priority::{Priority, PriorityMapper};
+    pub use crate::priority::Priority;
     pub use ccr_phys::{LinkId, LinkSet, NodeId, RingTopology};
     pub use ccr_sim::{SimTime, TimeDelta};
 }

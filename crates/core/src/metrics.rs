@@ -7,7 +7,7 @@
 use crate::connection::ConnectionId;
 use crate::fault::FaultKind;
 use crate::message::{Message, TrafficClass};
-use ccr_sim::stats::{Counter, Histogram, Summary};
+use ccr_sim::stats::{Counter, Histogram};
 use ccr_sim::{SimTime, TimeDelta};
 use std::collections::{HashMap, VecDeque};
 
@@ -136,8 +136,9 @@ pub struct ConnStats {
     /// User-level bound violations (completion after
     /// `release + P + t_latency`, Equations 3–4).
     pub bound_violations: Counter,
-    /// Delivery latency (release → last byte at furthest receiver), ps.
-    pub latency: Summary,
+    /// Sum of delivery latencies (release → last byte at furthest
+    /// receiver), ps; `delivered` is the count that divides it.
+    pub latency_sum_ps: u64,
 }
 
 /// A delivered message with its completion time (drained by applications
@@ -205,8 +206,6 @@ pub struct Metrics {
     pub handover_hops: Histogram,
     /// Slots on which the master moved.
     pub master_changes: Counter,
-    /// Grants per slot (spatial-reuse factor).
-    pub grants_per_slot: Summary,
     /// Payload bytes delivered to receivers.
     pub data_bytes: Counter,
     /// Control-channel bits spent (collection + distribution).
@@ -280,7 +279,6 @@ impl Default for Metrics {
             handover_gap: Histogram::for_latency(),
             handover_hops: Histogram::new(6),
             master_changes: Counter::new(),
-            grants_per_slot: Summary::new(),
             data_bytes: Counter::new(),
             control_bits: Counter::new(),
             data_lost: Counter::new(),
@@ -336,7 +334,7 @@ impl Metrics {
                 if let Some(conn) = d.msg.connection {
                     let cs = self.per_conn.entry(conn).or_default();
                     cs.delivered.incr();
-                    cs.latency.record(lat as f64);
+                    cs.latency_sum_ps += lat;
                     if missed {
                         cs.misses.incr();
                     }
@@ -369,9 +367,9 @@ impl Metrics {
         (self.slots.get() as f64 * slot.as_ps() as f64) / total
     }
 
-    /// Mean grants per non-idle... per slot (spatial-reuse factor).
+    /// Mean grants per slot (spatial-reuse factor).
     pub fn reuse_factor(&self) -> f64 {
-        self.grants_per_slot.mean().unwrap_or(0.0)
+        self.grants.fraction_of_counter(&self.slots)
     }
 
     /// Fraction of slots that carried at least one transmission.

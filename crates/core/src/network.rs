@@ -156,9 +156,6 @@ pub struct RingNetwork<P: MacProtocol = CcrEdfMac> {
     ack_expired_scratch: Vec<(u8, QueueKey)>,
     // cached derived quantities
     t_slot: TimeDelta,
-    t_node: TimeDelta,
-    /// Per-link propagation delay (heterogeneous-aware), indexed by link.
-    link_props: Vec<TimeDelta>,
     slot_ps: u64,
     collection_bits: u32,
     distribution_bits: u32,
@@ -182,11 +179,9 @@ impl<P: MacProtocol> RingNetwork<P> {
         let topo = cfg.topology();
         let model = AnalyticModel::new(&cfg);
         let nodes = topo.nodes().map(Node::new).collect();
-        let admission = AdmissionController::with_policy(model, topo, cfg.admission_policy);
+        let admission = AdmissionController::with_policy(model.clone(), topo, cfg.admission_policy);
         let rng = DetRng::new(cfg.seed ^ 0x5EED_CAFE);
         let t_slot = cfg.slot_time();
-        let t_node = cfg.t_node();
-        let link_props: Vec<TimeDelta> = topo.links().map(|l| cfg.link_prop_of(l)).collect();
         let collection_bits = wire::collection_bits(cfg.n_nodes, cfg.services);
         let distribution_bits = wire::distribution_bits(cfg.n_nodes, cfg.services);
         let worst_latency = model.worst_latency();
@@ -222,26 +217,12 @@ impl<P: MacProtocol> RingNetwork<P> {
             staged_scratch: Vec::new(),
             ack_expired_scratch: Vec::new(),
             t_slot,
-            t_node,
-            link_props,
             slot_ps: t_slot.as_ps(),
             collection_bits,
             distribution_bits,
             worst_latency,
             cfg,
         }
-    }
-
-    /// Propagation over `hops` consecutive links starting at `from`'s
-    /// egress (heterogeneous-aware).
-    #[inline]
-    fn seg_prop(&self, from: NodeId, hops: u16) -> TimeDelta {
-        let n = self.cfg.n_nodes;
-        let mut acc = TimeDelta::ZERO;
-        for k in 0..hops {
-            acc += self.link_props[((from.0 + k) % n) as usize];
-        }
-        acc
     }
 
     // ------------------------------------------------------------------
@@ -696,12 +677,6 @@ impl<P: MacProtocol> RingNetwork<P> {
         }
         self.metrics.slots.add(k);
         self.metrics.idle_slots.add(k);
-        // Welford running stats have no closed-form bulk update that is
-        // bit-identical to k sequential samples — loop (cheap: one branch
-        // and a handful of flops per slot, no heap).
-        for _ in 0..k {
-            self.metrics.grants_per_slot.record(0.0);
-        }
         self.metrics
             .control_bits
             .add(k * (self.collection_bits as u64 + self.distribution_bits as u64));
@@ -805,7 +780,6 @@ impl<P: MacProtocol> RingNetwork<P> {
         self.outcome.grant_count = granted;
         self.metrics.slots.incr();
         self.metrics.grants.add(granted as u64);
-        self.metrics.grants_per_slot.record(granted as f64);
         if granted == 0 {
             self.metrics.idle_slots.incr();
         }
@@ -831,13 +805,11 @@ impl<P: MacProtocol> RingNetwork<P> {
         let mut booked = LinkSet::EMPTY;
         self.requests.clear();
         self.requests.resize(n as usize, Request::IDLE);
-        let mut hop_delay = TimeDelta::ZERO; // accumulated per-link propagation
         for pos in 0..n {
             // The node `pos` hops downstream of the master.
             let raw = self.master.0 + pos;
             let nid = NodeId(if raw >= n { raw - n } else { raw });
-            let decision_time = t0 + self.t_node * pos as u64 + hop_delay;
-            hop_delay += self.link_props[nid.idx()];
+            let decision_time = t0 + self.model.collection_offset(self.master, pos);
             if self
                 .releases
                 .peek_time()
@@ -996,7 +968,6 @@ impl<P: MacProtocol> RingNetwork<P> {
         self.metrics.slots.incr();
         self.metrics.idle_slots.incr();
         self.metrics.recovery_slots.incr();
-        self.metrics.grants_per_slot.record(0.0);
         self.outcome.recovering = true;
         self.outcome.grant_count = 0;
         self.drain_releases(slot_end);
@@ -1020,7 +991,7 @@ impl<P: MacProtocol> RingNetwork<P> {
     /// advance to the next slot start.
     fn finish_slot(&mut self, slot_end: SimTime, next_master: NodeId) {
         let hops = self.topo.hops(self.master, next_master);
-        let gap = self.seg_prop(self.master, hops);
+        let gap = self.model.segment_prop(self.master, hops);
         self.metrics.handover_gap.record(gap.as_ps());
         self.metrics.handover_hops.record(hops as u64);
         if hops > 0 {
@@ -1057,7 +1028,7 @@ impl<P: MacProtocol> RingNetwork<P> {
             };
             (qm.msg.reliable, span, dest)
         };
-        let arrival = slot_end + self.seg_prop(sender, span_hops);
+        let arrival = slot_end + self.model.segment_prop(sender, span_hops);
 
         self.metrics.data_bytes.add(self.cfg.slot_bytes as u64);
 
@@ -1546,7 +1517,9 @@ mod tests {
         );
         net.run_slots(4);
         assert_eq!(net.metrics().delivered.get(), 2);
-        assert!(net.metrics().grants_per_slot.max().unwrap() <= 1.0);
+        // at most one grant per slot: every non-idle slot carries exactly one
+        let m = net.metrics();
+        assert_eq!(m.grants.get() + m.idle_slots.get(), m.slots.get());
     }
 
     #[test]
@@ -1568,7 +1541,7 @@ mod tests {
             SimTime::ZERO,
             Message::non_real_time(NodeId(5), Destination::Unicast(NodeId(6)), 1, SimTime::ZERO),
         );
-        let expected = net.config().timing().handover_time(5);
+        let expected = net.analytic().segment_prop(NodeId(0), 5);
         let out = net.step_slot();
         assert_eq!(out.handover_hops, 5);
         assert_eq!(out.gap, expected);

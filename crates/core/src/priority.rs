@@ -16,8 +16,8 @@
 //! (time until deadline, measured in slots) is mapped to one of the 15
 //! levels. The paper mandates a mapping that gives "higher resolution of
 //! laxity, the closer to its deadline a packet gets" and assumes a
-//! logarithmic function; the exact shape is left open, so the mapper is a
-//! trait with the paper's logarithmic map as default and a linear map as an
+//! logarithmic function; the exact shape is left open, so [`MapperKind`]
+//! offers the paper's logarithmic map as default and a linear map as an
 //! ablation (experiment E11).
 
 /// Number of urgency levels inside each deadline-scheduled band.
@@ -85,83 +85,38 @@ impl std::fmt::Display for Priority {
     }
 }
 
-/// Strategy mapping a laxity (in whole slots) to a level offset in
-/// `0..LEVELS_PER_BAND` — 0 is *most urgent*, 14 least.
-pub trait PriorityMapper: std::fmt::Debug + Send + Sync {
-    /// Map `laxity_slots` (0 = deadline is now/passed) to a band offset.
-    fn band_offset(&self, laxity_slots: u64) -> u8;
-
-    /// Map a real-time message's laxity to its wire priority.
-    fn real_time(&self, laxity_slots: u64) -> Priority {
-        Priority::new(MAX_LEVEL - self.band_offset(laxity_slots))
-    }
-
-    /// Map a best-effort message's laxity to its wire priority.
-    fn best_effort(&self, laxity_slots: u64) -> Priority {
-        Priority::new(BE_BASE + (LEVELS_PER_BAND as u8 - 1) - self.band_offset(laxity_slots))
-    }
-}
-
-/// The paper's logarithmic mapping: band offset = ⌊log2(laxity + 1)⌋,
-/// clamped to the band. Resolution is finest near the deadline — laxities
-/// 0, 1, 2–3, 4–7, … share successive levels — exactly the "higher
-/// resolution … closer to its deadline" property of Section 3.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LogarithmicMapper;
-
-impl PriorityMapper for LogarithmicMapper {
-    fn band_offset(&self, laxity_slots: u64) -> u8 {
-        // ⌊log2(x+1)⌋ via bit length; saturating at the top of the band.
-        let bits = 64 - laxity_slots.saturating_add(1).leading_zeros() as u64 - 1;
-        bits.min(LEVELS_PER_BAND - 1) as u8
-    }
-}
-
-/// Ablation mapper: linear quantisation of laxity over a fixed horizon.
-/// Wastes resolution far from the deadline and saturates early — used by
-/// experiment E11 to show why the paper picks a logarithmic map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinearMapper {
-    /// Laxity (in slots) mapped to the least-urgent level; larger laxities
-    /// saturate there.
-    pub horizon_slots: u64,
-}
-
-impl Default for LinearMapper {
-    fn default() -> Self {
-        LinearMapper {
-            horizon_slots: 1 << 14,
-        }
-    }
-}
-
-impl PriorityMapper for LinearMapper {
-    fn band_offset(&self, laxity_slots: u64) -> u8 {
-        let h = self.horizon_slots.max(LEVELS_PER_BAND);
-        ((laxity_slots.min(h - 1) * LEVELS_PER_BAND) / h) as u8
-    }
-}
-
-/// Which mapper a network uses (config-level enum to stay `Copy`).
+/// Which laxity → priority map a network uses. A band offset in
+/// `0..LEVELS_PER_BAND` is 0 for the *most urgent* laxity, 14 for the least.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MapperKind {
-    /// The paper's logarithmic map.
+    /// The paper's logarithmic map: band offset = ⌊log2(laxity + 1)⌋,
+    /// clamped to the band. Resolution is finest near the deadline —
+    /// laxities 0, 1, 2–3, 4–7, … share successive levels — exactly the
+    /// "higher resolution … closer to its deadline" property of Section 3.
     #[default]
     Logarithmic,
-    /// Linear ablation map with the given horizon in slots.
+    /// Ablation map: linear quantisation of laxity over a fixed horizon.
+    /// Wastes resolution far from the deadline and saturates early — used
+    /// by experiment E11 to show why the paper picks a logarithmic map.
     Linear {
-        /// Saturation horizon in slots.
+        /// Laxity (in slots) mapped to the least-urgent level; larger
+        /// laxities saturate there.
         horizon_slots: u64,
     },
 }
 
 impl MapperKind {
-    /// Band offset under this mapper.
+    /// Map `laxity_slots` (0 = deadline is now/passed) to a band offset.
     pub fn band_offset(&self, laxity_slots: u64) -> u8 {
         match *self {
-            MapperKind::Logarithmic => LogarithmicMapper.band_offset(laxity_slots),
+            MapperKind::Logarithmic => {
+                // ⌊log2(x+1)⌋ via bit length; saturating at the top of the band.
+                let bits = 64 - laxity_slots.saturating_add(1).leading_zeros() as u64 - 1;
+                bits.min(LEVELS_PER_BAND - 1) as u8
+            }
             MapperKind::Linear { horizon_slots } => {
-                LinearMapper { horizon_slots }.band_offset(laxity_slots)
+                let h = horizon_slots.max(LEVELS_PER_BAND);
+                ((laxity_slots.min(h - 1) * LEVELS_PER_BAND) / h) as u8
             }
         }
     }
@@ -213,7 +168,7 @@ mod tests {
 
     #[test]
     fn log_mapper_is_monotone_decreasing_in_laxity() {
-        let m = LogarithmicMapper;
+        let m = MapperKind::Logarithmic;
         let mut last = m.real_time(0);
         for lax in 1..5_000u64 {
             let p = m.real_time(lax);
@@ -224,7 +179,7 @@ mod tests {
 
     #[test]
     fn log_mapper_resolution_finest_near_deadline() {
-        let m = LogarithmicMapper;
+        let m = MapperKind::Logarithmic;
         // Levels change at laxity 1, 3, 7, 15, ... (2^k - 1 boundaries).
         assert_eq!(m.band_offset(0), 0);
         assert_eq!(m.band_offset(1), 1);
@@ -249,7 +204,7 @@ mod tests {
 
     #[test]
     fn linear_mapper_spreads_uniformly() {
-        let m = LinearMapper { horizon_slots: 150 };
+        let m = MapperKind::Linear { horizon_slots: 150 };
         assert_eq!(m.band_offset(0), 0);
         assert_eq!(m.band_offset(9), 0);
         assert_eq!(m.band_offset(10), 1);
@@ -259,23 +214,9 @@ mod tests {
 
     #[test]
     fn linear_mapper_tiny_horizon_is_safe() {
-        let m = LinearMapper { horizon_slots: 1 };
+        let m = MapperKind::Linear { horizon_slots: 1 };
         assert_eq!(m.band_offset(0), 0);
         assert!(m.band_offset(u64::MAX) <= 14);
-    }
-
-    #[test]
-    fn mapper_kind_dispatch_matches_impls() {
-        for lax in [0u64, 5, 63, 64, 10_000] {
-            assert_eq!(
-                MapperKind::Logarithmic.band_offset(lax),
-                LogarithmicMapper.band_offset(lax)
-            );
-            assert_eq!(
-                MapperKind::Linear { horizon_slots: 64 }.band_offset(lax),
-                LinearMapper { horizon_slots: 64 }.band_offset(lax)
-            );
-        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! case is derived deterministically from a master seed, so a failing
 //! case reproduces exactly from the test name alone.
 
+use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::arbitration::CcrEdfMac;
+use ccr_edf::config::NetworkConfig;
 use ccr_edf::mac::MacProtocol;
 use ccr_edf::message::{Destination, Message, MessageId, TrafficClass};
 use ccr_edf::priority::{MapperKind, Priority};
@@ -15,6 +17,7 @@ use ccr_edf::wire::{
     Request, ServiceWireConfig, ShortMsgWire,
 };
 use ccr_edf::{LinkSet, NodeId, RingTopology, SimTime};
+use ccr_phys::PhysParams;
 use ccr_sim::rng::DetRng;
 use ccr_sim::SeedSequence;
 
@@ -274,6 +277,67 @@ fn mapping_monotone_and_banded() {
     }
 }
 
+/// Equation 1 is additive along the ring: the `a + b` links from `f` are
+/// the `a` links from `f` followed by the `b` links from `f + a`, on
+/// per-link lengths as on equal ones; on equal links it is `P·L·D`.
+#[test]
+fn handover_linear() {
+    let mut rng = SeedSequence::new(0x9407).stream("handover", 0);
+    for _ in 0..256 {
+        let n = rng.gen_range(2u16..=64);
+        let len_m = rng.gen_range(1.0f64..500.0);
+        let lengths: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0f64..500.0)).collect();
+        let a = rng.gen_range(0u16..=64) % (n + 1);
+        let b = rng.gen_range(0u16..=64) % (n + 1 - a);
+        let f = NodeId(rng.gen_range(0..n));
+        let builder = || NetworkConfig::builder(n).slot_bytes(2048);
+        let equal = AnalyticModel::new(&builder().link_length_m(len_m).build_auto_slot().unwrap());
+        let per_link =
+            AnalyticModel::new(&builder().link_lengths_m(lengths).build_auto_slot().unwrap());
+        let mid = RingTopology::new(n).downstream(f, a);
+        for m in [&equal, &per_link] {
+            assert_eq!(
+                m.segment_prop(f, a) + m.segment_prop(mid, b),
+                m.segment_prop(f, a + b)
+            );
+        }
+        assert_eq!(
+            equal.segment_prop(f, a),
+            equal.segment_prop(f, 1) * a as u64
+        );
+    }
+}
+
+/// Equation 2 grows monotonically in N and t_node, and the minimum
+/// feasible slot bytes always produce a feasible slot.
+#[test]
+fn min_slot_monotone() {
+    let mut rng = SeedSequence::new(0x9407).stream("minslot", 0);
+    for _ in 0..256 {
+        let n = rng.gen_range(2u16..=63);
+        let len_m = rng.gen_range(1.0f64..100.0);
+        let model = |n: u16, services: ServiceWireConfig| {
+            let cfg = NetworkConfig::builder(n)
+                .link_length_m(len_m)
+                .services(services)
+                .build_auto_slot()
+                .unwrap();
+            AnalyticModel::new(&cfg)
+        };
+        let small = model(n, ServiceWireConfig::default());
+        let large = model(n + 1, ServiceWireConfig::default());
+        let wider_t_node = model(n, ServiceWireConfig::ALL);
+        assert!(small.collection_time() < large.collection_time());
+        assert!(small.collection_time() < wider_t_node.collection_time());
+        let bytes = small.min_slot_bytes() as u64;
+        let per_byte = PhysParams::default().clock_period;
+        assert!(per_byte * bytes >= small.control_phases_time());
+        if bytes > 0 {
+            assert!(per_byte * (bytes - 1) < small.control_phases_time());
+        }
+    }
+}
+
 /// Queue head is always the earliest deadline of the strongest
 /// non-empty class, and draining yields deadlines in EDF order per
 /// class.
@@ -366,8 +430,7 @@ fn dbf_is_at_most_util() {
         let e = rng.gen_range(1u32..8);
         let tight_pct = rng.gen_range(10u64..100);
         use ccr_edf::admission::{AdmissionController, AdmissionPolicy};
-        use ccr_edf::analysis::AnalyticModel;
-        let cfg = ccr_edf::config::NetworkConfig::builder(8)
+        let cfg = NetworkConfig::builder(8)
             .slot_bytes(2048)
             .build_auto_slot()
             .unwrap();
@@ -380,7 +443,7 @@ fn dbf_is_at_most_util() {
             .deadline(ccr_sim::TimeDelta::from_ps(
                 (period.as_ps() * tight_pct / 100).max(1),
             ));
-        let mut util = AdmissionController::new(model, cfg.topology());
+        let mut util = AdmissionController::new(model.clone(), cfg.topology());
         let mut dbfc =
             AdmissionController::with_policy(model, cfg.topology(), AdmissionPolicy::DemandBound);
         loop {

@@ -247,7 +247,7 @@ fn run_until_reaches_requested_time() {
     net.run_until(target);
     assert!(net.now() >= target);
     // and no drift: now() is the start of a slot, at most one slot+gap past
-    let slack = net.config().slot_time() + net.config().timing().max_handover();
+    let slack = net.config().slot_time() + net.analytic().max_handover();
     assert!(net.now() <= target + slack);
 }
 

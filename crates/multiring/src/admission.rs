@@ -35,6 +35,7 @@
 use crate::bridge::decompose_deadline;
 use crate::topology::{FabricTopology, GlobalNodeId, Segment, TopologyError};
 use ccr_edf::admission::AdmissionError;
+use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::connection::ConnectionSpec;
 use ccr_sim::TimeDelta;
 
@@ -107,20 +108,33 @@ impl FabricConnectionSpec {
 pub struct SegmentEnv {
     /// The ring's slot time.
     pub slot: TimeDelta,
-    /// The ring's analytic worst-case latency for a single-slot message.
-    pub worst_latency: TimeDelta,
-    /// The ring's worst hand-over gap between consecutive slots
-    /// ([`ccr_edf::analysis::AnalyticModel::max_handover`]): together with
-    /// `slot` it fixes the guaranteed long-run service rate
-    /// `1 / (slot + max_handover)` the network-calculus layer builds its
-    /// per-ring service curves from.
-    pub max_handover: TimeDelta,
+    /// The ring's guaranteed period `t_slot + t_handover_max`
+    /// ([`ccr_edf::analysis::AnalyticModel::guaranteed_period`]): one slot
+    /// per period is the long-run service rate the network-calculus layer
+    /// builds its per-ring service curves from.
+    pub period: TimeDelta,
 }
 
 impl SegmentEnv {
+    /// The environment of a ring with this analytic model.
+    pub fn new(model: &AnalyticModel) -> Self {
+        SegmentEnv {
+            slot: model.slot(),
+            period: model.guaranteed_period(),
+        }
+    }
+
+    /// The ring's analytic worst-case latency for a single-slot message
+    /// (Equation 4, `2·t_slot + t_handover_max`): one slot time past the
+    /// guaranteed period.
+    pub fn worst_latency(&self) -> TimeDelta {
+        let slot_time = self.slot;
+        self.period + slot_time
+    }
+
     /// Minimum budget a segment needs to carry an `e`-slot message.
     pub fn floor(&self, size_slots: u32) -> TimeDelta {
-        self.worst_latency + self.slot.times(size_slots.saturating_sub(1) as u64)
+        self.worst_latency() + self.slot.times(size_slots.saturating_sub(1) as u64)
     }
 }
 
@@ -319,18 +333,15 @@ mod tests {
         vec![
             SegmentEnv {
                 slot: TimeDelta::from_us(2),
-                worst_latency: TimeDelta::from_us(10),
-                max_handover: TimeDelta::from_us(6),
+                period: TimeDelta::from_us(8),
             },
             SegmentEnv {
                 slot: TimeDelta::from_us(4),
-                worst_latency: TimeDelta::from_us(20),
-                max_handover: TimeDelta::from_us(12),
+                period: TimeDelta::from_us(16),
             },
             SegmentEnv {
                 slot: TimeDelta::from_us(2),
-                worst_latency: TimeDelta::from_us(10),
-                max_handover: TimeDelta::from_us(6),
+                period: TimeDelta::from_us(8),
             },
         ]
     }

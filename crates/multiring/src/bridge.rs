@@ -5,9 +5,9 @@
 //! normal receiver, then re-queues it for its egress ring. The queue is
 //! **EDF-ordered** — the pending forward with the earliest absolute
 //! deadline is injected first, with a fabric-wide arrival sequence number
-//! as a deterministic tie-break — and **bounded**: a full buffer applies an
-//! explicit [`DropPolicy`] rather than growing without limit, so bridge
-//! memory is a first-class admission resource (checked by
+//! as a deterministic tie-break — and **bounded**: a full buffer evicts the
+//! message with the latest deadline rather than growing without limit, so
+//! bridge memory is a first-class admission resource (checked by
 //! [`crate::admission`]).
 //!
 //! Deadline decomposition follows the proportional rule: an end-to-end
@@ -20,19 +20,6 @@ use crate::admission::FabricConnectionId;
 use ccr_edf::message::Message;
 use ccr_sim::{SimTime, TimeDelta};
 
-/// What to do when a forward arrives at a full bridge buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DropPolicy {
-    /// Evict the queued message with the *latest* absolute deadline if it is
-    /// later than the arrival's (EDF-consistent: the most-likely-to-miss
-    /// message pays). Falls back to dropping the arrival when the arrival
-    /// itself has the latest deadline.
-    #[default]
-    DropLatestDeadline,
-    /// Always drop the arriving message (tail drop).
-    DropArriving,
-}
-
 /// Static per-bridge-direction configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BridgeConfig {
@@ -40,8 +27,6 @@ pub struct BridgeConfig {
     pub capacity: usize,
     /// Maximum messages injected into the egress ring per fabric slot.
     pub forward_per_slot: u32,
-    /// Overflow behaviour.
-    pub drop: DropPolicy,
 }
 
 impl Default for BridgeConfig {
@@ -49,7 +34,6 @@ impl Default for BridgeConfig {
         BridgeConfig {
             capacity: 64,
             forward_per_slot: 1,
-            drop: DropPolicy::DropLatestDeadline,
         }
     }
 }
@@ -105,33 +89,27 @@ impl BridgeQueue {
         self.items.is_empty()
     }
 
-    /// Offer a forward. Returns the message dropped by the overflow policy,
-    /// if the buffer was full (either the offered one or an evicted one).
+    /// Offer a forward. A full buffer evicts the queued message with the
+    /// *latest* absolute deadline if it is later than the arrival's
+    /// (EDF-consistent: the most-likely-to-miss message pays), and drops the
+    /// arrival when the arrival itself has the latest deadline. Returns the
+    /// dropped message, if any.
     pub fn push(&mut self, fwd: PendingForward, cfg: &BridgeConfig) -> Option<PendingForward> {
         let dropped = if self.items.len() >= cfg.capacity {
-            match cfg.drop {
-                DropPolicy::DropArriving => {
-                    self.drops += 1;
-                    return Some(fwd);
-                }
-                DropPolicy::DropLatestDeadline => {
-                    // index of the latest-deadline resident (ties: newest seq
-                    // loses — it had the least head start).
-                    let worst = self
-                        .items
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, p)| p.key())
-                        .map(|(i, _)| i)
-                        .expect("capacity > 0 implies non-empty at overflow");
-                    if self.items[worst].key() > fwd.key() {
-                        self.drops += 1;
-                        Some(self.items.swap_remove(worst))
-                    } else {
-                        self.drops += 1;
-                        return Some(fwd);
-                    }
-                }
+            // index of the latest-deadline resident (ties: newest seq
+            // loses — it had the least head start).
+            let worst = self
+                .items
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, p)| p.key())
+                .map(|(i, _)| i)
+                .expect("capacity > 0 implies non-empty at overflow");
+            self.drops += 1;
+            if self.items[worst].key() > fwd.key() {
+                Some(self.items.swap_remove(worst))
+            } else {
+                return Some(fwd);
             }
         } else {
             None
@@ -249,21 +227,6 @@ mod tests {
         assert_eq!(dropped.seq, 3);
         assert_eq!(q.drops, 2);
         assert_eq!(q.peak_occupancy, 2);
-    }
-
-    #[test]
-    fn overflow_tail_drop() {
-        let cfg = BridgeConfig {
-            capacity: 1,
-            drop: DropPolicy::DropArriving,
-            ..Default::default()
-        };
-        let mut q = BridgeQueue::new();
-        q.push(fwd(50, 0), &cfg);
-        // earlier deadline still dropped under tail drop
-        let dropped = q.push(fwd(10, 1), &cfg).unwrap();
-        assert_eq!(dropped.seq, 1);
-        assert_eq!(q.pop_earliest().unwrap().seq, 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! node:
 //!
 //! * **rings** — rate-latency servers `β(t) = R·(t − T)⁺` with
-//!   `R = 1/(slot + h_max)` slots per picosecond (the paper's guaranteed
-//!   long-run slot rate, Eq. 4 environment) and `T = worst_latency`.
+//!   `R = 1/period` slots per picosecond, where the period is the ring's
+//!   guaranteed `t_slot + t_handover_max` (the paper's long-run slot rate,
+//!   [`SegmentEnv::period`]), and `T` its Eq. 4 worst-case latency.
 //!   Rings schedule their slots EDF (the paper's headline), so every ring
 //!   hop carries the segment's relative deadline as its *class* and the
 //!   solver prices it with per-deadline-class left-over service, never
@@ -198,8 +199,8 @@ impl CalculusAdmission {
         let mut per_slot_ps = Vec::with_capacity(envs.len());
         let mut services = Vec::with_capacity(envs.len() + queue_egress.len());
         for env in envs {
-            let per_slot = (env.slot + env.max_handover).as_ps() as f64;
-            let latency = env.worst_latency.as_ps() as f64;
+            let per_slot = env.period.as_ps() as f64;
+            let latency = env.worst_latency().as_ps() as f64;
             if per_slot <= 0.0 {
                 return None;
             }
@@ -408,8 +409,7 @@ mod tests {
         (0..n)
             .map(|_| SegmentEnv {
                 slot: TimeDelta::from_us(2),
-                worst_latency: TimeDelta::from_us(10),
-                max_handover: TimeDelta::from_us(6),
+                period: TimeDelta::from_us(8),
             })
             .collect()
     }

@@ -545,14 +545,7 @@ impl Fabric {
             .collect();
         let envs: Vec<SegmentEnv> = rings
             .iter()
-            .map(|r| {
-                let a = r.analytic();
-                SegmentEnv {
-                    slot: a.slot(),
-                    worst_latency: a.worst_latency(),
-                    max_handover: a.max_handover(),
-                }
-            })
+            .map(|r| SegmentEnv::new(r.analytic()))
             .collect();
         let n_queues = cfg.topology.n_queues();
         let queue_egress: Vec<usize> = cfg.topology.queue_egress();

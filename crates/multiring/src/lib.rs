@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::admission::{
         FabricAdmissionError, FabricConnectionId, FabricConnectionSpec, SegmentEnv,
     };
-    pub use crate::bridge::{BridgeConfig, DropPolicy};
+    pub use crate::bridge::BridgeConfig;
     pub use crate::calculus::{CalculusAdmission, CalculusRejection, CalculusReport};
     pub use crate::engine::{
         ConnectionEvent, EgressDelivery, Fabric, FabricBuildError, FabricConfig, InjectError,

@@ -93,7 +93,7 @@ impl AdmissionApp {
 
     /// Convenience constructor from a network.
     pub fn for_network<P: MacProtocol>(net: &RingNetwork<P>) -> Self {
-        Self::new(NodeId(0), *net.analytic(), net.config().topology())
+        Self::new(NodeId(0), net.analytic().clone(), net.config().topology())
     }
 
     /// Issue a connection request from `requester`. The request travels as

@@ -53,10 +53,10 @@ fn print_model(nodes: u16, slot_bytes: u32, link_m: f64) {
     );
     println!("t_slot               : {}", cfg.slot_time());
     println!("t_node               : {}", cfg.t_node());
-    println!("collection (Eq. 2)   : {}", cfg.collection_time());
-    println!("distribution         : {}", cfg.distribution_time());
-    println!("min slot bytes       : {}", cfg.min_feasible_slot_bytes());
-    println!("t_handover max (Eq.1): {}", cfg.timing().max_handover());
+    println!("collection (Eq. 2)   : {}", a.collection_time());
+    println!("distribution         : {}", a.distribution_time());
+    println!("min slot bytes       : {}", a.min_slot_bytes());
+    println!("t_handover max (Eq.1): {}", a.max_handover());
     println!("t_latency (Eq. 4)    : {}", a.worst_latency());
     println!("U_max (Eq. 6)        : {:.4}", a.u_max());
     println!(

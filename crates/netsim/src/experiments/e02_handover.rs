@@ -7,6 +7,7 @@
 //! `P·L·(N−1)`.
 
 use super::{base_config, ring_sizes, ExpOptions, ExperimentResult};
+use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::message::{Destination, Message};
 use ccr_edf::network::RingNetwork;
 use ccr_edf::{NodeId, SimTime};
@@ -27,6 +28,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     );
     for &n in &ring_sizes(opts) {
         let cfg = base_config(n, 4096).build_auto_slot().unwrap();
+        let model = AnalyticModel::new(&cfg);
         for d in 1..n {
             // Master starts at node 0; a single message from node d forces
             // the first hand-over to cover exactly d hops.
@@ -40,7 +42,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
                     SimTime::ZERO,
                 ),
             );
-            let analytic = cfg.timing().handover_time(d);
+            let analytic = model.segment_prop(NodeId(0), d);
             let out = net.step_slot();
             assert_eq!(out.handover_hops, d);
             let measured = out.gap;
@@ -87,7 +89,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
             .stream("traffic", link_m as u64);
         let set =
             PeriodicSetBuilder::new(n, (n as usize) * 2, 0.5, cfg.slot_time()).generate(&mut rng);
-        let analytic_max = cfg.timing().max_handover();
+        let analytic_max = AnalyticModel::new(&cfg).max_handover();
         let mut net = RingNetwork::new_ccr_edf(cfg);
         for spec in set {
             let _ = net.open_connection(spec);

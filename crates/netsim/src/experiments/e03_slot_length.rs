@@ -6,6 +6,7 @@
 //! overhead of a running network.
 
 use super::{base_config, ring_sizes, ExpOptions, ExperimentResult};
+use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::config::ConfigError;
 use ccr_edf::network::RingNetwork;
 use ccr_edf::wire::ServiceWireConfig;
@@ -33,14 +34,15 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
             ("all", ServiceWireConfig::ALL),
         ] {
             let cfg = base_config(n, 1).services(svc).build_auto_slot().unwrap();
+            let model = AnalyticModel::new(&cfg);
             ta.row(&[
                 n.to_string(),
                 label.to_string(),
                 fmt_f64(cfg.t_node().as_ns_f64(), 1),
-                fmt_f64(cfg.collection_time().as_us_f64(), 3),
-                fmt_f64(cfg.distribution_time().as_us_f64(), 3),
-                fmt_f64(cfg.control_phases_time().as_us_f64(), 3),
-                cfg.min_feasible_slot_bytes().to_string(),
+                fmt_f64(model.collection_time().as_us_f64(), 3),
+                fmt_f64(model.distribution_time().as_us_f64(), 3),
+                fmt_f64(model.control_phases_time().as_us_f64(), 3),
+                model.min_slot_bytes().to_string(),
             ]);
         }
     }
@@ -52,7 +54,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
     );
     for &n in &ring_sizes(opts) {
         let probe = base_config(n, 1).build_auto_slot().unwrap();
-        let need = probe.min_feasible_slot_bytes();
+        let need = AnalyticModel::new(&probe).min_slot_bytes();
         let below = base_config(n, need - 1).build();
         let at = base_config(n, need).build();
         let below_rejected = matches!(below, Err(ConfigError::SlotTooShort { .. }));

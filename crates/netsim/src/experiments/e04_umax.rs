@@ -45,7 +45,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
                     slot_bytes.to_string(),
                     fmt_f64(link_m, 0),
                     fmt_f64(cfg.slot_time().as_us_f64(), 3),
-                    fmt_f64(cfg.timing().max_handover().as_us_f64(), 3),
+                    fmt_f64(a.max_handover().as_us_f64(), 3),
                     fmt_f64(a.u_max(), 4),
                 ]);
             }

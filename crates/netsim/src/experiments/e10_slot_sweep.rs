@@ -18,7 +18,7 @@ use ccr_traffic::PoissonGen;
 pub fn run(opts: &ExpOptions) -> ExperimentResult {
     let n = 16u16;
     let probe = base_config(n, 1).build_auto_slot().unwrap();
-    let min_bytes = probe.min_feasible_slot_bytes();
+    let min_bytes = AnalyticModel::new(&probe).min_slot_bytes();
     let mut sizes: Vec<u32> = vec![min_bytes];
     let mut b = 1024u32;
     while b <= 16_384 {

@@ -39,7 +39,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
         ta.row(&[
             n.to_string(),
             fmt_f64(fpr.constant_gap().as_ns_f64(), 0),
-            fmt_f64(cfg.timing().max_handover().as_ns_f64(), 0),
+            fmt_f64(edf.max_handover().as_ns_f64(), 0),
             fmt_f64(fpr.u_guaranteed(), 4),
             fmt_f64(edf.u_max(), 4),
             fmt_f64(fpr.ccr_edf_advantage(&edf), 1),

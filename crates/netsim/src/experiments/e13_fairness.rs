@@ -53,7 +53,8 @@ fn run_mac<P: MacProtocol>(mac: P, n: u16, slots: u64) -> (Vec<f64>, f64) {
             .per_conn
             .get(&ConnectionId(RAW_CONN_BASE + i))
             .expect("every node delivered");
-        per_node.push(cs.latency.mean().unwrap_or(f64::NAN) / 1e6);
+        let mean_ps = cs.latency_sum_ps as f64 / cs.delivered.get() as f64;
+        per_node.push(mean_ps / 1e6);
     }
     (per_node, m.rt_miss_ratio())
 }

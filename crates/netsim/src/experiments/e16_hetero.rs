@@ -65,7 +65,7 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
             m.handover_gap.mean().unwrap_or(f64::NAN) / 1e3,
             m.handover_gap.max().map_or(f64::NAN, |v| v as f64 / 1e3),
             avg_model.max_handover().as_ns_f64(),
-            hetero.max_handover().as_ns_f64(),
+            hetero_model.max_handover().as_ns_f64(),
             avg_model.u_max(),
             hetero_model.u_max(),
             m.rt_deadline_misses.get(),

@@ -308,7 +308,7 @@ fn solver_table(notes: &mut Vec<String>) -> Table {
     // Realistic per-ring timing from the paper's own analytic model.
     let cfg = NetworkConfig::builder(8).build_auto_slot().expect("config");
     let model = AnalyticModel::new(&cfg);
-    let per_slot = (model.slot() + model.max_handover()).as_ps() as f64;
+    let per_slot = model.guaranteed_period().as_ps() as f64;
     let rate = 1.0 / per_slot; // slots per picosecond
     let latency = model.worst_latency().as_ps() as f64;
     let service = ServiceCurve::rate_latency(rate, latency).expect("ring service");

@@ -6,23 +6,21 @@
 //! assumes Motorola OPTOBUS links; since no such hardware exists here, this
 //! crate is the *simulated substitute*: it reproduces exactly the quantities
 //! the MAC protocol and the analysis of Section 4 observe — byte/bit times,
-//! per-hop propagation, clock hand-over delay (Equation 1) and the minimum
-//! slot length (Equation 2) — at picosecond resolution.
+//! per-link propagation and control-packet delays — at picosecond
+//! resolution. The ring-timing arithmetic built on them (Equations 1–6)
+//! lives in `ccr-edf`'s `analysis::AnalyticModel`.
 //!
 //! Contents:
 //! * [`ring`] — node/link identifiers, hop arithmetic, segment and link-set
 //!   computation for spatial reuse;
 //! * [`params`] — physical constants (clock period, propagation velocity,
-//!   link length, node delays) with OPTOBUS-era defaults;
-//! * [`timing`] — closed-form implementations of Equations 1 and 2.
+//!   link length, node delays) with OPTOBUS-era defaults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod params;
 pub mod ring;
-pub mod timing;
 
 pub use params::{PhysParams, PhysParamsError};
 pub use ring::{LinkId, LinkSet, NodeId, RingTopology};
-pub use timing::TimingModel;

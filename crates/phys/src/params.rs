@@ -8,7 +8,7 @@
 //! (Section 1: "The clock signal … that is used to clock data also clocks
 //! each bit in the control-packets").
 
-use ccr_sim::time::TimeDelta;
+use ccr_sim::time::{TimeDelta, TimeFromF64Error};
 use std::fmt;
 
 /// Why a [`PhysParams`] construction was rejected.
@@ -18,6 +18,9 @@ pub enum PhysParamsError {
     NonFiniteLinkLength(f64),
     /// `link_length_m` was negative (a fibre cannot have negative length).
     NegativeLinkLength(f64),
+    /// `link_length_m` is so long that its propagation delay does not fit
+    /// the picosecond clock.
+    UnrepresentableLinkDelay(f64),
     /// `clock_period` was zero (bandwidth would be infinite).
     ZeroClockPeriod,
 }
@@ -30,6 +33,12 @@ impl fmt::Display for PhysParamsError {
             }
             PhysParamsError::NegativeLinkLength(l) => {
                 write!(f, "link_length_m must be non-negative, got {l}")
+            }
+            PhysParamsError::UnrepresentableLinkDelay(l) => {
+                write!(
+                    f,
+                    "link_length_m {l:e} gives a propagation delay beyond u64 picoseconds"
+                )
             }
             PhysParamsError::ZeroClockPeriod => write!(f, "clock_period must be non-zero"),
         }
@@ -74,6 +83,7 @@ impl PhysParams {
     /// # Panics
     /// Panics on NaN, infinite or negative lengths; use
     /// [`PhysParams::try_with_link_length`] to handle those as errors.
+    #[cfg(test)]
     pub fn with_link_length(link_length_m: f64) -> Self {
         Self::try_with_link_length(link_length_m)
             .expect("invariant: link_length_m is finite and non-negative")
@@ -82,6 +92,7 @@ impl PhysParams {
     /// OPTOBUS-style defaults at a given link length, rejecting degenerate
     /// lengths (NaN, ±∞, negative) instead of letting them wrap into
     /// garbage propagation delays downstream.
+    #[cfg(test)]
     pub fn try_with_link_length(link_length_m: f64) -> Result<Self, PhysParamsError> {
         let p = PhysParams {
             link_length_m,
@@ -102,6 +113,11 @@ impl PhysParams {
         if self.link_length_m < 0.0 {
             return Err(PhysParamsError::NegativeLinkLength(self.link_length_m));
         }
+        if self.try_prop_over(self.link_length_m).is_err() {
+            return Err(PhysParamsError::UnrepresentableLinkDelay(
+                self.link_length_m,
+            ));
+        }
         if self.clock_period.is_zero() {
             return Err(PhysParamsError::ZeroClockPeriod);
         }
@@ -120,13 +136,14 @@ impl PhysParams {
     /// struct was built by hand with a degenerate length) — loudly, rather
     /// than wrapping NaN/negative lengths into a garbage delay.
     pub fn link_prop(&self) -> TimeDelta {
-        TimeDelta::try_from_ps_f64(self.prop_per_m.as_ps() as f64 * self.link_length_m)
+        self.try_prop_over(self.link_length_m)
             .expect("invariant: validated link_length_m yields a representable delay")
     }
 
-    /// Propagation delay across `hops` consecutive links.
-    pub fn hops_prop(&self, hops: u16) -> TimeDelta {
-        self.link_prop() * hops as u64
+    /// Propagation delay across `length_m` metres of fibre, rounded to the
+    /// picosecond; an error for a NaN, negative or unrepresentable delay.
+    pub fn try_prop_over(&self, length_m: f64) -> Result<TimeDelta, TimeFromF64Error> {
+        TimeDelta::try_from_ps_f64(self.prop_per_m.as_ps() as f64 * length_m)
     }
 
     /// Serialisation time for `bytes` on the 8-fibre data channel.
@@ -160,8 +177,7 @@ mod tests {
     fn link_prop_scales_with_length() {
         let p = PhysParams::with_link_length(100.0);
         assert_eq!(p.link_prop(), TimeDelta::from_ns(500));
-        assert_eq!(p.hops_prop(3), TimeDelta::from_ns(1_500));
-        assert_eq!(p.hops_prop(0), TimeDelta::ZERO);
+        assert_eq!(p.link_prop() * 3, TimeDelta::from_ns(1_500));
     }
 
     #[test]
@@ -184,6 +200,10 @@ mod tests {
         assert!(matches!(
             PhysParams::try_with_link_length(-3.0),
             Err(PhysParamsError::NegativeLinkLength(_))
+        ));
+        assert!(matches!(
+            PhysParams::try_with_link_length(1e300),
+            Err(PhysParamsError::UnrepresentableLinkDelay(_))
         ));
         assert!(PhysParams::try_with_link_length(0.0).is_ok());
         assert!(PhysParams::try_with_link_length(10.0).is_ok());

@@ -1,9 +1,9 @@
-//! Randomised tests for ring geometry and timing invariants.
+//! Randomised tests for ring geometry invariants.
 //!
 //! Formerly `proptest` properties; now driven by the seeded [`DetRng`]
 //! from `ccr-sim` so the workspace needs no external dependencies.
 
-use ccr_phys::{LinkSet, NodeId, PhysParams, RingTopology, TimingModel};
+use ccr_phys::{LinkSet, NodeId, RingTopology};
 use ccr_sim::rng::DetRng;
 use ccr_sim::SeedSequence;
 
@@ -89,45 +89,6 @@ fn linkset_matches_naive_model() {
         let listed: Vec<u16> = a.iter().map(|l| l.0).collect();
         let expect: Vec<u16> = sa.iter().copied().collect();
         assert_eq!(listed, expect);
-    }
-}
-
-/// Equation 1 is linear: handover(a) + handover(b) = handover(a+b).
-#[test]
-fn handover_linear() {
-    let mut rng = SeedSequence::new(0x9407).stream("handover", 0);
-    for _ in 0..CASES {
-        let n = rng.gen_range(2u16..=64);
-        let len_m = rng.gen_range(1.0f64..500.0);
-        let a = rng.gen_range(0u16..32) % n;
-        let b = rng.gen_range(0u16..32) % n;
-        if a + b >= n {
-            continue;
-        }
-        let m = TimingModel::new(PhysParams::with_link_length(len_m), n);
-        let lhs = m.handover_time(a) + m.handover_time(b);
-        assert_eq!(lhs, m.handover_time(a + b));
-    }
-}
-
-/// Equation 2 grows monotonically in N and t_node, and the minimum
-/// feasible slot bytes always produce a feasible slot.
-#[test]
-fn min_slot_monotone() {
-    let mut rng = SeedSequence::new(0x9407).stream("minslot", 0);
-    for _ in 0..CASES {
-        let n = rng.gen_range(2u16..=63);
-        let len_m = rng.gen_range(1.0f64..100.0);
-        let tn_ns = rng.gen_range(1u64..500);
-        let t_node = ccr_sim::TimeDelta::from_ns(tn_ns);
-        let small = TimingModel::new(PhysParams::with_link_length(len_m), n);
-        let large = TimingModel::new(PhysParams::with_link_length(len_m), n + 1);
-        assert!(small.min_slot(t_node) < large.min_slot(t_node));
-        let bytes = small.min_slot_bytes(t_node);
-        assert!(small.slot_time(bytes) >= small.min_slot(t_node));
-        if bytes > 0 {
-            assert!(small.slot_time(bytes - 1) < small.min_slot(t_node));
-        }
     }
 }
 

@@ -34,6 +34,6 @@ pub use time::{SimTime, TimeDelta, TimeFromF64Error};
 pub mod prelude {
     pub use crate::engine::EventQueue;
     pub use crate::rng::SeedSequence;
-    pub use crate::stats::{Counter, Histogram, Summary};
+    pub use crate::stats::{Counter, Histogram};
     pub use crate::time::{SimTime, TimeDelta};
 }

@@ -43,6 +43,7 @@ impl Counter {
     }
 
     /// Merge (sum) another counter into this one.
+    #[cfg(test)]
     pub fn merge(&mut self, other: &Counter) {
         self.add(other.0);
     }

@@ -150,6 +150,7 @@ impl Histogram {
     ///
     /// # Panics
     /// Panics if precisions differ.
+    #[cfg(test)]
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(self.precision, other.precision, "precision mismatch");
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {

@@ -7,9 +7,7 @@
 mod counter;
 mod histogram;
 mod series;
-mod summary;
 
 pub use counter::Counter;
 pub use histogram::Histogram;
 pub use series::Series;
-pub use summary::Summary;

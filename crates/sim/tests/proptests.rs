@@ -6,7 +6,7 @@
 //! exactly.
 
 use ccr_sim::rng::DetRng;
-use ccr_sim::stats::{Histogram, Summary};
+use ccr_sim::stats::Histogram;
 use ccr_sim::{EventQueue, SeedSequence, SimTime};
 
 const CASES: u64 = 128;
@@ -88,29 +88,6 @@ fn histogram_moments_exact() {
         assert_eq!(h.max(), values.iter().max().copied());
         let mean = values.iter().sum::<u64>() as f64 / values.len() as f64;
         assert!((h.mean().unwrap() - mean).abs() < 1e-6);
-    }
-}
-
-/// Merging split summaries equals one-pass summarisation.
-#[test]
-fn summary_merge_associative() {
-    for case in 0..CASES {
-        let mut rng = SeedSequence::new(0x5077).stream("merge", case);
-        let len = rng.gen_range(1usize..200);
-        let xs: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e6f64..1e6)).collect();
-        let split = rng.gen_range(0usize..201).min(xs.len());
-        let mut whole = Summary::new();
-        xs.iter().for_each(|&x| whole.record(x));
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        xs[..split].iter().for_each(|&x| a.record(x));
-        xs[split..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        let (am, wm) = (a.mean().unwrap(), whole.mean().unwrap());
-        assert!((am - wm).abs() <= 1e-9 * (1.0 + wm.abs()));
-        let (av, wv) = (a.variance().unwrap(), whole.variance().unwrap());
-        assert!((av - wv).abs() <= 1e-6 * (1.0 + wv.abs()));
     }
 }
 

@@ -111,15 +111,7 @@ pub(crate) fn probe_env(n_nodes: u16, slot_bytes: u32) -> Option<(SegmentEnv, u3
         .slot_bytes(slot_bytes)
         .build_auto_slot()
         .ok()?;
-    let a = AnalyticModel::new(&cfg);
-    Some((
-        SegmentEnv {
-            slot: a.slot(),
-            worst_latency: a.worst_latency(),
-            max_handover: a.max_handover(),
-        },
-        cfg.slot_bytes,
-    ))
+    Some((SegmentEnv::new(&AnalyticModel::new(&cfg)), cfg.slot_bytes))
 }
 
 /// The smallest slot payload a ring of `n_nodes` can run (its control
@@ -292,7 +284,7 @@ impl Certifier {
         demand
             .into_iter()
             .zip(self.envs.iter())
-            .map(|(d, env)| d * (env.slot + env.max_handover).as_ps() as f64)
+            .map(|(d, env)| d * env.period.as_ps() as f64)
             .collect()
     }
 

@@ -225,7 +225,7 @@ pub fn synthesize(matrix: &TrafficMatrix, config: &SynthConfig) -> Result<Synthe
     // A station whose own demand out-runs a whole ring's certified
     // service rate is hopeless on any topology: refuse it up front with
     // the numbers.
-    let capacity = 1.0 / (env.slot + env.max_handover).as_ps() as f64;
+    let capacity = 1.0 / env.period.as_ps() as f64;
     for s in 0..matrix.stations {
         let demand = matrix.station_demand(StationId(s));
         if demand >= capacity {

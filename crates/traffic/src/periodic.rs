@@ -26,9 +26,6 @@ pub struct PeriodicSetBuilder {
     /// Maximum message size in slots (sizes are derived from the period so
     /// the utilisation target is met exactly, then clamped here).
     pub max_size_slots: u32,
-    /// Draw sources/destinations locally (≤ `locality_hops` downstream)
-    /// instead of uniformly. `None` = uniform destinations.
-    pub locality_hops: Option<u16>,
 }
 
 impl PeriodicSetBuilder {
@@ -41,15 +38,7 @@ impl PeriodicSetBuilder {
             slot,
             period_slots_range: (20, 2_000),
             max_size_slots: 16,
-            locality_hops: None,
         }
-    }
-
-    /// Restrict destinations to at most `hops` downstream of the source.
-    #[cfg(test)]
-    pub fn locality(mut self, hops: u16) -> Self {
-        self.locality_hops = Some(hops);
-        self
     }
 
     /// Set the period range, in slots.
@@ -73,8 +62,7 @@ impl PeriodicSetBuilder {
             .into_iter()
             .map(|u| {
                 let src = NodeId(rng.gen_range(0..self.n_nodes));
-                let hops_limit = self.locality_hops.unwrap_or(self.n_nodes - 1).max(1);
-                let hops = rng.gen_range(1..=hops_limit.min(self.n_nodes - 1));
+                let hops = rng.gen_range(1..=self.n_nodes - 1);
                 let dst = NodeId((src.0 + hops) % self.n_nodes);
                 // log-uniform period
                 let p_slots = (log_lo + rng.gen_f64() * (log_hi - log_lo)).exp();
@@ -141,17 +129,6 @@ mod tests {
             spec.validate(topo).expect("valid spec");
             assert!(spec.size_slots >= 1);
             assert!(spec.phase < spec.period);
-        }
-    }
-
-    #[test]
-    fn locality_limits_span() {
-        let topo = RingTopology::new(16);
-        let mut rng = SeedSequence::new(3).stream("per", 2);
-        let b = PeriodicSetBuilder::new(16, 40, 0.5, slot()).locality(2);
-        for spec in b.generate(&mut rng) {
-            let hops = spec.dest.span_hops(topo, spec.src);
-            assert!((1..=2).contains(&hops), "span {hops}");
         }
     }
 

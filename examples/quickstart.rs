@@ -21,10 +21,10 @@ fn main() {
         cfg.slot_bytes,
         cfg.slot_time()
     );
-    println!("collection phase: {}", cfg.collection_time());
+    let analytic = AnalyticModel::new(&cfg);
+    println!("collection phase: {}", analytic.collection_time());
 
     let mut net = RingNetwork::new_ccr_edf(cfg);
-    let analytic = *net.analytic();
     println!("U_max (Eq. 6)   : {:.4}", analytic.u_max());
     println!("t_latency (Eq.4): {}", analytic.worst_latency());
 
@@ -80,7 +80,7 @@ fn main() {
     println!(
         "hand-over gap    : mean {:.1} ns (worst case {:.1} ns)",
         m.handover_gap.mean().unwrap_or(0.0) / 1e3,
-        analytic.timing().max_handover().as_ns_f64()
+        analytic.max_handover().as_ns_f64()
     );
 
     assert_eq!(

@@ -17,6 +17,7 @@ fn cfg(n: u16) -> NetworkConfig {
 fn equation1_holds_for_every_forced_distance() {
     for n in [4u16, 9, 16, 33] {
         let c = cfg(n);
+        let model = AnalyticModel::new(&c);
         for d in 1..n {
             let mut net = RingNetwork::new_ccr_edf(c.clone());
             net.submit_message(
@@ -28,7 +29,7 @@ fn equation1_holds_for_every_forced_distance() {
                     SimTime::ZERO,
                 ),
             );
-            let expected = c.timing().handover_time(d);
+            let expected = model.segment_prop(NodeId(0), d);
             let out = net.step_slot();
             assert_eq!(out.gap, expected, "N={n} D={d}");
         }
