@@ -1,6 +1,6 @@
 //! The CC-FPR medium access protocol.
 
-use ccr_edf::mac::{ArbScratch, Desire, Grant, MacProtocol, SlotPlan};
+use ccr_edf::mac::{ArbScratch, Collection, Desire, Grant, MacProtocol, SlotPlan};
 use ccr_edf::wire::Request;
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 
@@ -43,59 +43,35 @@ impl MacProtocol for CcFprMac {
     /// managed to book transmits. The grant order is ring order from the
     /// master (the booking order). With spatial reuse disabled, only the
     /// first booker in ring order transmits.
-    fn arbitrate(
-        &self,
-        requests: &[Request],
-        current_master: NodeId,
-        topo: RingTopology,
-        spatial_reuse: bool,
-    ) -> SlotPlan {
-        let mut out = SlotPlan::idle(current_master);
-        let mut scratch = ArbScratch::default();
-        self.arbitrate_into(
-            requests,
-            current_master,
-            topo,
-            spatial_reuse,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
-
     fn arbitrate_into(
         &self,
-        requests: &[Request],
+        requests: &Collection,
         current_master: NodeId,
         topo: RingTopology,
         spatial_reuse: bool,
         _scratch: &mut ArbScratch,
         out: &mut SlotPlan,
     ) {
+        let entries = requests.entries();
         out.grants.clear();
         out.next_master = topo.downstream(current_master, 1);
-        for pos in 0..topo.n_nodes() {
-            let nid = topo.downstream(current_master, pos);
-            let r = &requests[nid.idx()];
-            if r.wants_tx() {
-                out.grants.push(Grant {
-                    node: nid,
-                    links: r.links,
-                    dests: r.dests,
-                });
-                if !spatial_reuse {
-                    break;
-                }
+        for nid in requests.requesters().iter_from(current_master) {
+            let r = &entries[nid.idx()];
+            out.grants.push(Grant {
+                node: nid,
+                links: r.links,
+                dests: r.dests,
+            });
+            if !spatial_reuse {
+                break;
             }
         }
-        // hp-node is reported for observability (highest priority seen),
-        // though CC-FPR does not act on it.
+        // hp-node is reported for observability (highest priority seen,
+        // ties to the lower index), though CC-FPR does not act on it.
         out.hp_node = requests
+            .requesters()
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.wants_tx())
-            .max_by_key(|(i, r)| (r.priority, std::cmp::Reverse(*i)))
-            .map(|(i, _)| NodeId(i as u16));
+            .max_by_key(|&nid| (entries[nid.idx()].priority, std::cmp::Reverse(nid.0)));
     }
 
     /// CC-FPR rotates the master every slot, independent of traffic.
@@ -107,6 +83,7 @@ impl MacProtocol for CcFprMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccr_edf::mac::arbitrate;
     use ccr_edf::priority::Priority;
     use ccr_edf::wire::NodeSet;
 
@@ -153,7 +130,7 @@ mod tests {
         assert_eq!(CcFprMac.fixed_rotation(NodeId(3), t), Some(NodeId(4)));
         assert_eq!(CcFprMac.fixed_rotation(NodeId(4), t), Some(NodeId(0)));
         // and arbitrate moves the master even with no traffic
-        let plan = CcFprMac.arbitrate(&[Request::IDLE; 5], NodeId(2), t, true);
+        let plan = arbitrate(&CcFprMac, &[Request::IDLE; 5], NodeId(2), t, true);
         assert_eq!(plan.next_master, NodeId(3));
         assert!(plan.grants.is_empty());
         assert_eq!(plan.hp_node, None);
@@ -174,7 +151,7 @@ mod tests {
             t.segment(NodeId(4), NodeId(5)),
             NodeSet::single(NodeId(5)),
         );
-        let plan = CcFprMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcFprMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.grants[0].node, NodeId(1), "ring order wins");
         assert_eq!(plan.grants.len(), 2);
         assert_eq!(plan.hp_node, Some(NodeId(4)), "hp reported for telemetry");
@@ -194,7 +171,7 @@ mod tests {
             t.segment(NodeId(4), NodeId(5)),
             NodeSet::single(NodeId(5)),
         );
-        let plan = CcFprMac.arbitrate(&rs, NodeId(0), t, false);
+        let plan = arbitrate(&CcFprMac, &rs, NodeId(0), t, false);
         assert_eq!(plan.grants.len(), 1);
         assert_eq!(plan.grants[0].node, NodeId(2));
     }
@@ -210,7 +187,7 @@ mod tests {
                 NodeSet::single(NodeId((i + 1) % 4)),
             );
         }
-        let plan = CcFprMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcFprMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.hp_node, Some(NodeId(1)));
     }
 }

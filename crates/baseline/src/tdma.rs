@@ -15,7 +15,7 @@
 //! under contention, TDMA is fair but priority-blind, CCR-EDF is
 //! deadline-driven.
 
-use ccr_edf::mac::{ArbScratch, Desire, Grant, MacProtocol, SlotPlan};
+use ccr_edf::mac::{ArbScratch, Collection, Desire, Grant, MacProtocol, SlotPlan};
 use ccr_edf::wire::Request;
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 
@@ -50,31 +50,11 @@ impl MacProtocol for TdmaMac {
     }
 
     /// Grant the owner's request (if any); ownership rotates regardless.
-    fn arbitrate(
-        &self,
-        requests: &[Request],
-        current_master: NodeId,
-        topo: RingTopology,
-        spatial_reuse: bool,
-    ) -> SlotPlan {
-        let mut out = SlotPlan::idle(current_master);
-        let mut scratch = ArbScratch::default();
-        self.arbitrate_into(
-            requests,
-            current_master,
-            topo,
-            spatial_reuse,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
-
-    /// Allocation-free arbitration: at most one grant, written into the
+    /// Only the owner's entry is read: at most one grant, written into the
     /// engine's reused plan.
     fn arbitrate_into(
         &self,
-        requests: &[Request],
+        requests: &Collection,
         current_master: NodeId,
         topo: RingTopology,
         _spatial_reuse: bool,
@@ -82,7 +62,7 @@ impl MacProtocol for TdmaMac {
         out: &mut SlotPlan,
     ) {
         let owner = topo.downstream(current_master, 1);
-        let r = &requests[owner.idx()];
+        let r = &requests.entries()[owner.idx()];
         out.reset_idle(owner);
         if r.wants_tx() {
             out.grants.push(Grant {
@@ -102,6 +82,7 @@ impl MacProtocol for TdmaMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccr_edf::mac::arbitrate;
     use ccr_edf::priority::Priority;
     use ccr_edf::wire::NodeSet;
 
@@ -139,12 +120,12 @@ mod tests {
             t.segment(NodeId(1), NodeId(3)),
             NodeSet::single(NodeId(3)),
         );
-        let plan = TdmaMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&TdmaMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.next_master, NodeId(1));
         assert_eq!(plan.grants.len(), 1);
         assert_eq!(plan.grants[0].node, NodeId(1));
         // empty slot still rotates
-        let plan = TdmaMac.arbitrate(&[Request::IDLE; 4], NodeId(1), t, true);
+        let plan = arbitrate(&TdmaMac, &[Request::IDLE; 4], NodeId(1), t, true);
         assert_eq!(plan.next_master, NodeId(2));
         assert!(plan.grants.is_empty());
     }

@@ -1,11 +1,13 @@
 //! Protocol microbenchmarks: the hot kernels of the simulator.
 
 use cc_fpr::{CcFprMac, TdmaMac};
-use ccr_bench::harness::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
+use ccr_bench::harness::{
+    black_box, criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion,
+};
 use ccr_bench::{bench_config, loaded_network};
 use ccr_calculus::{ArrivalCurve, FlowSpec, IncrementalSolver, ServiceCurve};
 use ccr_edf::arbitration::{CcrEdfMac, CcrEdfRotatingMac};
-use ccr_edf::mac::MacProtocol;
+use ccr_edf::mac::{ArbScratch, Collection, MacProtocol, SlotPlan};
 use ccr_edf::message::{Destination, Message, MessageId, TrafficClass};
 use ccr_edf::network::RingNetwork;
 use ccr_edf::priority::{MapperKind, Priority};
@@ -32,23 +34,45 @@ fn requests_for(n: u16, density: f64) -> Vec<Request> {
         .collect()
 }
 
+/// One `arbitration/*` row: `mac` arbitrates `requests` into a reused
+/// plan, as the slot engine calls it every slot.
+fn bench_mac(
+    g: &mut BenchmarkGroup<'_>,
+    name: String,
+    mac: &impl MacProtocol,
+    requests: &Collection,
+) {
+    let topo = RingTopology::new(requests.entries().len() as u16);
+    let mut scratch = ArbScratch::default();
+    let mut plan = SlotPlan::idle(NodeId(0));
+    g.bench_function(name, |b| {
+        b.iter(|| {
+            mac.arbitrate_into(
+                black_box(requests),
+                NodeId(0),
+                topo,
+                true,
+                &mut scratch,
+                &mut plan,
+            );
+            plan.grants.len()
+        })
+    });
+}
+
 fn bench_arbitration(c: &mut Criterion) {
     let mut g = c.benchmark_group("arbitration");
     for n in [8u16, 16, 64] {
-        let topo = RingTopology::new(n);
-        let reqs = requests_for(n, 0.8);
-        g.bench_function(format!("ccr_edf_n{n}"), |b| {
-            b.iter(|| CcrEdfMac.arbitrate(black_box(&reqs), NodeId(0), topo, true))
-        });
-        g.bench_function(format!("ccr_edf_rot_n{n}"), |b| {
-            b.iter(|| CcrEdfRotatingMac.arbitrate(black_box(&reqs), NodeId(0), topo, true))
-        });
-        g.bench_function(format!("cc_fpr_n{n}"), |b| {
-            b.iter(|| CcFprMac.arbitrate(black_box(&reqs), NodeId(0), topo, true))
-        });
-        g.bench_function(format!("tdma_n{n}"), |b| {
-            b.iter(|| TdmaMac.arbitrate(black_box(&reqs), NodeId(0), topo, true))
-        });
+        let requests: Collection = requests_for(n, 0.8).into_iter().collect();
+        bench_mac(&mut g, format!("ccr_edf_n{n}"), &CcrEdfMac, &requests);
+        bench_mac(
+            &mut g,
+            format!("ccr_edf_rot_n{n}"),
+            &CcrEdfRotatingMac,
+            &requests,
+        );
+        bench_mac(&mut g, format!("cc_fpr_n{n}"), &CcFprMac, &requests);
+        bench_mac(&mut g, format!("tdma_n{n}"), &TdmaMac, &requests);
     }
     g.finish();
 }

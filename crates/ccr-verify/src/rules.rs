@@ -185,6 +185,11 @@ impl RuleConfig {
                 ),
                 (
                     "ccr-edf",
+                    "arbitrate",
+                    "one-shot arbitration of a dense array, for the MAC tests of three crates",
+                ),
+                (
+                    "ccr-edf",
                     "decode_with_errors",
                     "degraded decoder, checked by proptests",
                 ),

@@ -28,6 +28,7 @@
 use crate::config::{ConfigError, NetworkConfig};
 use crate::connection::ConnectionSpec;
 use crate::wire;
+use ccr_phys::ring::MAX_NODES;
 use ccr_phys::NodeId;
 use ccr_sim::TimeDelta;
 
@@ -64,10 +65,13 @@ impl AnalyticModel {
     }
 
     /// Build from a configuration whose remaining fields need not be valid
-    /// yet, rejecting physical constants and link lengths the table cannot
-    /// price. `validate` and `build_auto_slot` ask this model for the
-    /// minimum slot.
+    /// yet, rejecting a ring size, physical constants and link lengths the
+    /// table cannot price. `validate` and `build_auto_slot` ask this model
+    /// for the minimum slot, so both reject those first.
     pub(crate) fn try_new(cfg: &NetworkConfig) -> Result<Self, ConfigError> {
+        if !(2..=MAX_NODES).contains(&cfg.n_nodes) {
+            return Err(ConfigError::RingSize(cfg.n_nodes));
+        }
         cfg.phys
             .validate()
             .map_err(|e| ConfigError::BadPhysParams(e.to_string()))?;
@@ -125,6 +129,25 @@ impl AnalyticModel {
     pub(crate) fn collection_offset(&self, from: NodeId, pos: u16) -> TimeDelta {
         let f = from.idx();
         self.reach[f + pos as usize] - self.reach[f]
+    }
+
+    /// The first position `p` in `from_pos..N` whose collection offset
+    /// from `master` is at least `after`, or N when none is: where a
+    /// release `after` past the slot start is first seen. A binary search
+    /// over the sorted prefix table.
+    pub(crate) fn first_position_reaching(
+        &self,
+        master: NodeId,
+        from_pos: u16,
+        after: TimeDelta,
+    ) -> u16 {
+        let n = self.reach.len() / 2;
+        let (m, base) = (master.idx(), self.reach[master.idx()]);
+        if self.reach[m + n - 1] - base < after {
+            return n as u16; // beyond the last decision time: not this slot
+        }
+        let window = &self.reach[m + from_pos as usize..m + n];
+        from_pos + window.partition_point(|&r| r - base < after) as u16
     }
 
     /// **Equation 1**: propagation over the `hops` consecutive links that

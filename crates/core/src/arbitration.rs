@@ -1,15 +1,15 @@
 //! CCR-EDF master-side arbitration (Section 3) — the paper's contribution.
 //!
-//! The master sorts the N requests by priority (ties resolved by node
-//! index), hands the clock to the highest-priority node, and grants as many
-//! non-overlapping transmissions as possible (spatial reuse). The crucial
-//! invariant: **the next master is the highest-priority requester**, so its
-//! transmission can never be cut by the clock break — the break sits on the
-//! link entering the master, which an ≤ N−1 hop transmission from the
-//! master never uses. This is what removes the priority inversion of
-//! CC-FPR (Section 1).
+//! The master sorts the transmission requests by priority (ties resolved
+//! by node index; idle entries take no part), hands the clock to the
+//! highest-priority node, and grants as many non-overlapping transmissions
+//! as possible (spatial reuse). The crucial invariant: **the next master
+//! is the highest-priority requester**, so its transmission can never be
+//! cut by the clock break — the break sits on the link entering the
+//! master, which an ≤ N−1 hop transmission from the master never uses.
+//! This is what removes the priority inversion of CC-FPR (Section 1).
 
-use crate::mac::{ArbScratch, Desire, Grant, MacProtocol, SlotPlan};
+use crate::mac::{ArbScratch, Collection, Desire, Grant, MacProtocol, SlotPlan};
 use crate::wire::Request;
 use ccr_phys::{LinkSet, NodeId, RingTopology};
 
@@ -17,28 +17,22 @@ use ccr_phys::{LinkSet, NodeId, RingTopology};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcrEdfMac;
 
-impl CcrEdfMac {
-    /// Sort requesting nodes by (priority desc, node index asc) — Section 3:
-    /// "the requests are processed … sorted … In the event priority ties
-    /// the index of the node resolves the tie." Fills `order` in place,
-    /// reusing its capacity. `sort_unstable_by` keeps the
-    /// sort itself off the heap (the stable sort allocates a merge buffer).
-    pub fn sorted_requesters_into(requests: &[Request], order: &mut Vec<NodeId>) {
-        order.clear();
-        order.extend(
-            requests
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.wants_tx())
-                .map(|(i, _)| NodeId(i as u16)),
-        );
-        order.sort_unstable_by(|a, b| {
-            requests[b.idx()]
-                .priority
-                .cmp(&requests[a.idx()].priority)
-                .then(a.0.cmp(&b.0))
-        });
-    }
+/// Fill `order` with the requesters of `requests`, sorted by (priority
+/// desc, `tie` asc) — Section 3: "the requests are processed … sorted …
+/// In the event priority ties the index of the node resolves the tie".
+/// `tie` is distinct per node, so the order is unique, and
+/// `sort_unstable_by` keeps the sort itself off the heap (the stable sort
+/// allocates a merge buffer).
+fn rank_requesters(requests: &Collection, order: &mut Vec<NodeId>, tie: impl Fn(NodeId) -> u16) {
+    let entries = requests.entries();
+    order.clear();
+    order.extend(requests.requesters().iter());
+    order.sort_unstable_by(|a, b| {
+        entries[b.idx()]
+            .priority
+            .cmp(&entries[a.idx()].priority)
+            .then(tie(*a).cmp(&tie(*b)))
+    });
 }
 
 /// Shared grant routine: given requesters in arbitration order, hand the
@@ -113,39 +107,20 @@ impl MacProtocol for CcrEdfMac {
         }
     }
 
-    fn arbitrate(
-        &self,
-        requests: &[Request],
-        current_master: NodeId,
-        topo: RingTopology,
-        spatial_reuse: bool,
-    ) -> SlotPlan {
-        let mut out = SlotPlan::idle(current_master);
-        let mut scratch = ArbScratch::default();
-        self.arbitrate_into(
-            requests,
-            current_master,
-            topo,
-            spatial_reuse,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
-
+    /// Rank the requesters by (priority desc, node index asc), then grant.
     fn arbitrate_into(
         &self,
-        requests: &[Request],
+        requests: &Collection,
         current_master: NodeId,
         topo: RingTopology,
         spatial_reuse: bool,
         scratch: &mut ArbScratch,
         out: &mut SlotPlan,
     ) {
-        Self::sorted_requesters_into(requests, &mut scratch.order);
+        rank_requesters(requests, &mut scratch.order, |node| node.0);
         grant_in_order_into(
             &scratch.order,
-            requests,
+            requests.entries(),
             current_master,
             topo,
             spatial_reuse,
@@ -164,32 +139,6 @@ impl MacProtocol for CcrEdfMac {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CcrEdfRotatingMac;
 
-impl CcrEdfRotatingMac {
-    /// Sort requesting nodes by (priority desc, downstream distance from
-    /// the current master asc) into `order`, reusing its capacity.
-    pub fn sorted_requesters_into(
-        requests: &[Request],
-        master: NodeId,
-        topo: RingTopology,
-        order: &mut Vec<NodeId>,
-    ) {
-        order.clear();
-        order.extend(
-            requests
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.wants_tx())
-                .map(|(i, _)| NodeId(i as u16)),
-        );
-        order.sort_unstable_by(|a, b| {
-            requests[b.idx()]
-                .priority
-                .cmp(&requests[a.idx()].priority)
-                .then(topo.hops(master, *a).cmp(&topo.hops(master, *b)))
-        });
-    }
-}
-
 impl MacProtocol for CcrEdfRotatingMac {
     fn name(&self) -> &'static str {
         "ccr-edf-rot"
@@ -206,39 +155,23 @@ impl MacProtocol for CcrEdfRotatingMac {
         CcrEdfMac.make_request(node, desire, booked, hint, topo)
     }
 
-    fn arbitrate(
-        &self,
-        requests: &[Request],
-        current_master: NodeId,
-        topo: RingTopology,
-        spatial_reuse: bool,
-    ) -> SlotPlan {
-        let mut out = SlotPlan::idle(current_master);
-        let mut scratch = ArbScratch::default();
-        self.arbitrate_into(
-            requests,
-            current_master,
-            topo,
-            spatial_reuse,
-            &mut scratch,
-            &mut out,
-        );
-        out
-    }
-
+    /// Rank the requesters by (priority desc, downstream distance from the
+    /// current master asc), then grant.
     fn arbitrate_into(
         &self,
-        requests: &[Request],
+        requests: &Collection,
         current_master: NodeId,
         topo: RingTopology,
         spatial_reuse: bool,
         scratch: &mut ArbScratch,
         out: &mut SlotPlan,
     ) {
-        Self::sorted_requesters_into(requests, current_master, topo, &mut scratch.order);
+        rank_requesters(requests, &mut scratch.order, |node| {
+            topo.hops(current_master, node)
+        });
         grant_in_order_into(
             &scratch.order,
-            requests,
+            requests.entries(),
             current_master,
             topo,
             spatial_reuse,
@@ -250,6 +183,7 @@ impl MacProtocol for CcrEdfRotatingMac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mac::arbitrate;
     use crate::priority::Priority;
     use crate::wire::NodeSet;
 
@@ -276,7 +210,7 @@ mod tests {
         let mut rs = idle_all(5);
         rs[1] = req(t, 1, 3, 20);
         rs[4] = req(t, 4, 2, 31); // most urgent
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.next_master, NodeId(4));
         assert_eq!(plan.hp_node, Some(NodeId(4)));
         assert_eq!(plan.grants[0].node, NodeId(4));
@@ -292,7 +226,7 @@ mod tests {
                 let dst = (src + hops) % 8;
                 let mut rs = idle_all(8);
                 rs[src as usize] = req(t, src, dst, 31);
-                let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+                let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
                 assert_eq!(plan.next_master, NodeId(src));
                 let g = plan.grant_for(NodeId(src)).expect("hp always granted");
                 assert!(!g.links.contains(t.ingress(NodeId(src))));
@@ -306,7 +240,7 @@ mod tests {
         let mut rs = idle_all(6);
         rs[4] = req(t, 4, 5, 25);
         rs[2] = req(t, 2, 3, 25);
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.next_master, NodeId(2));
     }
 
@@ -324,7 +258,7 @@ mod tests {
             t.multicast_segment(NodeId(3), [NodeId(4), NodeId(5)]),
             [NodeId(4), NodeId(5)].into_iter().collect(),
         );
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(1), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(1), t, true);
         assert_eq!(plan.grants.len(), 2);
         assert_eq!(plan.grants[0].node, NodeId(0));
         assert_eq!(plan.grants[1].node, NodeId(3));
@@ -338,7 +272,7 @@ mod tests {
         let mut rs = idle_all(6);
         rs[0] = req(t, 0, 3, 31); // links 0,1,2
         rs[1] = req(t, 1, 2, 20); // link 1 — overlaps
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.grants.len(), 1);
         assert!(plan.grant_for(NodeId(1)).is_none());
     }
@@ -349,12 +283,12 @@ mod tests {
         let mut rs = idle_all(6);
         rs[2] = req(t, 2, 4, 31); // hp → master 2; break = link 1 (ingress(2))
         rs[0] = req(t, 0, 2, 30); // links 0,1 — crosses the break
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(5), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(5), t, true);
         assert_eq!(plan.next_master, NodeId(2));
         assert!(plan.grant_for(NodeId(0)).is_none(), "must not cross break");
         // but a request short of the break is fine
         rs[0] = req(t, 0, 1, 30); // link 0 only
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(5), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(5), t, true);
         assert!(plan.grant_for(NodeId(0)).is_some());
     }
 
@@ -364,16 +298,16 @@ mod tests {
         let mut rs = idle_all(6);
         rs[0] = req(t, 0, 1, 31);
         rs[3] = req(t, 3, 4, 30); // disjoint, would be granted with reuse
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, false);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, false);
         assert_eq!(plan.grants.len(), 1);
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.grants.len(), 2);
     }
 
     #[test]
     fn all_idle_keeps_master() {
         let t = topo(4);
-        let plan = CcrEdfMac.arbitrate(&idle_all(4), NodeId(2), t, true);
+        let plan = arbitrate(&CcrEdfMac, &idle_all(4), NodeId(2), t, true);
         assert_eq!(plan.next_master, NodeId(2));
         assert!(plan.grants.is_empty());
         assert_eq!(plan.hp_node, None);
@@ -387,7 +321,7 @@ mod tests {
         rs[2] = req(t, 2, 3, 25);
         rs[4] = req(t, 4, 5, 31);
         rs[6] = req(t, 6, 7, 20);
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
         let order: Vec<u16> = plan.grants.iter().map(|g| g.node.0).collect();
         assert_eq!(order, vec![4, 2, 6, 0]);
     }
@@ -397,10 +331,13 @@ mod tests {
         let t = topo(4);
         let mut rs = idle_all(4);
         rs[1] = req(t, 1, 2, 5);
+        rs[3].barrier = true; // a service-only entry requests nothing
         let mut order = Vec::new();
-        CcrEdfMac::sorted_requesters_into(&rs, &mut order);
+        rank_requesters(&rs.iter().copied().collect(), &mut order, |node| node.0);
         assert_eq!(order, vec![NodeId(1)]);
-        CcrEdfMac::sorted_requesters_into(&idle_all(4), &mut order);
+        rank_requesters(&idle_all(4).into_iter().collect(), &mut order, |node| {
+            node.0
+        });
         assert!(order.is_empty());
     }
 
@@ -426,14 +363,14 @@ mod tests {
         rs[1] = req(t, 1, 2, 25);
         rs[4] = req(t, 4, 5, 25);
         // master 0: node 1 is closer downstream → wins the tie
-        let plan = CcrEdfRotatingMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfRotatingMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.next_master, NodeId(1));
         // master 3: node 4 is closer downstream → wins the tie
-        let plan = CcrEdfRotatingMac.arbitrate(&rs, NodeId(3), t, true);
+        let plan = arbitrate(&CcrEdfRotatingMac, &rs, NodeId(3), t, true);
         assert_eq!(plan.next_master, NodeId(4));
         // with distinct priorities the rotation is irrelevant
         rs[1] = req(t, 1, 2, 31);
-        let plan = CcrEdfRotatingMac.arbitrate(&rs, NodeId(3), t, true);
+        let plan = arbitrate(&CcrEdfRotatingMac, &rs, NodeId(3), t, true);
         assert_eq!(plan.next_master, NodeId(1));
     }
 
@@ -445,7 +382,7 @@ mod tests {
         rs[3] = req(t, 3, 4, 28);
         rs[7] = req(t, 7, 0, 31);
         for master in 0..8u16 {
-            let plan = CcrEdfRotatingMac.arbitrate(&rs, NodeId(master), t, true);
+            let plan = arbitrate(&CcrEdfRotatingMac, &rs, NodeId(master), t, true);
             // hp by priority is always node 7 regardless of rotation
             assert_eq!(plan.next_master, NodeId(7));
             let mut used = LinkSet::single(t.ingress(plan.next_master));
@@ -468,7 +405,7 @@ mod tests {
             t.nodes().filter(|&d| d != NodeId(2)).collect(),
         );
         rs[0] = req(t, 0, 1, 30);
-        let plan = CcrEdfMac.arbitrate(&rs, NodeId(0), t, true);
+        let plan = arbitrate(&CcrEdfMac, &rs, NodeId(0), t, true);
         assert_eq!(plan.grants.len(), 1);
         assert_eq!(plan.grants[0].node, NodeId(2));
     }

@@ -13,6 +13,7 @@ use crate::analysis::AnalyticModel;
 use crate::fault::{FaultKind, FaultScript};
 use crate::priority::MapperKind;
 use crate::wire::{self, ServiceWireConfig};
+use ccr_phys::ring::MAX_NODES;
 use ccr_phys::{NodeId, PhysParams, RingTopology};
 use ccr_sim::TimeDelta;
 
@@ -84,6 +85,9 @@ pub enum ConfigError {
     ZeroRecoveryTimeout,
     /// Zero-byte slots are meaningless.
     EmptySlot,
+    /// The ring size is outside `2..=64` (the link and node sets are
+    /// 64-bit masks); holds the requested size.
+    RingSize(u16),
     /// The per-link length vector is malformed.
     BadLinkLengths(String),
     /// The physical parameters violate their own invariants (degenerate
@@ -116,6 +120,10 @@ impl std::fmt::Display for ConfigError {
                  (token loss, control errors, or scripted faults) are enabled"
             ),
             ConfigError::EmptySlot => write!(f, "slot_bytes must be > 0"),
+            ConfigError::RingSize(n) => write!(
+                f,
+                "ring size {n} outside the supported range 2..={MAX_NODES}"
+            ),
             ConfigError::BadLinkLengths(why) => write!(f, "bad link lengths: {why}"),
             ConfigError::BadPhysParams(why) => write!(f, "bad phys params: {why}"),
             ConfigError::FaultNodeOutOfRange { slot, node } => write!(
@@ -235,8 +243,6 @@ impl NetworkConfig {
                 need_bytes: need,
             });
         }
-        // Topology construction asserts 2..=64.
-        let _ = self.topology();
         Ok(())
     }
 }
@@ -387,6 +393,19 @@ mod tests {
             NetworkConfig::builder(4).slot_bytes(0).build().unwrap_err(),
             ConfigError::EmptySlot
         );
+    }
+
+    #[test]
+    fn ring_size_outside_range_is_a_typed_error() {
+        for n in [0u16, 1, 65] {
+            let b = NetworkConfig::builder(n).slot_bytes(4096);
+            assert_eq!(b.clone().build(), Err(ConfigError::RingSize(n)));
+            assert_eq!(b.build_auto_slot(), Err(ConfigError::RingSize(n)));
+        }
+        for n in [2u16, 64] {
+            let cfg = NetworkConfig::builder(n).build_auto_slot().unwrap();
+            assert_eq!(cfg.topology().n_nodes(), n);
+        }
     }
 
     #[test]

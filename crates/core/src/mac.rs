@@ -9,10 +9,14 @@
 //! * what a node writes into the circulating collection packet
 //!   ([`MacProtocol::make_request`] — CC-FPR *books* links node-locally,
 //!   CCR-EDF merely states its desire), and
-//! * what the master decides ([`MacProtocol::arbitrate`] — CC-FPR echoes the
-//!   bookings and rotates the master round-robin, CCR-EDF sorts requests by
-//!   priority, grants with spatial reuse, and hands the clock to the
-//!   highest-priority node).
+//! * what the master decides ([`MacProtocol::arbitrate_into`] — CC-FPR
+//!   echoes the bookings and rotates the master round-robin, CCR-EDF sorts
+//!   requests by priority, grants with spatial reuse, and hands the clock
+//!   to the highest-priority node).
+//!
+//! The master reads a [`Collection`]: one entry per node, idle except at
+//! the nodes that appended something, and the sets of those nodes, so
+//! arbitration costs what the requesters cost, not what the ring does.
 
 use crate::priority::Priority;
 use crate::wire::{NodeSet, Request};
@@ -57,7 +61,6 @@ impl SlotPlan {
     /// An idle plan: nobody transmits, the master stays put.
     pub fn idle(master: NodeId) -> Self {
         SlotPlan {
-            // ccr-verify: allow(alloc-in-hot-path) -- allocating constructor for setup/tests; the slot loop reuses plans via reset_idle
             grants: Vec::new(),
             next_master: master,
             hp_node: None,
@@ -85,6 +88,112 @@ impl SlotPlan {
 pub struct ArbScratch {
     /// Requesting nodes in arbitration order (filled by the protocol).
     pub order: Vec<NodeId>,
+}
+
+/// The requests of one collection phase as the master holds them: an
+/// entry per node by absolute index, [`Request::IDLE`] except at the nodes
+/// that appended something else (Section 3: an empty node "writes zeros in
+/// the other fields"). The slot engine resets and reads only those nodes,
+/// so a slot pays for its appenders, not for the ring.
+///
+/// Collect a dense array (indexed by node) into one to arbitrate it
+/// directly: `requests.iter().copied().collect::<Collection>()`.
+#[derive(Debug)]
+pub struct Collection {
+    entries: Vec<Request>,
+    /// Nodes whose entry is not idle.
+    appended: NodeSet,
+    /// Nodes whose entry asks for a transmission (a subset of `appended`).
+    requesters: NodeSet,
+}
+
+impl Collection {
+    /// An all-idle collection for an `n`-node ring.
+    pub fn new(n: u16) -> Self {
+        Collection {
+            entries: vec![Request::IDLE; n as usize],
+            appended: NodeSet::EMPTY,
+            requesters: NodeSet::EMPTY,
+        }
+    }
+
+    /// Make every entry idle again, touching only the appended ones.
+    pub fn reset(&mut self) {
+        for node in self.appended.iter() {
+            self.entries[node.idx()] = Request::IDLE;
+        }
+        self.appended = NodeSet::EMPTY;
+        self.requesters = NodeSet::EMPTY;
+    }
+
+    /// Record `node`'s entry. An idle entry needs no record.
+    pub fn append(&mut self, node: NodeId, req: Request) {
+        if req == Request::IDLE {
+            return;
+        }
+        self.entries[node.idx()] = req;
+        self.appended.insert(node);
+        if req.wants_tx() {
+            self.requesters.insert(node);
+        }
+    }
+
+    /// Drop `node`'s entry, as if it had appended an idle one (a
+    /// collection entry that failed its check at the master).
+    pub fn drop_entry(&mut self, node: NodeId) {
+        self.entries[node.idx()] = Request::IDLE;
+        self.appended.remove(node);
+        self.requesters.remove(node);
+    }
+
+    /// Every node's entry, by absolute node index.
+    pub fn entries(&self) -> &[Request] {
+        &self.entries
+    }
+
+    /// The nodes whose entry is not idle.
+    pub fn appended(&self) -> NodeSet {
+        self.appended
+    }
+
+    /// The nodes whose entry asks for a transmission.
+    pub fn requesters(&self) -> NodeSet {
+        self.requesters
+    }
+}
+
+impl FromIterator<Request> for Collection {
+    /// Collect a dense request array, entry `i` being node `i`'s.
+    fn from_iter<T: IntoIterator<Item = Request>>(iter: T) -> Self {
+        let mut c = Collection::new(0);
+        for (i, req) in iter.into_iter().enumerate() {
+            c.entries.push(Request::IDLE);
+            c.append(NodeId(i as u16), req);
+        }
+        c
+    }
+}
+
+/// Arbitrate a dense request array (entry `i` is node `i`'s) into a fresh
+/// plan: the one-shot, allocating form of [`MacProtocol::arbitrate_into`],
+/// for tests. The slot engine keeps its buffers instead.
+pub fn arbitrate(
+    mac: &impl MacProtocol,
+    requests: &[Request],
+    current_master: NodeId,
+    topo: RingTopology,
+    spatial_reuse: bool,
+) -> SlotPlan {
+    let mut out = SlotPlan::idle(current_master);
+    mac.arbitrate_into(
+        &requests.iter().copied().collect(),
+        current_master,
+        topo,
+        spatial_reuse,
+        &mut ArbScratch::default(),
+        &mut out,
+    );
+    out
 }
 
 /// A medium-access protocol for the fibre-ribbon ring.
@@ -115,32 +224,20 @@ pub trait MacProtocol: std::fmt::Debug + Send {
         topo: RingTopology,
     ) -> Request;
 
-    /// Master-side arbitration over the completed collection packet.
-    /// `requests` is indexed by absolute node id.
-    fn arbitrate(
-        &self,
-        requests: &[Request],
-        current_master: NodeId,
-        topo: RingTopology,
-        spatial_reuse: bool,
-    ) -> SlotPlan;
-
-    /// Allocation-free arbitration: write the decision into `out`, using
-    /// `scratch` for working memory. The slot engine calls this every slot
-    /// with reused buffers; protocols should override it to avoid heap
-    /// traffic on the hot path. The default delegates to
-    /// [`MacProtocol::arbitrate`] (correct, but allocates a fresh plan).
+    /// Master-side arbitration over the completed collection: write the
+    /// decision for the coming slot into `out`, using `scratch` for working
+    /// memory. The slot engine calls this every slot with reused buffers,
+    /// so it must not allocate once they are warm, and it should cost what
+    /// `requests.requesters()` costs rather than what the ring does.
     fn arbitrate_into(
         &self,
-        requests: &[Request],
+        requests: &Collection,
         current_master: NodeId,
         topo: RingTopology,
         spatial_reuse: bool,
-        _scratch: &mut ArbScratch,
+        scratch: &mut ArbScratch,
         out: &mut SlotPlan,
-    ) {
-        *out = self.arbitrate(requests, current_master, topo, spatial_reuse);
-    }
+    );
 
     /// The pre-determined next master, when the protocol rotates the clock
     /// independently of traffic (CC-FPR). `None` means "decided by
@@ -161,6 +258,39 @@ mod tests {
         assert!(p.grants.is_empty());
         assert_eq!(p.hp_node, None);
         assert_eq!(p.grant_for(NodeId(3)), None);
+    }
+
+    #[test]
+    fn collection_records_only_non_idle_entries() {
+        let t = RingTopology::new(6);
+        let tx = Request::transmission(
+            crate::priority::Priority::new(20),
+            t.segment(NodeId(1), NodeId(3)),
+            NodeSet::single(NodeId(3)),
+        );
+        let barrier_only = Request {
+            barrier: true,
+            ..Request::IDLE
+        };
+        let mut c = Collection::new(6);
+        c.append(NodeId(0), Request::IDLE);
+        c.append(NodeId(1), tx);
+        c.append(NodeId(4), barrier_only);
+        assert_eq!(c.appended(), [NodeId(1), NodeId(4)].into_iter().collect());
+        assert_eq!(c.requesters(), NodeSet::single(NodeId(1)));
+        assert_eq!(c.entries()[4], barrier_only);
+        c.drop_entry(NodeId(1));
+        assert_eq!(c.requesters(), NodeSet::EMPTY);
+        assert_eq!(c.entries()[1], Request::IDLE);
+        c.reset();
+        assert_eq!(c.appended(), NodeSet::EMPTY);
+        assert!(c.entries().iter().all(|r| *r == Request::IDLE));
+        let dense: Collection = [Request::IDLE, tx, barrier_only].into_iter().collect();
+        assert_eq!(dense.entries().len(), 3);
+        assert_eq!(
+            dense.appended(),
+            [NodeId(1), NodeId(2)].into_iter().collect()
+        );
     }
 
     #[test]

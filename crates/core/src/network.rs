@@ -34,7 +34,7 @@ use crate::arbitration::CcrEdfMac;
 use crate::config::NetworkConfig;
 use crate::connection::{Connection, ConnectionId, ConnectionSpec};
 use crate::fault::{elect_restart_node, ClockRecovery, FaultKind};
-use crate::mac::{ArbScratch, MacProtocol, SlotPlan};
+use crate::mac::{ArbScratch, Collection, MacProtocol, SlotPlan};
 use crate::message::{Destination, Message, MessageId};
 use crate::metrics::{Delivery, FaultEventRecord, Metrics, ThroughputGauge};
 use crate::node::Node;
@@ -121,6 +121,11 @@ pub struct RingNetwork<P: MacProtocol = CcrEdfMac> {
     /// only for occupied nodes. A node outside the set has nothing pinned
     /// (`requested` is `None`).
     occupied: NodeSet,
+    /// A superset of the nodes holding control-channel service state
+    /// (barrier, operand, short message, ack): every service call adds its
+    /// node, and the collection walk drops a visited node that has none
+    /// left. Empty on a ring without services.
+    svc_pending: NodeSet,
     admission: AdmissionController,
     recovery: ClockRecovery,
     /// Cursor into `cfg.fault_script` (slot-ordered; never rewinds).
@@ -144,11 +149,12 @@ pub struct RingNetwork<P: MacProtocol = CcrEdfMac> {
     /// The plan being decided this slot (swapped with `plan` at slot end —
     /// double buffering instead of a fresh `SlotPlan` per slot).
     next_plan: SlotPlan,
-    /// Collection-phase requests, indexed by absolute node id.
-    requests: Vec<Request>,
+    /// This slot's collection-phase entries, reset and read only at the
+    /// nodes that appended one.
+    collection: Collection,
     /// Arbitration working memory handed to [`MacProtocol::arbitrate_into`].
     arb_scratch: ArbScratch,
-    /// Distribution-packet buffer refilled each slot.
+    /// Distribution-packet buffer refilled each slot under `wire_check`.
     dist_scratch: DistributionPacket,
     /// Drain buffer swapped with `staged_acks` at slot start.
     staged_scratch: Vec<(NodeId, AckWire)>,
@@ -197,6 +203,7 @@ impl<P: MacProtocol> RingNetwork<P> {
             releases: EventQueue::new(),
             connections: Vec::new(),
             occupied: NodeSet::EMPTY,
+            svc_pending: NodeSet::EMPTY,
             admission,
             recovery: ClockRecovery::default(),
             script_cursor: 0,
@@ -211,7 +218,7 @@ impl<P: MacProtocol> RingNetwork<P> {
             outcome: SlotOutcome::default(),
             staged_acks: Vec::new(),
             next_plan: SlotPlan::idle(NodeId(0)),
-            requests: Vec::new(),
+            collection: Collection::new(cfg.n_nodes),
             arb_scratch: ArbScratch::default(),
             dist_scratch: DistributionPacket::default(),
             staged_scratch: Vec::new(),
@@ -412,6 +419,7 @@ impl<P: MacProtocol> RingNetwork<P> {
         assert!(self.cfg.services.barrier, "barrier service disabled");
         let now = self.now();
         self.nodes[node.idx()].services.barrier.enter(now);
+        self.svc_pending.insert(node);
     }
 
     /// Submit `value` to the global reduction on behalf of `node`.
@@ -419,6 +427,7 @@ impl<P: MacProtocol> RingNetwork<P> {
         assert!(self.cfg.services.reduction, "reduction service disabled");
         let now = self.now();
         self.nodes[node.idx()].services.reduce.submit(value, now);
+        self.svc_pending.insert(node);
     }
 
     /// Queue a short message from `src` to `dest`.
@@ -433,6 +442,7 @@ impl<P: MacProtocol> RingNetwork<P> {
             .services
             .short_out
             .send(dest, payload, now);
+        self.svc_pending.insert(src);
     }
 
     // ------------------------------------------------------------------
@@ -557,7 +567,7 @@ impl<P: MacProtocol> RingNetwork<P> {
     /// nodes downstream of the victim stand — on the real wire corruption
     /// is only detected at the master, after every node has appended.
     fn corrupt_collection_entry(&mut self, victim: NodeId) {
-        self.requests[victim.idx()] = Request::IDLE;
+        self.collection.drop_entry(victim);
         self.nodes[victim.idx()].requested = None;
         self.metrics.control_corrupted.incr();
         self.outcome.corrupt_entries += 1;
@@ -766,6 +776,7 @@ impl<P: MacProtocol> RingNetwork<P> {
         std::mem::swap(&mut self.staged_acks, &mut self.staged_scratch);
         for (node, ack) in self.staged_scratch.drain(..) {
             self.nodes[node.idx()].services.acks_out.push_back(ack);
+            self.svc_pending.insert(node);
         }
 
         // ---- 1. data phase (grants decided last slot) -------------------
@@ -793,71 +804,42 @@ impl<P: MacProtocol> RingNetwork<P> {
         }
 
         // ---- 2. collection phase ----------------------------------------
-        // Every position is walked in ring order, so releases drain at each
-        // node's decision time. A node outside the occupancy set can only
-        // append an idle request (the MAC contract of `make_request`) and
-        // has nothing pinned, so unless a control-channel service needs its
-        // fields its entry stays the IDLE the buffer is reset to.
+        // Only the nodes with something to append are visited, in ring
+        // order from the master: the occupied ones and those holding
+        // service state. Any other node can only append `Request::IDLE`
+        // (the MAC contract of `make_request`), which is what its entry
+        // already holds. The walk also stops wherever the next release
+        // becomes visible and drains it there, so releases drain at the
+        // decision times a walk over every position would drain them at,
+        // and a release landing on an empty node downstream adds that node
+        // to the walk.
         let n = self.cfg.n_nodes;
-        let svc = self.cfg.services;
-        let services_on = svc.any_service();
         let next_hint = self.mac.fixed_rotation(self.master, self.topo);
         let mut booked = LinkSet::EMPTY;
-        self.requests.clear();
-        self.requests.resize(n as usize, Request::IDLE);
-        for pos in 0..n {
-            // The node `pos` hops downstream of the master.
-            let raw = self.master.0 + pos;
-            let nid = NodeId(if raw >= n { raw - n } else { raw });
-            let decision_time = t0 + self.model.collection_offset(self.master, pos);
-            if self
-                .releases
-                .peek_time()
-                .is_some_and(|t| t <= decision_time)
-            {
-                self.drain_releases(decision_time);
+        self.collection.reset();
+        // `pos` is the first position not yet passed and `at` the node there.
+        let (mut pos, mut at) = (0, self.master);
+        let mut visible = self.release_position(t0, pos);
+        while pos < n {
+            let next = self
+                .occupied
+                .union(self.svc_pending)
+                .iter_from(at)
+                .next()
+                .map(|nid| (nid, self.topo.hops(self.master, nid)))
+                .filter(|&(_, p)| p >= pos);
+            if visible < n && next.is_none_or(|(_, p)| visible <= p) {
+                self.drain_releases(t0 + self.model.collection_offset(self.master, visible));
+                pos = visible;
+                at = self.topo.downstream(self.master, pos);
+                visible = self.release_position(t0, pos);
+                continue;
             }
-            let occupied = self.occupied.contains(nid);
-            if !occupied && !services_on || !self.nodes[nid.idx()].alive {
-                continue; // nothing to append, or bypassed: entry stays IDLE
-            }
-            let mut req = Request::IDLE;
-            let mut pinned = None;
-            if occupied {
-                let desire = self.nodes[nid.idx()].desire(
-                    decision_time,
-                    self.slot_ps,
-                    self.topo,
-                    self.cfg.mapper,
-                );
-                req = self.mac.make_request(
-                    nid,
-                    desire.map(|(d, _)| d),
-                    booked,
-                    next_hint,
-                    self.topo,
-                );
-                if req.wants_tx() {
-                    pinned = desire.map(|(_, key)| key);
-                    booked = booked.union(req.links);
-                }
-            }
-            let node = &mut self.nodes[nid.idx()];
-            node.requested = pinned;
-            // Attach service fields.
-            if svc.barrier {
-                req.barrier = node.services.barrier.waiting();
-            }
-            if svc.reduction {
-                req.reduce = node.services.reduce.operand();
-            }
-            if svc.short_msg {
-                req.short_msg = node.services.short_out.peek();
-            }
-            if svc.reliable {
-                req.ack = node.services.acks_out.front().copied();
-            }
-            self.requests[nid.idx()] = req;
+            let Some((nid, p)) = next else { break };
+            let decision_time = t0 + self.model.collection_offset(self.master, p);
+            self.append_request(nid, decision_time, &mut booked, next_hint);
+            pos = p + 1;
+            at = NodeId(if nid.0 + 1 == n { 0 } else { nid.0 + 1 });
         }
         self.metrics.control_bits.add(self.collection_bits as u64);
 
@@ -882,7 +864,7 @@ impl<P: MacProtocol> RingNetwork<P> {
             let pkt = CollectionPacket {
                 // wire order is ring order from the master
                 requests: (0..n)
-                    .map(|p| self.requests[self.topo.downstream(self.master, p).idx()])
+                    .map(|p| self.collection.entries()[self.topo.downstream(self.master, p).idx()])
                     // ccr-verify: allow(alloc-in-hot-path) -- wire_check is a debug validation mode, off in performance runs
                     .collect(),
             };
@@ -894,7 +876,7 @@ impl<P: MacProtocol> RingNetwork<P> {
 
         // ---- 3. arbitration ---------------------------------------------
         self.mac.arbitrate_into(
-            &self.requests,
+            &self.collection,
             self.master,
             self.topo,
             self.cfg.spatial_reuse,
@@ -938,18 +920,21 @@ impl<P: MacProtocol> RingNetwork<P> {
             return &self.outcome;
         }
 
-        self.fill_distribution();
+        // Barrier and reduction complete when every one of the N nodes
+        // appended its bit or operand; the reduction folds in node order.
+        let all_appended = self.collection.appended().len() == u32::from(n);
+        let entries = self.collection.entries();
+        let barrier_done =
+            self.cfg.services.barrier && all_appended && barrier::barrier_complete(entries);
+        let reduce_result = if self.cfg.services.reduction && all_appended {
+            reduce::reduce_complete(entries, self.reduce_op)
+        } else {
+            None
+        };
         if self.cfg.wire_check {
-            let bytes = self.dist_scratch.encode(n, self.cfg.services);
-            let back = DistributionPacket::decode(&bytes, n, self.cfg.services)
-                .expect("distribution packet must decode");
-            assert_eq!(back, self.dist_scratch, "distribution wire round-trip");
+            self.check_distribution_wire(barrier_done, reduce_result);
         }
-        // Move the packet out for the duration of the borrow-heavy
-        // processing, then put it back so its buffers are reused.
-        let dist = std::mem::take(&mut self.dist_scratch);
-        self.process_distribution(&dist, slot_end);
-        self.dist_scratch = dist;
+        self.process_distribution(barrier_done, reduce_result, slot_end);
 
         // ---- 5. reliable time-outs ----------------------------------------
         if self.cfg.services.reliable {
@@ -1144,44 +1129,106 @@ impl<P: MacProtocol> RingNetwork<P> {
         }
     }
 
-    /// Refill the distribution-packet scratch buffer from this slot's
-    /// requests and the freshly arbitrated plan (`next_plan`), reusing the
-    /// echo vectors' capacity.
-    fn fill_distribution(&mut self) {
-        let n = self.cfg.n_nodes as usize;
-        // ccr-verify: allow(alloc-in-hot-path) -- collects into the u64-bitmask NodeSet: FromIterator sets bits, no heap
-        self.dist_scratch.grants = self.next_plan.grants.iter().map(|g| g.node).collect();
-        self.dist_scratch.hp_node = self.next_plan.hp_node.unwrap_or(self.next_plan.next_master);
-        self.dist_scratch.barrier_done =
-            self.cfg.services.barrier && barrier::barrier_complete(&self.requests);
-        self.dist_scratch.reduce_result = if self.cfg.services.reduction {
-            reduce::reduce_complete(&self.requests, self.reduce_op)
-        } else {
-            None
-        };
-        self.dist_scratch.short_msgs.clear();
-        if self.cfg.services.short_msg {
-            self.dist_scratch
-                .short_msgs
-                .extend(self.requests.iter().map(|r| r.short_msg));
-        } else {
-            self.dist_scratch.short_msgs.resize(n, None);
+    /// Append `nid`'s collection entry at its `decision_time`: the request
+    /// its head message maps to (when it holds one), plus its service
+    /// fields. `booked` carries the links booked upstream of it.
+    fn append_request(
+        &mut self,
+        nid: NodeId,
+        decision_time: SimTime,
+        booked: &mut LinkSet,
+        next_hint: Option<NodeId>,
+    ) {
+        if !self.nodes[nid.idx()].alive {
+            return; // bypassed: its entry stays idle
         }
-        self.dist_scratch.acks.clear();
-        if self.cfg.services.reliable {
-            self.dist_scratch
-                .acks
-                .extend(self.requests.iter().map(|r| r.ack));
-        } else {
-            self.dist_scratch.acks.resize(n, None);
+        let mut req = Request::IDLE;
+        let mut pinned = None;
+        if self.occupied.contains(nid) {
+            let desire = self.nodes[nid.idx()].desire(
+                decision_time,
+                self.slot_ps,
+                self.topo,
+                self.cfg.mapper,
+            );
+            req = self
+                .mac
+                .make_request(nid, desire.map(|(d, _)| d), *booked, next_hint, self.topo);
+            if req.wants_tx() {
+                pinned = desire.map(|(_, key)| key);
+                *booked = booked.union(req.links);
+            }
+        }
+        let node = &mut self.nodes[nid.idx()];
+        node.requested = pinned;
+        let svc = self.cfg.services;
+        if svc.any_service() {
+            if svc.barrier {
+                req.barrier = node.services.barrier.waiting();
+            }
+            if svc.reduction {
+                req.reduce = node.services.reduce.operand();
+            }
+            if svc.short_msg {
+                req.short_msg = node.services.short_out.peek();
+            }
+            if svc.reliable {
+                req.ack = node.services.acks_out.front().copied();
+            }
+            if !req.barrier && req.reduce.is_none() && req.short_msg.is_none() && req.ack.is_none()
+            {
+                self.svc_pending.remove(nid); // nothing left to append
+            }
+        }
+        self.collection.append(nid, req);
+    }
+
+    /// The first ring position at or after `pos` whose collection decision
+    /// time sees the next pending release (N when none in this slot does).
+    fn release_position(&self, t0: SimTime, pos: u16) -> u16 {
+        match self.releases.peek_time() {
+            Some(t) => self
+                .model
+                .first_position_reaching(self.master, pos, t.saturating_since(t0)),
+            None => self.cfg.n_nodes,
         }
     }
 
+    /// Build the dense distribution packet (Figure 5) from this slot's
+    /// collection and the freshly arbitrated plan (`next_plan`), and
+    /// assert that it survives the wire codec.
+    fn check_distribution_wire(&mut self, barrier_done: bool, reduce_result: Option<u32>) {
+        let entries = self.collection.entries();
+        let d = &mut self.dist_scratch;
+        d.grants = NodeSet::EMPTY;
+        for g in &self.next_plan.grants {
+            d.grants.insert(g.node);
+        }
+        d.hp_node = self.next_plan.hp_node.unwrap_or(self.next_plan.next_master);
+        d.barrier_done = barrier_done;
+        d.reduce_result = reduce_result;
+        d.short_msgs.clear();
+        d.short_msgs.extend(entries.iter().map(|r| r.short_msg));
+        d.acks.clear();
+        d.acks.extend(entries.iter().map(|r| r.ack));
+        let (n, svc) = (self.cfg.n_nodes, self.cfg.services);
+        let bytes = d.encode(n, svc);
+        let back =
+            DistributionPacket::decode(&bytes, n, svc).expect("distribution packet must decode");
+        assert_eq!(back, *d, "distribution wire round-trip");
+    }
+
     /// Apply the distribution packet's service payloads at every node
-    /// (everyone has the packet by `slot_end`).
-    fn process_distribution(&mut self, dist: &DistributionPacket, slot_end: SimTime) {
+    /// (everyone has the packet by `slot_end`). The short-message and ack
+    /// echoes are those of the nodes that appended an entry.
+    fn process_distribution(
+        &mut self,
+        barrier_done: bool,
+        reduce_result: Option<u32>,
+        slot_end: SimTime,
+    ) {
         // Barrier release.
-        if dist.barrier_done {
+        if barrier_done {
             let mut last_entry = SimTime::ZERO;
             let mut any = false;
             for node in &mut self.nodes {
@@ -1199,56 +1246,62 @@ impl<P: MacProtocol> RingNetwork<P> {
             }
         }
         // Reduction result.
-        if let Some(result) = dist.reduce_result {
+        if let Some(result) = reduce_result {
             for node in &mut self.nodes {
                 node.services.reduce.on_distribution(Some(result));
             }
             self.metrics.reductions_completed.incr();
             self.outcome.reduce_result = Some(result);
         }
+        let appended = self.collection.appended();
         // Short-message delivery: sender pops its outbox, receiver records.
-        for (src_idx, sm) in dist.short_msgs.iter().enumerate() {
-            let Some(sm) = sm else { continue };
-            let (popped, sent) = {
-                let sender = &mut self.nodes[src_idx];
-                let (popped, sent_at) = sender
+        if self.cfg.services.short_msg {
+            for src in appended.iter() {
+                let Some(sm) = self.collection.entries()[src.idx()].short_msg else {
+                    continue;
+                };
+                let (popped, sent) = self.nodes[src.idx()]
                     .services
                     .short_out
                     .pop()
                     .expect("short message echoed but outbox empty");
-                debug_assert_eq!(popped, *sm);
-                (popped, sent_at)
-            };
-            let delivery = ShortDelivery {
-                src: NodeId(src_idx as u16),
-                dest: popped.dest,
-                payload: popped.payload,
-                sent,
-                delivered: slot_end,
-            };
-            self.metrics.short_delivered.incr();
-            self.metrics
-                .short_latency
-                .record(slot_end.saturating_since(sent).as_ps());
-            self.outcome.short_deliveries.push(delivery);
+                debug_assert_eq!(popped, sm);
+                let delivery = ShortDelivery {
+                    src,
+                    dest: popped.dest,
+                    payload: popped.payload,
+                    sent,
+                    delivered: slot_end,
+                };
+                self.metrics.short_delivered.incr();
+                self.metrics
+                    .short_latency
+                    .record(slot_end.saturating_since(sent).as_ps());
+                self.outcome.short_deliveries.push(delivery);
+            }
         }
         // Acknowledgements: the ack rode the requester's packet; the sender
         // of the original data observes it here.
-        for (requester_idx, ack) in dist.acks.iter().enumerate() {
-            let Some(ack) = ack else { continue };
-            // The requester consumed its queued ack.
-            self.nodes[requester_idx].services.acks_out.pop_front();
-            let sender = ack.src;
-            let Some(key) = self.nodes[sender.idx()].services.awaiting.remove(&ack.seq) else {
-                continue; // stale ack (e.g. duplicate after timeout)
-            };
-            let sender_node = &mut self.nodes[sender.idx()];
-            if let Some(qm) = sender_node.queues.get_mut(key) {
-                qm.current_seq = None;
-                // The delivery was recorded receiver-side at packet arrival,
-                // so a finished message only leaves the queue here.
-                if let SentOutcome::Finished(_) = sender_node.queues.record_sent_slot(key) {
-                    self.note_finished(sender);
+        if self.cfg.services.reliable {
+            for requester in appended.iter() {
+                let Some(ack) = self.collection.entries()[requester.idx()].ack else {
+                    continue;
+                };
+                // The requester consumed its queued ack.
+                self.nodes[requester.idx()].services.acks_out.pop_front();
+                let sender = ack.src;
+                let Some(key) = self.nodes[sender.idx()].services.awaiting.remove(&ack.seq) else {
+                    continue; // stale ack (e.g. duplicate after timeout)
+                };
+                let sender_node = &mut self.nodes[sender.idx()];
+                if let Some(qm) = sender_node.queues.get_mut(key) {
+                    qm.current_seq = None;
+                    // The delivery was recorded receiver-side at packet
+                    // arrival, so a finished message only leaves the queue
+                    // here.
+                    if let SentOutcome::Finished(_) = sender_node.queues.record_sent_slot(key) {
+                        self.note_finished(sender);
+                    }
                 }
             }
         }
@@ -1545,6 +1598,33 @@ mod tests {
         let out = net.step_slot();
         assert_eq!(out.handover_hops, 5);
         assert_eq!(out.gap, expected);
+    }
+
+    /// A release that becomes visible mid-walk reaches the nodes the
+    /// collection packet has yet to pass, and only those, whether or not
+    /// the ring carries services.
+    #[test]
+    fn a_release_seen_mid_walk_joins_it_downstream_only() {
+        for services in [ServiceWireConfig::default(), ServiceWireConfig::ALL] {
+            let cfg = NetworkConfig::builder(8)
+                .services(services)
+                .wire_check(true)
+                .build_auto_slot()
+                .unwrap();
+            let mut net = RingNetwork::new_ccr_edf(cfg);
+            // Just after position 2's decision time, from master 0.
+            let t = SimTime::ZERO
+                + net.analytic().collection_offset(NodeId(0), 2)
+                + TimeDelta::from_ps(1);
+            for (src, dest) in [(1, 2), (5, 6)] {
+                let msg =
+                    Message::non_real_time(NodeId(src), Destination::Unicast(NodeId(dest)), 1, t);
+                net.submit_message(t, msg);
+            }
+            // Equal priorities: node 1 would win on index had it asked.
+            assert_eq!(net.step_slot().next_master, NodeId(5), "{services:?}");
+            assert_eq!(net.step_slot().next_master, NodeId(1), "{services:?}");
+        }
     }
 
     #[test]

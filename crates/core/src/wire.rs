@@ -57,6 +57,11 @@ impl NodeSet {
         self.0 == 0
     }
 
+    /// Set union.
+    pub const fn union(self, other: NodeSet) -> NodeSet {
+        NodeSet(self.0 | other.0)
+    }
+
     /// Iterate members in ascending order.
     pub fn iter(self) -> impl Iterator<Item = NodeId> {
         let mut bits = self.0;
@@ -69,6 +74,15 @@ impl NodeSet {
                 Some(NodeId(i))
             }
         })
+    }
+
+    /// Iterate members in ring order from `start`: `start` and the members
+    /// above it in ascending order, then the members below it.
+    pub fn iter_from(self, start: NodeId) -> impl Iterator<Item = NodeId> {
+        let above = u64::MAX << start.0;
+        NodeSet(self.0 & above)
+            .iter()
+            .chain(NodeSet(self.0 & !above).iter())
     }
 }
 
@@ -869,6 +883,26 @@ mod tests {
         assert_eq!(log2_ceil(16), 4);
         assert_eq!(log2_ceil(17), 5);
         assert_eq!(log2_ceil(64), 6);
+    }
+
+    /// Ring order from any start equals walking the positions with `% n`.
+    #[test]
+    fn iter_from_follows_ring_order() {
+        let mut rng = ccr_sim::rng::DetRng::new(0x1F);
+        for n in [2u16, 5, 63, 64] {
+            for _ in 0..50 {
+                let all = u64::MAX >> (64 - n);
+                let set = NodeSet(rng.next_u64() & all);
+                for start in 0..n {
+                    let walk: Vec<NodeId> = (0..n)
+                        .map(|p| NodeId((start + p) % n))
+                        .filter(|&id| set.contains(id))
+                        .collect();
+                    let got: Vec<NodeId> = set.iter_from(NodeId(start)).collect();
+                    assert_eq!(got, walk, "n {n}, set {set:?}, start {start}");
+                }
+            }
+        }
     }
 
     #[test]

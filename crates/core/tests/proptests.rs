@@ -6,9 +6,9 @@
 //! case reproduces exactly from the test name alone.
 
 use ccr_edf::analysis::AnalyticModel;
-use ccr_edf::arbitration::CcrEdfMac;
+use ccr_edf::arbitration::{CcrEdfMac, CcrEdfRotatingMac};
 use ccr_edf::config::NetworkConfig;
-use ccr_edf::mac::MacProtocol;
+use ccr_edf::mac::arbitrate;
 use ccr_edf::message::{Destination, Message, MessageId, TrafficClass};
 use ccr_edf::priority::{MapperKind, Priority};
 use ccr_edf::queues::NodeQueues;
@@ -199,53 +199,81 @@ fn decoders_never_panic_on_bit_flipped_packets() {
     }
 }
 
-/// Arbitration invariants, for any request population:
+/// Arbitration invariants of both CCR-EDF variants, for any request
+/// population (dense, sparse or empty, with service-only entries) on rings
+/// of 2 to 64 nodes:
 /// 1. all granted link sets are pairwise disjoint;
 /// 2. no grant uses the link entering the next master (the clock break);
-/// 3. the highest-priority requester is granted and becomes master;
+/// 3. the highest-priority requester (ties by node index, or by distance
+///    from the master for the rotating variant) is granted and becomes
+///    master;
 /// 4. without spatial reuse there is at most one grant;
 /// 5. grants are a subset of the requesters.
 #[test]
 fn arbitration_invariants() {
     for case in 0..256u64 {
         let mut rng = SeedSequence::new(0xA5B1).stream("arb", case);
-        let n = rng.gen_range(2u16..=32);
-        let master = NodeId(rng.gen_range(0u16..32) % n);
+        let n = rng.gen_range(2u16..=64);
+        let master = NodeId(rng.gen_range(0u16..64) % n);
         let reuse = rng.gen_bool(0.5);
         let topo = RingTopology::new(n);
-        let requests = arb_requests(&mut rng, n);
-        let plan = CcrEdfMac.arbitrate(&requests, master, topo, reuse);
-
-        // 5 & grant sanity
-        for g in &plan.grants {
-            assert!(requests[g.node.idx()].wants_tx());
-            assert_eq!(g.links, requests[g.node.idx()].links);
-        }
-        // 1: pairwise disjoint
-        let mut acc = LinkSet::EMPTY;
-        for g in &plan.grants {
-            assert!(g.links.is_disjoint(acc));
-            acc = acc.union(g.links);
-        }
-        // 2: clock break untouched
-        let break_link = topo.ingress(plan.next_master);
-        assert!(!acc.contains(break_link));
-        // 3: hp granted + master
-        let mut order = Vec::new();
-        CcrEdfMac::sorted_requesters_into(&requests, &mut order);
-        match order.first() {
-            Some(&hp) => {
-                assert_eq!(plan.next_master, hp);
-                assert_eq!(plan.grants.first().map(|g| g.node), Some(hp));
+        let density = [0.0, 0.05, 0.3, 1.0][rng.gen_range(0usize..4)];
+        let requests: Vec<Request> = arb_requests(&mut rng, n)
+            .into_iter()
+            .map(|r| {
+                if rng.gen_bool(density) {
+                    r
+                } else {
+                    Request::IDLE
+                }
+            })
+            .collect();
+        let rotating = |node: NodeId| topo.hops(master, node);
+        let by_index = |node: NodeId| node.0;
+        let plans = [
+            (
+                arbitrate(&CcrEdfMac, &requests, master, topo, reuse),
+                &by_index as &dyn Fn(NodeId) -> u16,
+            ),
+            (
+                arbitrate(&CcrEdfRotatingMac, &requests, master, topo, reuse),
+                &rotating,
+            ),
+        ];
+        for (plan, tie) in plans {
+            // 5 & grant sanity
+            for g in &plan.grants {
+                assert!(requests[g.node.idx()].wants_tx());
+                assert_eq!(g.links, requests[g.node.idx()].links);
             }
-            None => {
-                assert_eq!(plan.next_master, master);
-                assert!(plan.grants.is_empty());
+            // 1: pairwise disjoint
+            let mut acc = LinkSet::EMPTY;
+            for g in &plan.grants {
+                assert!(g.links.is_disjoint(acc));
+                acc = acc.union(g.links);
             }
-        }
-        // 4: no-reuse cap
-        if !reuse {
-            assert!(plan.grants.len() <= 1);
+            // 2: clock break untouched
+            let break_link = topo.ingress(plan.next_master);
+            assert!(!acc.contains(break_link));
+            // 3: hp granted + master
+            let hp = topo
+                .nodes()
+                .filter(|node| requests[node.idx()].wants_tx())
+                .max_by_key(|&node| (requests[node.idx()].priority, std::cmp::Reverse(tie(node))));
+            match hp {
+                Some(hp) => {
+                    assert_eq!(plan.next_master, hp);
+                    assert_eq!(plan.grants.first().map(|g| g.node), Some(hp));
+                }
+                None => {
+                    assert_eq!(plan.next_master, master);
+                    assert!(plan.grants.is_empty());
+                }
+            }
+            // 4: no-reuse cap
+            if !reuse {
+                assert!(plan.grants.len() <= 1);
+            }
         }
     }
 }

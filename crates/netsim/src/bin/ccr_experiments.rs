@@ -25,26 +25,27 @@ fn usage() -> ! {
 
 fn print_model(nodes: u16, slot_bytes: u32, link_m: f64) {
     use ccr_edf::analysis::AnalyticModel;
-    use ccr_edf::config::NetworkConfig;
-    let cfg = match NetworkConfig::builder(nodes)
+    use ccr_edf::config::{ConfigError, NetworkConfig};
+    let builder = NetworkConfig::builder(nodes)
         .slot_bytes(slot_bytes)
-        .link_length_m(link_m)
-        .build()
-    {
+        .link_length_m(link_m);
+    let invalid = |e: ConfigError| -> ! {
+        eprintln!("invalid configuration: {e}");
+        std::process::exit(2);
+    };
+    let cfg = match builder.clone().build() {
         Ok(c) => c,
-        Err(e) => {
+        // Only a short slot has a fix: enlarge it to the Eq. 2 minimum.
+        Err(e @ ConfigError::SlotTooShort { .. }) => {
             eprintln!("infeasible configuration: {e}");
-            let c = NetworkConfig::builder(nodes)
-                .slot_bytes(slot_bytes)
-                .link_length_m(link_m)
-                .build_auto_slot()
-                .expect("auto slot");
+            let c = builder.build_auto_slot().unwrap_or_else(|e| invalid(e));
             eprintln!(
                 "using the minimum feasible slot instead: {} B",
                 c.slot_bytes
             );
             c
         }
+        Err(e) => invalid(e),
     };
     let a = AnalyticModel::new(&cfg);
     println!(

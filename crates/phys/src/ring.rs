@@ -184,7 +184,14 @@ impl RingTopology {
     #[inline]
     pub fn hops(self, from: NodeId, to: NodeId) -> u16 {
         debug_assert!(from.0 < self.n && to.0 < self.n);
-        (to.0 + self.n - from.0) % self.n
+        // Both ends are below N, so the sum is below 2N: one conditional
+        // subtraction in place of a division (arbitration sorts by this).
+        let h = to.0 + self.n - from.0;
+        if h >= self.n {
+            h - self.n
+        } else {
+            h
+        }
     }
 
     /// The link leaving node `from` (link `from`).
@@ -213,18 +220,20 @@ impl RingTopology {
         self.segment_hops(from, self.hops(from, to))
     }
 
-    /// Links occupied by a transmission of `hops` hops starting at `from`.
+    /// Links occupied by a transmission of `hops` hops starting at `from`:
+    /// a run of `hops` bits rotated left by `from` within the ring's N
+    /// bits, in O(1).
     pub fn segment_hops(self, from: NodeId, hops: u16) -> LinkSet {
         debug_assert!(
-            hops < self.n,
-            "segment of {hops} hops on an {}-ring",
+            hops < self.n && from.0 < self.n,
+            "segment of {hops} hops from {from} on an {}-ring",
             self.n
         );
-        let mut set = LinkSet::EMPTY;
-        for k in 0..hops {
-            set.insert(LinkId((from.0 + k) % self.n));
-        }
-        set
+        let run = (1u64 << hops) - 1;
+        // The bits that pass link N−1 continue at link 0; `checked_shr`
+        // covers `from = 0` on a 64-ring, where nothing wraps.
+        let wrapped = run.checked_shr(u32::from(self.n - from.0)).unwrap_or(0);
+        LinkSet(((run << from.0) | wrapped) & (u64::MAX >> (MAX_NODES - self.n)))
     }
 
     /// Links occupied by a multicast from `from` to every node in `dests`:
@@ -350,6 +359,37 @@ mod tests {
     #[should_panic(expected = "outside supported range")]
     fn degenerate_ring_rejected() {
         let _ = RingTopology::new(1);
+    }
+
+    /// The rotated-mask segment equals the hop-by-hop walk it replaced,
+    /// for every ring size, start node and span.
+    #[test]
+    fn segment_mask_matches_per_hop_walk() {
+        for n in 2..=MAX_NODES {
+            let r = RingTopology::new(n);
+            for from in r.nodes() {
+                for hops in 0..n {
+                    let walk: LinkSet = (0..hops).map(|k| LinkId((from.0 + k) % n)).collect();
+                    assert_eq!(
+                        r.segment_hops(from, hops),
+                        walk,
+                        "n {n}, {from}, {hops} hops"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hops_are_the_modular_distance() {
+        for n in 2..=MAX_NODES {
+            let r = RingTopology::new(n);
+            for from in r.nodes() {
+                for to in r.nodes() {
+                    assert_eq!(r.hops(from, to), (to.0 + n - from.0) % n);
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,11 +34,19 @@ step "cargo clippy"          cargo clippy --workspace --all-targets --all-featur
 step "cargo fmt --check"     cargo fmt --all -- --check
 step "ccr-verify"            cargo run -q --release -p ccr-verify
 step "ccr-verify json gate"  bash -c 'cargo run -q --release -p ccr-verify -- --emit json --baseline verify/baseline.json > target/verify-report.json'
-step "e19 calculus smoke"    cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e19 --quick
-step "e20 churn smoke"       cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e20 --quick
-step "e21 gateway smoke"     cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e21 --quick
-step "e22 survivability"     cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e22 --quick
-step "e23 synthesis smoke"   cargo run -q --release -p ccr-netsim --bin ccr-experiments -- e23 --quick
+# Every experiment at quick size and the default seed (about 1 s in
+# release), each asserting its own verdicts. E15 is left out: at its
+# default seed it panics ("demand-bound-admitted set missed at tightness
+# 0.1"), and whether its assertion should hold the raw deadline or Eq. 3's
+# bound is still open (ROADMAP item 4).
+quick_experiments() {
+  local e
+  for e in e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 \
+           e16 e17 e18 e19 e20 e21 e22 e23; do
+    cargo run -q --release -p ccr-netsim --bin ccr-experiments -- "$e" --quick
+  done
+}
+step "experiments at quick size (E15 left out)" quick_experiments
 step "perfbench smoke"       cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 # loom models of the parallel_map claim/cursor protocol: the loom crate
