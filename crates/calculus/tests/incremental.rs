@@ -167,6 +167,94 @@ fn removal_restores_the_untouched_fixed_point_exactly() {
     }
 }
 
+/// A flow through hub server 0, alone or with one hop on another of three
+/// servers before or after it, or a flow off the hub, which moves hub
+/// arrivals without changing the hub's members; a quarter of its hops are
+/// blind.
+fn hub_flow(rng: &mut DetRng) -> FlowSpec {
+    let other = 1 + rng.gen_range(0..2u32) as usize;
+    let path = match rng.gen_range(0..4u32) {
+        0 => vec![0],
+        1 => vec![0, other],
+        2 => vec![other, 0],
+        _ => vec![other],
+    };
+    let mut hop_delay = vec![0.0];
+    hop_delay.extend((1..path.len()).map(|_| rng.gen_f64() * 10.0));
+    let arrival = ArrivalCurve::token_bucket(rng.gen_f64() * 4.0, 0.001 + rng.gen_f64() * 0.006)
+        .expect("token bucket");
+    let mut spec = FlowSpec::blind(path, arrival, hop_delay);
+    for class in &mut spec.classes {
+        if rng.gen_range(0..4u32) != 0 {
+            *class = 5.0 + rng.gen_f64() * 200.0;
+        }
+    }
+    spec
+}
+
+#[test]
+fn long_class_tables_match_full_resolve() {
+    let mut rng = DetRng::new(0xC1A55);
+    let services: Vec<ServiceCurve> = (0..3).map(|_| random_service(&mut rng)).collect();
+    let mut warm = IncrementalSolver::new(&services);
+    let mut full = IncrementalSolver::new(&services);
+    full.set_force_full(true);
+    let mut next_key = 0u64;
+    let mut resident: Vec<u64> = Vec::new();
+    let (mut most_classes, mut blind_at_hub) = (0usize, false);
+    for op in 0..2 * OPS_PER_FABRIC {
+        let ctx = format!("op {op}");
+        if resident.len() > 45 && rng.gen_range(0..3u32) == 0 {
+            let n = 1 + rng.gen_range(0..2u32) as usize;
+            let batch: Vec<u64> = (0..n)
+                .map(|_| resident.swap_remove(rng.gen_range(0..resident.len() as u32) as usize))
+                .collect();
+            warm.remove(&batch);
+            full.remove(&batch);
+        } else {
+            let batch: Vec<(u64, FlowSpec)> = (0..1 + rng.gen_range(0..3u32))
+                .map(|_| {
+                    next_key += 1;
+                    (next_key, hub_flow(&mut rng))
+                })
+                .collect();
+            let rw = warm.admit(&batch);
+            let rf = full.admit(&batch);
+            assert_eq!(rw.is_ok(), rf.is_ok(), "{ctx}: verdicts diverge");
+            if rw.is_ok() {
+                resident.extend(batch.iter().map(|(k, _)| *k));
+            }
+        }
+        assert_states_identical(&warm, &full, &ctx);
+        // `full` keeps its aggregates across operations too; a solver
+        // built from nothing is the reference no kept table can reach.
+        let mut fresh = IncrementalSolver::new(&services);
+        let all: Vec<(u64, FlowSpec)> = warm
+            .keys()
+            .map(|k| (k, warm.spec(k).expect("resident spec").clone()))
+            .collect();
+        fresh.admit(&all).expect("the resident set certifies");
+        assert_states_identical(&warm, &fresh, &format!("{ctx} (from nothing)"));
+        let mut hub_classes: Vec<f64> = resident
+            .iter()
+            .filter_map(|&k| {
+                let spec = warm.spec(k).expect("resident spec");
+                let hop = spec.path.iter().position(|&s| s == 0)?;
+                Some(spec.classes[hop])
+            })
+            .collect();
+        blind_at_hub |= hub_classes.iter().any(|c| c.is_infinite());
+        hub_classes.retain(|c| c.is_finite());
+        hub_classes.sort_by(f64::total_cmp);
+        hub_classes.dedup();
+        most_classes = most_classes.max(hub_classes.len());
+    }
+    assert!(
+        most_classes >= 40 && blind_at_hub,
+        "coverage: {most_classes} distinct classes at the hub, blind hops {blind_at_hub}"
+    );
+}
+
 /// One or two fresh flows under new keys.
 fn new_batch(rng: &mut DetRng, next_key: &mut u64, n_rings: usize) -> Vec<(u64, FlowSpec)> {
     let n = 1 + rng.gen_range(0..2u32) as usize;

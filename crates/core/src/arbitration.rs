@@ -20,19 +20,22 @@ pub struct CcrEdfMac;
 /// Fill `order` with the requesters of `requests`, sorted by (priority
 /// desc, `tie` asc) — Section 3: "the requests are processed … sorted …
 /// In the event priority ties the index of the node resolves the tie".
-/// `tie` is distinct per node, so the order is unique, and
-/// `sort_unstable_by` keeps the sort itself off the heap (the stable sort
-/// allocates a merge buffer).
+/// `tie` is distinct per node, so the order is unique. Each requester's
+/// key is computed once and packed into a `u32` — inverted priority, then
+/// `tie`, then the node in the low byte (a `NodeSet` holds at most 64
+/// nodes) — so the sort compares integers in a stack array, off the heap.
 fn rank_requesters(requests: &Collection, order: &mut Vec<NodeId>, tie: impl Fn(NodeId) -> u16) {
     let entries = requests.entries();
+    let mut keys = [0u32; 64];
+    let mut k = 0;
+    for node in requests.requesters().iter() {
+        let urgency = u8::MAX - entries[node.idx()].priority.level();
+        keys[k] = u32::from(urgency) << 24 | u32::from(tie(node)) << 8 | u32::from(node.0);
+        k += 1;
+    }
+    keys[..k].sort_unstable();
     order.clear();
-    order.extend(requests.requesters().iter());
-    order.sort_unstable_by(|a, b| {
-        entries[b.idx()]
-            .priority
-            .cmp(&entries[a.idx()].priority)
-            .then(tie(*a).cmp(&tie(*b)))
-    });
+    order.extend(keys[..k].iter().map(|key| NodeId((key & 0xFF) as u16)));
 }
 
 /// Shared grant routine: given requesters in arbitration order, hand the
