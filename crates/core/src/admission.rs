@@ -80,9 +80,9 @@ pub struct AdmissionController {
     model: AnalyticModel,
     topo: RingTopology,
     policy: AdmissionPolicy,
-    admitted: BTreeMap<ConnectionId, f64>,
-    /// Full specs of the admitted set (needed by the demand-bound test).
-    specs: BTreeMap<ConnectionId, ConnectionSpec>,
+    /// The admitted set `Ma` in id order: each connection's full spec
+    /// (the demand-bound test and revalidation read it) and utilisation.
+    admitted: BTreeMap<ConnectionId, (ConnectionSpec, f64)>,
     /// Best-effort registrations: validated and id-allocated, but outside
     /// `Ma` — they contribute no utilisation and are invisible to the
     /// feasibility tests, because best-effort traffic only rides capacity
@@ -108,7 +108,6 @@ impl AdmissionController {
             topo,
             policy,
             admitted: BTreeMap::new(),
-            specs: BTreeMap::new(),
             best_effort: BTreeMap::new(),
             total: 0.0,
             next_id: 1,
@@ -157,9 +156,9 @@ impl AdmissionController {
         let mut revoked = Vec::new();
         while self.total > self.u_max() + 1e-12 {
             let victim = self
-                .specs
+                .admitted
                 .iter()
-                .max_by(|(ida, sa), (idb, sb)| {
+                .max_by(|(ida, (sa, _)), (idb, (sb, _))| {
                     sa.effective_deadline()
                         .cmp(&sb.effective_deadline())
                         .then(ida.cmp(idb))
@@ -181,8 +180,9 @@ impl AdmissionController {
     /// Sorted ascending. Covers reserved connections too.
     pub fn connections_touching(&self, node: NodeId) -> Vec<ConnectionId> {
         let mut ids: Vec<ConnectionId> = self
-            .specs
+            .admitted
             .iter()
+            .map(|(id, (s, _))| (id, s))
             .chain(self.best_effort.iter())
             .filter(|(_, s)| {
                 s.src == node || matches!(s.dest, Destination::Unicast(d) if d == node)
@@ -209,7 +209,7 @@ impl AdmissionController {
     /// Best-effort registrations count: they hold no capacity, but they
     /// are live connections until removed.
     pub fn is_admitted(&self, id: ConnectionId) -> bool {
-        self.specs.contains_key(&id) || self.best_effort.contains_key(&id)
+        self.admitted.contains_key(&id) || self.best_effort.contains_key(&id)
     }
 
     /// Headroom left under `U_max`.
@@ -233,7 +233,8 @@ impl AdmissionController {
         if self.policy == AdmissionPolicy::DemandBound {
             // Id order (the map's) fixes the order of the f64 demand sums
             // in `dbf::feasible`.
-            let mut all: Vec<ConnectionSpec> = self.specs.values().cloned().collect();
+            let mut all: Vec<ConnectionSpec> =
+                self.admitted.values().map(|(s, _)| s.clone()).collect();
             all.push(spec.clone());
             let verdict = dbf::feasible(&self.model, &all);
             if !verdict.is_feasible() {
@@ -251,8 +252,7 @@ impl AdmissionController {
         let u = self.check(spec)?;
         let id = ConnectionId(self.next_id);
         self.next_id += 1;
-        self.admitted.insert(id, u);
-        self.specs.insert(id, spec.clone());
+        self.admitted.insert(id, (spec.clone(), u));
         self.total += u;
         Ok(id)
     }
@@ -285,8 +285,7 @@ impl AdmissionController {
     /// the best-effort register. Returns `false` if the id was unknown.
     pub fn remove(&mut self, id: ConnectionId) -> bool {
         match self.admitted.remove(&id) {
-            Some(u) => {
-                self.specs.remove(&id);
+            Some((_, u)) => {
                 self.total -= u;
                 if self.admitted.is_empty() {
                     self.total = 0.0; // cancel float drift at quiescence

@@ -171,6 +171,48 @@ impl VirtualLink {
         }
         spec
     }
+
+    /// The per-link checks of a config and of `Gateway::add_link`.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let bad = |msg: &str| {
+            Err(ConfigError::InvalidLink {
+                id: self.id,
+                msg: msg.to_string(),
+            })
+        };
+        if self.mtu == 0 {
+            return bad("mtu must be positive");
+        }
+        if self.mtu as usize > wire::MAX_PAYLOAD {
+            return bad(&format!(
+                "mtu {} exceeds the {}-byte payload limit of the wire header",
+                self.mtu,
+                wire::MAX_PAYLOAD
+            ));
+        }
+        if self.burst == 0 {
+            return bad("burst must be positive");
+        }
+        if self.period <= TimeDelta::ZERO {
+            return bad("period must be positive");
+        }
+        match self.port {
+            PortSemantics::Queuing { depth: 0 } => return bad("queuing depth must be positive"),
+            PortSemantics::Sampling { validity } if validity <= TimeDelta::ZERO => {
+                return bad("sampling validity must be positive")
+            }
+            _ => {}
+        }
+        if let Some(d) = self.deadline {
+            if d > self.period {
+                return bad("deadline must not exceed the period");
+            }
+            if d <= TimeDelta::ZERO {
+                return bad("deadline must be positive");
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The full gateway configuration: every virtual link it serves.
@@ -228,45 +270,7 @@ impl GatewayConfig {
             if !seen.insert(l.id) {
                 return Err(ConfigError::DuplicateLink { id: l.id });
             }
-            let bad = |msg: &str| {
-                Err(ConfigError::InvalidLink {
-                    id: l.id,
-                    msg: msg.to_string(),
-                })
-            };
-            if l.mtu == 0 {
-                return bad("mtu must be positive");
-            }
-            if l.mtu as usize > wire::MAX_PAYLOAD {
-                return bad(&format!(
-                    "mtu {} exceeds the {}-byte payload limit of the wire header",
-                    l.mtu,
-                    wire::MAX_PAYLOAD
-                ));
-            }
-            if l.burst == 0 {
-                return bad("burst must be positive");
-            }
-            if l.period <= TimeDelta::ZERO {
-                return bad("period must be positive");
-            }
-            match l.port {
-                PortSemantics::Queuing { depth: 0 } => {
-                    return bad("queuing depth must be positive")
-                }
-                PortSemantics::Sampling { validity } if validity <= TimeDelta::ZERO => {
-                    return bad("sampling validity must be positive")
-                }
-                _ => {}
-            }
-            if let Some(d) = l.deadline {
-                if d > l.period {
-                    return bad("deadline must not exceed the period");
-                }
-                if d <= TimeDelta::ZERO {
-                    return bad("deadline must be positive");
-                }
-            }
+            l.validate()?;
         }
         Ok(())
     }

@@ -22,12 +22,15 @@
 //!
 //! Survivability story: once per slot the backend calls
 //! [`Gateway::reconcile`], which follows the fabric's
-//! [`ConnectionEvent`] stream — a rerouted link gets its fresh
-//! connection id and drops to [`LinkHealth::Degraded`], a revoked link
-//! answers `Nack` until the fabric's reclaim pass re-admits it, and a
-//! reclaimed link climbs back to [`LinkHealth::Up`]. Links can also be
-//! added and removed at runtime through the same incremental admission
-//! gate ([`Gateway::add_link`] / [`Gateway::remove_link`]).
+//! [`ConnectionEvent`] stream. A link keeps the connection id it was
+//! admitted under for its whole life, because the fabric re-admits a
+//! rerouted or reclaimed connection under the same id; the events only
+//! move the link along its health ladder — a rerouted link drops to
+//! [`LinkHealth::Degraded`], a revoked link answers `Nack` until the
+//! fabric's reclaim pass re-admits it, and a reclaimed link climbs back
+//! to [`LinkHealth::Up`]. Links can also be added and removed at runtime
+//! through the same incremental admission gate ([`Gateway::add_link`] /
+//! [`Gateway::remove_link`]).
 //!
 //! [`Shed`]: crate::config::OverloadPolicy::Shed
 //! [`Defer`]: crate::config::OverloadPolicy::Defer
@@ -40,7 +43,7 @@ use ccr_multiring::engine::{ConnectionEvent, EgressDelivery, Fabric};
 use ccr_sim::stats::Counter;
 use ccr_sim::{SimTime, TimeDelta};
 
-use crate::config::{GatewayConfig, OverloadPolicy, PortSemantics, VirtualLink};
+use crate::config::{ConfigError, GatewayConfig, OverloadPolicy, PortSemantics, VirtualLink};
 use crate::link::{LinkHealth, LinkMetrics, LinkState};
 use crate::wire::{Header, PacketKind, WireError};
 
@@ -95,6 +98,9 @@ pub enum LinkChangeError {
         /// The contested id.
         id: u16,
     },
+    /// The link's own fields are inconsistent — the same checks
+    /// [`GatewayConfig::new`] runs. The fabric was not touched.
+    Invalid(ConfigError),
     /// The fabric's admission gate refused the new link.
     Refused(FabricAdmissionError),
 }
@@ -103,7 +109,8 @@ impl std::fmt::Display for LinkChangeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LinkChangeError::DuplicateId { id } => write!(f, "link id {id} already served"),
-            LinkChangeError::Refused(e) => write!(f, "admission refused: {e:?}"),
+            LinkChangeError::Invalid(e) => write!(f, "invalid {e}"),
+            LinkChangeError::Refused(e) => write!(f, "admission refused: {e}"),
         }
     }
 }
@@ -237,7 +244,8 @@ pub struct Gateway {
     links: Vec<LinkState>,
     /// Wire id → index into `links`.
     by_id: BTreeMap<u16, usize>,
-    /// Fabric connection → index into `links`.
+    /// Fabric connection → index into `links`. A link's connection id is
+    /// fixed at admission, so only adding and removing links edit this.
     by_fid: HashMap<FabricConnectionId, usize>,
     metrics: GatewayMetrics,
     /// Control frames queued for the backend to transmit.
@@ -489,12 +497,11 @@ impl Gateway {
         }
     }
 
-    /// Follow the fabric's connection-event stream: re-point links at
-    /// their rerouted or reclaimed connection ids, walk the health
-    /// ladder, and abandon in-transit payloads whose connection died.
-    /// Backends call this once per slot, before ingress; the no-event
-    /// slot (every slot without a fault or repair) costs one inlined
-    /// emptiness check so the hot loop stays unperturbed.
+    /// Follow the fabric's connection-event stream: walk each named link
+    /// along the health ladder and abandon in-transit payloads whose
+    /// route died. Backends call this once per slot, before ingress; the
+    /// no-event slot (every slot without a fault or repair) costs one
+    /// inlined emptiness check so the hot loop stays unperturbed.
     #[inline]
     pub fn reconcile(&mut self, fabric: &mut Fabric) {
         if !fabric.has_connection_events() {
@@ -509,80 +516,48 @@ impl Gateway {
     fn reconcile_events(&mut self, fabric: &mut Fabric) {
         self.event_scratch.clear();
         fabric.drain_connection_events(&mut self.event_scratch);
-        let events = std::mem::take(&mut self.event_scratch);
-        for ev in &events {
+        for ev in &self.event_scratch {
+            let (ConnectionEvent::Rerouted { fid }
+            | ConnectionEvent::Revoked { fid, .. }
+            | ConnectionEvent::Reclaimed { fid }) = *ev;
+            let Some(&idx) = self.by_fid.get(&fid) else {
+                continue; // a removed link, or not a gateway connection
+            };
+            // Every event closed the connection first: the payloads in
+            // flight on its old route died with it, and a re-admitted
+            // connection counts its deliveries from 0 again.
+            let link = &mut self.links[idx];
+            link.metrics.lost_in_flight.add(link.in_flight.len() as u64);
+            link.in_flight.clear();
+            link.egress_seq = 0;
             match *ev {
-                ConnectionEvent::Rerouted { old, new } => {
-                    if let Some(idx) = self.idx_of_fid(old) {
-                        self.repoint(idx, old, new);
-                        let link = &mut self.links[idx];
-                        let reroutes = match link.health {
-                            LinkHealth::Degraded { reroutes } => reroutes + 1,
-                            _ => 1,
-                        };
-                        link.health = LinkHealth::Degraded { reroutes };
-                        link.metrics.reroutes.incr();
-                        self.metrics.links_rerouted.incr();
-                    }
+                ConnectionEvent::Rerouted { .. } => {
+                    let reroutes = match link.health {
+                        LinkHealth::Degraded { reroutes } => reroutes + 1,
+                        _ => 1,
+                    };
+                    link.health = LinkHealth::Degraded { reroutes };
+                    link.metrics.reroutes.incr();
+                    self.metrics.links_rerouted.incr();
                 }
-                ConnectionEvent::Revoked { old, reason } => {
-                    if let Some(idx) = self.idx_of_fid(old) {
-                        self.by_fid.remove(&old);
-                        self.abandon_transit(idx);
-                        let link = &mut self.links[idx];
-                        link.waiting.clear();
-                        link.health = LinkHealth::Revoked { reason };
-                        link.metrics.revocations.incr();
-                        self.metrics.links_revoked.incr();
-                    }
+                ConnectionEvent::Revoked { reason, .. } => {
+                    link.waiting.clear();
+                    link.health = LinkHealth::Revoked { reason };
+                    link.metrics.revocations.incr();
+                    self.metrics.links_revoked.incr();
                 }
-                ConnectionEvent::Reclaimed { old, new } => {
-                    if let Some(idx) = self.idx_of_fid(old) {
-                        self.repoint(idx, old, new);
-                        self.links[idx].health = LinkHealth::Up;
-                        self.links[idx].metrics.reclaims.incr();
-                        self.metrics.links_reclaimed.incr();
-                    }
+                ConnectionEvent::Reclaimed { .. } => {
+                    link.health = LinkHealth::Up;
+                    link.metrics.reclaims.incr();
+                    self.metrics.links_reclaimed.incr();
                 }
             }
         }
-        self.event_scratch = events;
-    }
-
-    /// Find the link currently riding `fid`. Revoked links fall out of
-    /// `by_fid`, so a reclaim has to find them by scanning — fine on
-    /// this event path.
-    fn idx_of_fid(&self, fid: FabricConnectionId) -> Option<usize> {
-        self.by_fid
-            .get(&fid)
-            .copied()
-            .or_else(|| self.links.iter().position(|l| l.fid == fid))
-    }
-
-    /// Re-point link `idx` from connection `old` to `new` and restart
-    /// its egress correlation (the new connection counts deliveries
-    /// from 0; in-transit payloads died with the old one).
-    fn repoint(&mut self, idx: usize, old: FabricConnectionId, new: FabricConnectionId) {
-        self.by_fid.remove(&old);
-        self.by_fid.insert(new, idx);
-        self.links[idx].fid = new;
-        self.abandon_transit(idx);
-    }
-
-    /// Drop link `idx`'s in-flight payloads (their messages died with
-    /// the connection) and reset the egress sequence.
-    fn abandon_transit(&mut self, idx: usize) {
-        let link = &mut self.links[idx];
-        let lost = link.in_flight.len() as u64;
-        if lost > 0 {
-            link.metrics.lost_in_flight.add(lost);
-        }
-        link.in_flight.clear();
-        link.egress_seq = 0;
     }
 
     /// Admit one more link at runtime through the same incremental
-    /// admission gate (EDF + calculus) the boot config passed.
+    /// admission gate (EDF + calculus) the boot config passed. The link is
+    /// checked like a [`GatewayConfig`] link before the fabric sees it.
     pub fn add_link(
         &mut self,
         cfg: VirtualLink,
@@ -591,6 +566,7 @@ impl Gateway {
         if self.by_id.contains_key(&cfg.id) {
             return Err(LinkChangeError::DuplicateId { id: cfg.id });
         }
+        cfg.validate().map_err(LinkChangeError::Invalid)?;
         let slot_bytes = fabric.with_ring(cfg.src.ring, |r| r.config().slot_bytes);
         let spec = cfg.spec(slot_bytes);
         let fid = fabric
@@ -604,24 +580,22 @@ impl Gateway {
     }
 
     /// Remove a served link at runtime, closing its fabric connection
-    /// (freed capacity immediately triggers the fabric's reclaim pass
-    /// for detoured or revoked peers). Returns `false` for unknown ids.
+    /// whether it is carried or revoked (freed capacity immediately
+    /// triggers the fabric's reclaim pass for detoured or revoked peers,
+    /// and a revoked link's spec leaves the reclaim queue). Returns
+    /// `false` for unknown ids.
     pub fn remove_link(&mut self, id: u16, fabric: &mut Fabric) -> bool {
         let Some(&idx) = self.by_id.get(&id) else {
             return false;
         };
         let link = self.links.remove(idx);
-        if !link.revoked() {
-            fabric.close_connection(link.fid);
-        }
+        fabric.close_connection(link.fid);
         // Indices above `idx` shifted down: rebuild both maps.
         self.by_id.clear();
         self.by_fid.clear();
         for (i, l) in self.links.iter().enumerate() {
             self.by_id.insert(l.cfg.id, i);
-            if !l.revoked() {
-                self.by_fid.insert(l.fid, i);
-            }
+            self.by_fid.insert(l.fid, i);
         }
         true
     }

@@ -164,9 +164,10 @@ impl Default for FlowControl {
 pub struct LinkState {
     /// The admitted configuration.
     pub cfg: VirtualLink,
-    /// The fabric connection carrying this link. Follows the fabric's
-    /// [`ConnectionEvent`](ccr_multiring::ConnectionEvent) stream: a
-    /// reroute or reclaim assigns a fresh id.
+    /// The fabric connection carrying this link, fixed at admission: the
+    /// fabric re-admits a rerouted or reclaimed connection under the same
+    /// id, and every [`ConnectionEvent`](ccr_multiring::ConnectionEvent)
+    /// names it.
     pub fid: FabricConnectionId,
     /// The ingress pacer.
     pub bucket: TokenBucket,

@@ -1,9 +1,12 @@
 //! End-to-end gateway tests over the socket-free loopback backend: wire
 //! frames in, admission + pacing + fabric traversal, deadline-ordered
-//! frames out — and the whole pipeline bit-identical under replay.
+//! frames out — and the whole pipeline bit-identical under replay. Also
+//! the runtime link changes: what `add_link` refuses before the fabric
+//! sees it, and what `remove_link` gives back.
 
 use ccr_gateway::prelude::*;
-use ccr_multiring::engine::{Fabric, FabricConfig};
+use ccr_multiring::admission::FabricAdmissionError;
+use ccr_multiring::engine::{Fabric, FabricConfig, RevokeReason};
 use ccr_multiring::topology::{FabricTopology, GlobalNodeId};
 use ccr_sim::TimeDelta;
 
@@ -194,4 +197,82 @@ fn loopback_replay_is_bit_identical() {
     assert_eq!(out_a, out_b, "egress frames replay identically");
     assert_eq!(wire_a, wire_b, "wire encodings are byte-identical");
     assert_eq!(metrics_a, metrics_b, "so do the counters");
+}
+
+#[test]
+fn add_link_refuses_what_a_config_refuses_before_the_fabric_sees_it() {
+    let (mut fabric, mut gateway, _) = build();
+    let before = fabric.active_connections();
+    let link = || VirtualLink::new(7, GlobalNodeId::new(0, 3), GlobalNodeId::new(1, 2));
+    let zero = TimeDelta::ZERO;
+    let invalid = [
+        link().mtu(0),
+        link().mtu(70_000),
+        link().burst(0),
+        link().period(zero),
+        link().port(PortSemantics::Queuing { depth: 0 }),
+        link().port(PortSemantics::Sampling { validity: zero }),
+        link().deadline(PERIOD + PERIOD),
+        link().deadline(zero),
+    ];
+    for l in invalid {
+        let err = GatewayConfig::new(vec![l.clone()]).expect_err("the config refuses it");
+        assert_eq!(
+            gateway.add_link(l.clone(), &mut fabric),
+            Err(LinkChangeError::Invalid(err)),
+            "{l:?}"
+        );
+        assert_eq!(
+            fabric.active_connections(),
+            before,
+            "{l:?} reached the fabric"
+        );
+        assert_eq!(gateway.link_health(7), None);
+    }
+    // A valid link still goes through, and errors read as text.
+    assert_eq!(gateway.add_link(link(), &mut fabric), Ok(()));
+    assert_eq!(fabric.active_connections(), before + 1);
+    let refused = FabricAdmissionError::BridgeOverload { bridge: 0 };
+    assert_eq!(
+        LinkChangeError::Refused(refused.clone()).to_string(),
+        format!("admission refused: {refused}")
+    );
+    assert_eq!(
+        LinkChangeError::Invalid(GatewayConfig::new(vec![link().burst(0)]).unwrap_err())
+            .to_string(),
+        "invalid link 7: burst must be positive"
+    );
+}
+
+#[test]
+fn removing_a_revoked_link_keeps_the_repair_from_reclaiming_it() {
+    let (mut fabric, mut gateway, report) = build();
+    assert_eq!(report.admitted, [1, 2]);
+    // A third link stays on ring 0, clear of the bridge.
+    let local =
+        VirtualLink::new(3, GlobalNodeId::new(0, 2), GlobalNodeId::new(0, 4)).period(PERIOD);
+    gateway.add_link(local, &mut fabric).unwrap();
+    assert_eq!(fabric.active_connections(), 3);
+    // The chain's only bridge dies: both crossing links are revoked.
+    assert!(fabric.kill_bridge(0));
+    gateway.reconcile(&mut fabric);
+    let revoked = Some(LinkHealth::Revoked {
+        reason: RevokeReason::NoRoute,
+    });
+    assert_eq!(gateway.link_health(1), revoked);
+    assert_eq!(gateway.link_health(2), revoked);
+    assert_eq!(fabric.active_connections(), 1);
+    // Link 1 is given up while revoked; the repair brings back link 2 only.
+    assert!(gateway.remove_link(1, &mut fabric));
+    assert!(fabric.repair_bridge(0));
+    gateway.reconcile(&mut fabric);
+    assert_eq!(gateway.link_health(1), None);
+    assert_eq!(gateway.link_health(2), Some(LinkHealth::Up));
+    assert_eq!(gateway.link_health(3), Some(LinkHealth::Up));
+    assert_eq!(
+        fabric.active_connections(),
+        2,
+        "one connection per live link"
+    );
+    assert_eq!(gateway.metrics().links_reclaimed.get(), 1);
 }

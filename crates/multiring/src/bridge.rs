@@ -16,7 +16,6 @@
 //! needs on that ring), with the integer remainder pushed onto the
 //! earliest segments so the budgets always sum to exactly `D`.
 
-use crate::admission::FabricConnectionId;
 use ccr_edf::message::Message;
 use ccr_sim::{SimTime, TimeDelta};
 
@@ -42,17 +41,14 @@ impl Default for BridgeConfig {
 #[derive(Debug, Clone)]
 pub struct PendingForward {
     /// The message, already rewritten for the egress segment (source,
-    /// destination, deadline).
+    /// destination, deadline, and the egress ring connection, which names
+    /// the end-to-end connection and segment it belongs to).
     pub msg: Message,
     /// When the bridge received it from the ingress ring.
     pub enqueued: SimTime,
     /// Fabric-wide arrival sequence number — the deterministic EDF
     /// tie-break for equal deadlines.
     pub seq: u64,
-    /// The end-to-end connection the message belongs to.
-    pub fid: FabricConnectionId,
-    /// Route segment the message traverses after the bridge.
-    pub seg_idx: usize,
     /// End-to-end latency accumulated over the previous segments.
     pub accumulated: TimeDelta,
 }
@@ -189,8 +185,6 @@ mod tests {
             ),
             enqueued: SimTime::ZERO,
             seq,
-            fid: FabricConnectionId(seq),
-            seg_idx: 1,
             accumulated: TimeDelta::ZERO,
         }
     }

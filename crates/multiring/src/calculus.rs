@@ -277,8 +277,8 @@ impl CalculusAdmission {
         let report = session.admit(&flows).map_err(map_solve_error)?;
         // Deadline gate over the dirty set only: clean flows kept their
         // stored bounds, which passed this same gate when they were last
-        // derived. Dirty keys ascend, and batch candidates carry the
-        // largest ids, so an existing victim is named before a candidate.
+        // derived. Dirty keys ascend: a re-admitted candidate keeps its
+        // older id and may be named before a victim (either way a refusal).
         for &key in &report.dirty_flows {
             let bound_ps = session
                 .bounds(key)

@@ -344,40 +344,35 @@ impl std::fmt::Display for RevokeReason {
     }
 }
 
-/// A fault- or repair-driven change to an admitted connection's identity,
+/// A fault- or repair-driven change to an open connection's route,
 /// surfaced through [`Fabric::drain_connection_events`] so external
 /// holders of a [`FabricConnectionId`] (the gateway) can follow it.
 ///
-/// Rerouting and reclamation *re-admit* the connection's spec, which
-/// assigns a fresh id — the old one stops resolving. Every such identity
-/// change is recorded here in the order it happened; the buffer is
-/// bounded by the number of fault events, not by slots.
+/// Rerouting and reclamation *re-admit* the spec under the id it was
+/// opened with, which every event names. Events are recorded in the order
+/// they happened; the buffer is bounded by fault events, not by slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnectionEvent {
-    /// Closed and re-admitted over an alternate (or restored) route. The
-    /// connection survives under `new`; messages in flight at the switch
-    /// were dropped.
+    /// Closed and re-admitted over an alternate (or restored) route.
+    /// Messages in flight at the switch were dropped; deliveries restart
+    /// at sequence 0.
     Rerouted {
-        /// The id that stopped resolving.
-        old: FabricConnectionId,
-        /// The id now carrying the spec.
-        new: FabricConnectionId,
+        /// The connection.
+        fid: FabricConnectionId,
     },
-    /// Revoked: the spec is queued for reclaim but carries no traffic.
+    /// Revoked: the spec is queued for reclaim (its owner may still close
+    /// it) and carries no traffic until a reclaim names it again.
     Revoked {
-        /// The id that stopped resolving.
-        old: FabricConnectionId,
+        /// The connection.
+        fid: FabricConnectionId,
         /// Why no reroute was possible.
         reason: RevokeReason,
     },
-    /// A previously revoked spec was re-admitted (bridge repair or freed
-    /// capacity). `old` is the id reported by the matching
-    /// [`ConnectionEvent::Revoked`].
+    /// Re-admitted on its preferred route after a revocation or a detour
+    /// (bridge repair or freed capacity); deliveries restart at sequence 0.
     Reclaimed {
-        /// The id the spec was revoked under.
-        old: FabricConnectionId,
-        /// The id now carrying the spec.
-        new: FabricConnectionId,
+        /// The connection.
+        fid: FabricConnectionId,
     },
 }
 
@@ -435,13 +430,14 @@ pub struct Fabric {
     /// Admitted connections, in a slab whose free entries are reused.
     conns: Vec<Option<ActiveConnection>>,
     /// Slab entry of each connection, indexed by its [`FabricConnectionId`]
-    /// (ids are never reused); `None` once it closed.
+    /// (never reused; kept by re-admissions); `None` while revoked or closed.
     by_fid: Vec<Option<usize>>,
     /// Per ring, indexed by that ring's dense [`ConnectionId`]: the slab
     /// entry and segment index of the fabric connection the ring
     /// connection carries. `None` for ring ids the fabric does not own.
     by_ring_conn: Vec<Vec<Option<(usize, usize)>>>,
     metrics: FabricMetrics,
+    /// The id the next opened connection gets.
     next_fid: u64,
     fwd_seq: u64,
     /// Per-ring recovering flags filled by the health scan each slot.
@@ -458,11 +454,11 @@ pub struct Fabric {
     /// Scripted `(slot, bridge, kill/repair)` events, sorted by slot.
     bridge_events: Vec<(u64, usize, BridgeEventKind)>,
     event_cursor: usize,
-    /// Specs revoked by faults (with their connection class and the id
-    /// they were revoked under), in revocation order — the reclaim queue
-    /// a bridge repair retries deterministically.
+    /// Specs revoked by faults (with their connection class and id), in
+    /// revocation order — the reclaim queue a bridge repair retries
+    /// deterministically.
     revoked_specs: Vec<(FabricConnectionSpec, ConnClass, FabricConnectionId)>,
-    /// Connection identity changes since the last
+    /// Reroutes, revocations and reclaims since the last
     /// [`Fabric::drain_connection_events`], in event order.
     conn_events: Vec<ConnectionEvent>,
     /// True while at least one surviving connection sits on a detour the
@@ -654,7 +650,8 @@ impl Fabric {
         plan_connection(&self.topo, spec, &self.envs, &self.dead_bridges)
     }
 
-    /// Plan every spec, then admit the batch as `class`, all-or-nothing.
+    /// Plan every spec, then admit the batch as `class` under fresh ids,
+    /// all-or-nothing.
     fn open(
         &mut self,
         specs: &[FabricConnectionSpec],
@@ -664,7 +661,12 @@ impl Fabric {
             .iter()
             .map(|spec| self.plan(spec))
             .collect::<Result<Vec<_>, _>>()?;
-        self.admit_plans(plans, class)
+        let fids: Vec<FabricConnectionId> = (self.next_fid..self.next_fid + plans.len() as u64)
+            .map(FabricConnectionId)
+            .collect();
+        self.admit_plans(&fids, plans, class)?;
+        self.next_fid += fids.len() as u64;
+        Ok(fids)
     }
 
     /// Admit an end-to-end connection: plan the per-segment decomposition,
@@ -735,27 +737,25 @@ impl Fabric {
         self.open(specs, ConnClass::Periodic)
     }
 
-    /// Admit one already-planned connection (the re-admission paths of
-    /// reconcile and reclaim).
-    fn admit_plan(
-        &mut self,
-        plan: ConnectionPlan,
-        class: ConnClass,
-    ) -> Result<FabricConnectionId, FabricAdmissionError> {
-        self.admit_plans(vec![plan], class).map(|fids| fids[0])
+    /// Re-admit connection `fid` on an already-planned route (reconcile
+    /// and reclaim). `true` when the route was admitted.
+    fn readmit(&mut self, fid: FabricConnectionId, plan: ConnectionPlan, class: ConnClass) -> bool {
+        self.admit_plans(&[fid], vec![plan], class).is_ok()
     }
 
-    /// Admit a batch of planned connections, all-or-nothing. External
-    /// batches reserve every segment (no periodic releases anywhere);
-    /// periodic ones open segment 0 for periodic generation. Best-effort
-    /// batches bypass the guaranteed machinery entirely: no bridge-buffer
-    /// reservation, no calculus certification — segments are registered
-    /// with the rings only so routing stays consistent.
+    /// Admit a batch of planned connections under `fids` (one per plan),
+    /// all-or-nothing. External batches reserve every segment (no periodic
+    /// releases anywhere); periodic ones open segment 0 for periodic
+    /// generation. Best-effort batches bypass the guaranteed machinery
+    /// entirely: no bridge-buffer reservation, no calculus certification —
+    /// segments are registered with the rings only so routing stays
+    /// consistent.
     fn admit_plans(
         &mut self,
+        fids: &[FabricConnectionId],
         plans: Vec<ConnectionPlan>,
         class: ConnClass,
-    ) -> Result<Vec<FabricConnectionId>, FabricAdmissionError> {
+    ) -> Result<(), FabricAdmissionError> {
         // Bridge-buffer feasibility, cumulative across the batch: each
         // resident connection reserves one buffer slot per crossing (one
         // message per period in flight at a bridge is the steady state
@@ -775,11 +775,7 @@ impl Fabric {
         // candidate — keeps a certified bound within its deadline. The
         // solver undoes a refusal itself, so no ring was touched yet and
         // there is nothing to undo. The certification stays revocable
-        // until the rings accept. Candidate ids are reserved here
-        // (`next_fid` onwards) and only consumed once the rings accept.
-        let fids: Vec<FabricConnectionId> = (0..plans.len() as u64)
-            .map(|i| FabricConnectionId(self.next_fid + i))
-            .collect();
+        // until the rings accept.
         let mut certified = None;
         if class != ConnClass::BestEffort {
             if let Some(calc) = self.calculus.as_mut() {
@@ -800,13 +796,15 @@ impl Fabric {
         }
         // Per-ring admission with whole-batch rollback (certification
         // included: dropping a certified batch the rings refuse undoes it
-        // exactly).
-        let mut admitted: Vec<Vec<ConnectionId>> = Vec::with_capacity(plans.len());
-        for plan in plans.iter() {
-            let mut ring_conns: Vec<ConnectionId> = Vec::with_capacity(plan.segments.len());
-            let mut failed: Option<(usize, _)> = None;
+        // exactly). `opened` holds the batch's ring connections in
+        // admission order, plan by plan.
+        let mut opened: Vec<(usize, ConnectionId)> =
+            Vec::with_capacity(plans.iter().map(|p| p.segments.len()).sum());
+        for plan in &plans {
+            let first = opened.len();
             for (i, seg) in plan.segments.iter().enumerate() {
-                let ring = &mut self.rings[seg.segment.ring.0 as usize];
+                let r = seg.segment.ring.0 as usize;
+                let ring = &mut self.rings[r];
                 let res = if class == ConnClass::BestEffort {
                     ring.reserve_best_effort(seg.spec.clone())
                 } else if i == 0 && class == ConnClass::Periodic {
@@ -815,35 +813,26 @@ impl Fabric {
                     ring.reserve_connection(seg.spec.clone())
                 };
                 match res {
-                    Ok(id) => ring_conns.push(id),
+                    Ok(id) => opened.push((r, id)),
                     Err(error) => {
-                        failed = Some((i, error));
-                        break;
+                        // Unwind this plan, then the earlier ones: ring
+                        // utilisation is an f64 running sum.
+                        for &(r, id) in opened[first..].iter().chain(&opened[..first]) {
+                            self.rings[r].close_connection(id);
+                        }
+                        drop(certified);
+                        return Err(FabricAdmissionError::SegmentRejected { segment: i, error });
                     }
                 }
             }
-            if let Some((segment, error)) = failed {
-                for (j, id) in ring_conns.into_iter().enumerate() {
-                    let rj = plan.segments[j].segment.ring.0 as usize;
-                    self.rings[rj].close_connection(id);
-                }
-                for (qi, conns) in admitted.into_iter().enumerate() {
-                    for (j, id) in conns.into_iter().enumerate() {
-                        let rj = plans[qi].segments[j].segment.ring.0 as usize;
-                        self.rings[rj].close_connection(id);
-                    }
-                }
-                drop(certified);
-                return Err(FabricAdmissionError::SegmentRejected { segment, error });
-            }
-            admitted.push(ring_conns);
         }
         if let Some(cert) = certified {
             cert.commit();
         }
         // Bookkeeping — the batch is in.
-        self.next_fid += plans.len() as u64;
-        for ((&fid, plan), ring_conns) in fids.iter().zip(plans).zip(admitted) {
+        let mut opened = opened.into_iter().map(|(_, id)| id);
+        for (&fid, plan) in fids.iter().zip(plans) {
+            let ring_conns: Vec<ConnectionId> = opened.by_ref().take(plan.segments.len()).collect();
             let entry = match self.conns.iter().position(Option::is_none) {
                 Some(free) => free,
                 None => {
@@ -872,22 +861,26 @@ impl Fabric {
                 observed_max: None,
             });
         }
-        Ok(fids)
+        Ok(())
     }
 
     /// Tear down an end-to-end connection, releasing every ring's capacity
-    /// and the bridge-buffer reservations. Returns `false` for unknown ids.
+    /// and the bridge-buffer reservations. A revoked connection only
+    /// leaves the reclaim queue. Returns `false` for unknown ids.
     ///
     /// On fault-tracking fabrics, freed capacity is immediately offered to
     /// connections a fault left revoked or detoured: the same two-pass
     /// deterministic reclaim that runs after a bridge repair runs here,
     /// whenever there is anything to reclaim.
     pub fn close_connection(&mut self, fid: FabricConnectionId) -> bool {
-        let closed = self.close_connection_impl(fid);
-        if closed && self.track_faults && (!self.revoked_specs.is_empty() || self.detour_pending) {
-            self.reclaim_connections();
+        if self.close_connection_impl(fid) {
+            if self.track_faults && (!self.revoked_specs.is_empty() || self.detour_pending) {
+                self.reclaim_connections();
+            }
+            return true;
         }
-        closed
+        let revoked = self.revoked_specs.iter().position(|&(_, _, r)| r == fid);
+        revoked.map(|i| self.revoked_specs.remove(i)).is_some()
     }
 
     /// The teardown itself, with no reclaim trigger — what internal
@@ -981,10 +974,11 @@ impl Fabric {
 
     /// Drain connection lifecycle events (reroutes, revocations,
     /// reclaims) accumulated by the fault/repair passes since the last
-    /// call, appending them to `out` in emission order. An edge layer
-    /// holding [`FabricConnectionId`]s MUST follow this stream: every
-    /// reroute or reclaim assigns a fresh id, and injecting on the stale
-    /// one fails with [`InjectError::UnknownConnection`] forever.
+    /// call, appending them to `out` in emission order. Each names the id
+    /// the connection was opened with, which reroutes and reclaims keep.
+    /// An edge layer follows it to learn that messages in flight were
+    /// lost, or that a revoked id refuses [`Fabric::inject`] until a
+    /// reclaim names it again.
     pub fn drain_connection_events(&mut self, out: &mut Vec<ConnectionEvent>) {
         out.append(&mut self.conn_events);
     }
@@ -1123,22 +1117,22 @@ impl Fabric {
                 self.plan(&spec)
                     .map_err(|_| RevokeReason::NoRoute)
                     .and_then(|plan| {
-                        self.admit_plan(plan, class)
-                            .map_err(|_| RevokeReason::AdmissionRefused)
+                        self.readmit(fid, plan, class)
+                            .then_some(())
+                            .ok_or(RevokeReason::AdmissionRefused)
                     })
             } else {
                 Err(RevokeReason::EndpointDead)
             };
             match rerouted {
-                Ok(new) => {
+                Ok(()) => {
                     self.metrics.e2e_rerouted.incr();
-                    self.conn_events
-                        .push(ConnectionEvent::Rerouted { old: fid, new });
+                    self.conn_events.push(ConnectionEvent::Rerouted { fid });
                 }
                 Err(reason) => {
                     self.metrics.e2e_revoked.incr();
                     self.conn_events
-                        .push(ConnectionEvent::Revoked { old: fid, reason });
+                        .push(ConnectionEvent::Revoked { fid, reason });
                     self.revoked_specs.push((spec, class, fid));
                 }
             }
@@ -1207,21 +1201,18 @@ impl Fabric {
     fn reclaim_connections(&mut self) {
         self.detour_pending = false;
         let stash = std::mem::take(&mut self.revoked_specs);
-        for (spec, class, old_fid) in stash {
-            let reclaimed = if self.node_alive(spec.src) && self.node_alive(spec.dst) {
-                self.plan(&spec)
+        for (spec, class, fid) in stash {
+            let reclaimed = self.node_alive(spec.src)
+                && self.node_alive(spec.dst)
+                && self
+                    .plan(&spec)
                     .ok()
-                    .and_then(|plan| self.admit_plan(plan, class).ok())
+                    .is_some_and(|plan| self.readmit(fid, plan, class));
+            if reclaimed {
+                self.metrics.e2e_reclaimed.incr();
+                self.conn_events.push(ConnectionEvent::Reclaimed { fid });
             } else {
-                None
-            };
-            match reclaimed {
-                Some(new) => {
-                    self.metrics.e2e_reclaimed.incr();
-                    self.conn_events
-                        .push(ConnectionEvent::Reclaimed { old: old_fid, new });
-                }
-                None => self.revoked_specs.push((spec, class, old_fid)),
+                self.revoked_specs.push((spec, class, fid));
             }
         }
         let mut fids: Vec<FabricConnectionId> =
@@ -1240,20 +1231,18 @@ impl Fabric {
             let (old_plan, class) = (active.plan.clone(), active.class);
             let spec = old_plan.spec.clone();
             self.close_connection_impl(fid);
-            if let Ok(new) = self.admit_plan(preferred, class) {
+            if self.readmit(fid, preferred, class) {
                 self.metrics.e2e_reclaimed.incr();
-                self.conn_events
-                    .push(ConnectionEvent::Reclaimed { old: fid, new });
-            } else if let Ok(new) = self.admit_plan(old_plan, class) {
+                self.conn_events.push(ConnectionEvent::Reclaimed { fid });
+            } else if self.readmit(fid, old_plan, class) {
                 // Still detoured: remember so the next freed capacity
                 // (any `close_connection`) re-runs this pass.
                 self.detour_pending = true;
-                self.conn_events
-                    .push(ConnectionEvent::Rerouted { old: fid, new });
+                self.conn_events.push(ConnectionEvent::Rerouted { fid });
             } else {
                 self.metrics.e2e_revoked.incr();
                 self.conn_events.push(ConnectionEvent::Revoked {
-                    old: fid,
+                    fid,
                     reason: RevokeReason::AdmissionRefused,
                 });
                 self.revoked_specs.push((spec, class, fid));
@@ -1380,33 +1369,38 @@ impl Fabric {
     /// Submit one popped forward into its egress ring — the phase-3
     /// tail shared by the guaranteed and best-effort queue drains.
     fn submit_forward(&mut self, qi: usize, pf: PendingForward) {
-        let ring = &mut self.rings[self.queue_egress[qi]];
+        let egress = self.queue_egress[qi];
+        let owner = self.ring_conn_owner(egress, pf.msg.connection);
+        let ring = &mut self.rings[egress];
         let now = ring.now();
         let wait = now.saturating_since(pf.enqueued);
         ring.submit_message(now, pf.msg);
         self.metrics.record_forward(wait);
-        // A connection closed or rerouted while its forward waited is gone:
-        // the message still rides its egress ring, but no record awaits it.
-        if let Some(entry) = self.entry_of(pf.fid) {
+        // A connection closed or re-admitted while its forward waited no
+        // longer owns the ring connection the message rides: the message
+        // still rides its egress ring, but no record awaits it.
+        if let Some((entry, seg_idx)) = owner {
             let active = self.conns[entry]
                 .as_mut()
-                .expect("by_fid names live entries");
-            active.inflight[pf.seg_idx].push_back(Inflight {
+                .expect("by_ring_conn names live entries");
+            active.inflight[seg_idx].push_back(Inflight {
                 entered: pf.enqueued,
                 accumulated: pf.accumulated,
             });
         }
     }
 
+    /// The slab entry and segment index owning ring connection `conn` on
+    /// ring `ring`. Ring ids are never reused: a retired one names nothing.
+    fn ring_conn_owner(&self, ring: usize, conn: Option<ConnectionId>) -> Option<(usize, usize)> {
+        *self.by_ring_conn[ring].get(conn?.0 as usize)?
+    }
+
     /// Route one delivery of ring `ring`: close its end-to-end record or
     /// queue it at the next bridge. `rings` is the fabric's ring set, read
     /// for the hand-off clock.
     fn handle_delivery(&mut self, rings: &[RingNetwork], ring: u16, d: &Delivery) {
-        let Some(conn) = d.msg.connection else {
-            return;
-        };
-        let Some(&Some((entry, seg_idx))) = self.by_ring_conn[ring as usize].get(conn.0 as usize)
-        else {
+        let Some((entry, seg_idx)) = self.ring_conn_owner(ring as usize, d.msg.connection) else {
             return;
         };
         let active = self.conns[entry]
@@ -1463,8 +1457,6 @@ impl Fabric {
             msg: active.message(next, now),
             enqueued: now,
             seq: self.fwd_seq,
-            fid,
-            seg_idx: next,
             accumulated: total,
         };
         self.fwd_seq += 1;
@@ -1627,7 +1619,9 @@ mod tests {
         b.bridge(GlobalNodeId::new(2, 1), GlobalNodeId::new(0, 1));
         b.allow_cycles_with(CycleBound::Unbounded);
         let topo = b.build().unwrap();
-        let cfg = FabricConfig::uniform(topo, 2048, 11).unwrap();
+        let cfg = FabricConfig::uniform(topo, 2048, 11)
+            .unwrap()
+            .calculus(true);
         let mut fabric = Fabric::new(cfg).unwrap();
         let fid = fabric
             .open_connection(
@@ -1638,22 +1632,41 @@ mod tests {
         fabric.run_slots(100);
         let delivered_before = fabric.metrics().e2e_delivered.get();
         assert!(delivered_before > 0, "traffic flows before the fault");
+        assert!(fabric.observed_e2e_max(fid).is_some());
         assert!(fabric.kill_bridge(0));
-        // The connection came back over the detour through ring 2.
+        // The connection came back over the detour through ring 2, under
+        // the id it was opened with.
         assert_eq!(fabric.metrics().e2e_rerouted.get(), 1);
         assert_eq!(fabric.metrics().e2e_revoked.get(), 0);
-        assert!(fabric.conn(fid).is_none(), "old id is gone");
         assert_eq!(fabric.active_connections(), 1);
-        let active = fabric.conns.iter().flatten().next().unwrap();
+        let mut events = Vec::new();
+        fabric.drain_connection_events(&mut events);
+        assert_eq!(events, [ConnectionEvent::Rerouted { fid }]);
+        let active = fabric.conn(fid).expect("the id survives the reroute");
         assert_eq!(active.plan.segments.len(), 3, "detour crosses two bridges");
         assert_eq!(
             active.plan.bridges().collect::<Vec<_>>(),
             vec![2, 1],
             "detour avoids the dead bridge"
         );
+        assert_resolves(&mut fabric, fid);
+        assert_eq!(
+            fabric.observed_e2e_max(fid),
+            None,
+            "the detour has delivered nothing yet"
+        );
         // End-to-end traffic resumes on the alternate route.
         fabric.run_slots(600);
         assert!(fabric.metrics().e2e_delivered.get() > delivered_before);
+        assert!(fabric.observed_e2e_max(fid).is_some());
+    }
+
+    /// `fid` names an open connection: the certifier bounds it, and
+    /// `inject` knows it (a periodic connection refuses injection as
+    /// `NotExternal`, a closed or revoked one as `UnknownConnection`).
+    fn assert_resolves(fabric: &mut Fabric, fid: FabricConnectionId) {
+        assert!(fabric.e2e_bound(fid).is_some(), "{fid:?} has no bound");
+        assert_eq!(fabric.inject(fid), Err(InjectError::NotExternal));
     }
 
     /// Triangle of three rings: 0—1 (bridge 0), 1—2 (bridge 1), 2—0
@@ -1742,7 +1755,7 @@ mod tests {
         // Chain: killing the only bridge revokes the crossing connection;
         // repairing it brings the connection back deterministically.
         let topo = FabricTopology::chain(2, 6);
-        let cfg = FabricConfig::uniform(topo, 2048, 7).unwrap();
+        let cfg = FabricConfig::uniform(topo, 2048, 7).unwrap().calculus(true);
         let mut fabric = Fabric::new(cfg).unwrap();
         let fid = fabric
             .open_connection(
@@ -1754,6 +1767,9 @@ mod tests {
         assert!(fabric.kill_bridge(0));
         assert_eq!(fabric.metrics().e2e_revoked.get(), 1);
         assert_eq!(fabric.active_connections(), 0);
+        // Revoked: the id carries nothing and holds no certificate.
+        assert_eq!(fabric.e2e_bound(fid), None);
+        assert_eq!(fabric.inject(fid), Err(InjectError::UnknownConnection));
         assert!(!fabric.repair_bridge(3), "unknown bridge");
         assert!(fabric.repair_bridge(0));
         assert!(!fabric.repair_bridge(0), "second repair is a no-op");
@@ -1764,11 +1780,56 @@ mod tests {
         assert_eq!(fabric.metrics().bridges_repaired.get(), 1);
         assert_eq!(fabric.metrics().e2e_reclaimed.get(), 1);
         assert_eq!(fabric.active_connections(), 1);
-        assert!(fabric.conn(fid).is_none(), "fresh id on reclaim");
-        // Traffic flows end-to-end again.
+        let mut events = Vec::new();
+        fabric.drain_connection_events(&mut events);
+        assert_eq!(
+            events,
+            [
+                ConnectionEvent::Revoked {
+                    fid,
+                    reason: RevokeReason::NoRoute
+                },
+                ConnectionEvent::Reclaimed { fid }
+            ]
+        );
+        assert!(fabric.conn(fid).is_some(), "the id survives the reclaim");
+        assert_resolves(&mut fabric, fid);
+        // Traffic flows end-to-end again, under the same id.
         let before = fabric.metrics().e2e_delivered.get();
         fabric.run_slots(2_000);
         assert!(fabric.metrics().e2e_delivered.get() > before);
+        assert!(fabric.observed_e2e_max(fid).is_some());
+    }
+
+    #[test]
+    fn closing_a_revoked_connection_keeps_the_repair_from_reclaiming_it() {
+        let topo = FabricTopology::chain(2, 8);
+        let cfg = FabricConfig::uniform(topo, 2048, 7).unwrap();
+        let mut fabric = Fabric::new(cfg).unwrap();
+        let fid = fabric
+            .open_connection(
+                FabricConnectionSpec::unicast(GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 3))
+                    .period(TimeDelta::from_ms(2)),
+            )
+            .unwrap();
+        assert!(fabric.kill_bridge(0));
+        assert_eq!(fabric.active_connections(), 0);
+        assert!(fabric.close_connection(fid), "a revoked id can be closed");
+        assert!(!fabric.close_connection(fid), "but only once");
+        assert!(fabric.repair_bridge(0));
+        // The owner gave the connection up: the repair brings nothing back.
+        assert_eq!(fabric.active_connections(), 0);
+        assert_eq!(fabric.metrics().e2e_reclaimed.get(), 0);
+        let mut events = Vec::new();
+        fabric.drain_connection_events(&mut events);
+        assert_eq!(
+            events,
+            [ConnectionEvent::Revoked {
+                fid,
+                reason: RevokeReason::NoRoute
+            }]
+        );
+        assert_eq!(fabric.inject(fid), Err(InjectError::UnknownConnection));
     }
 
     #[test]
@@ -1777,9 +1838,11 @@ mod tests {
         // the connection detours via ring 2, then repair it — the reclaim
         // pass moves the connection back onto its one-bridge route.
         let topo = triangle(6, CycleBound::Unbounded);
-        let cfg = FabricConfig::uniform(topo, 2048, 11).unwrap();
+        let cfg = FabricConfig::uniform(topo, 2048, 11)
+            .unwrap()
+            .calculus(true);
         let mut fabric = Fabric::new(cfg).unwrap();
-        fabric
+        let fid = fabric
             .open_connection(
                 FabricConnectionSpec::unicast(GlobalNodeId::new(0, 2), GlobalNodeId::new(1, 3))
                     .period(TimeDelta::from_ms(5)),
@@ -1788,18 +1851,23 @@ mod tests {
         fabric.run_slots(50);
         assert!(fabric.kill_bridge(0));
         assert_eq!(fabric.metrics().e2e_rerouted.get(), 1);
-        {
-            let active = fabric.conns.iter().flatten().next().unwrap();
-            assert_eq!(active.plan.bridges().collect::<Vec<_>>(), vec![2, 1]);
-        }
+        let route = |f: &Fabric| f.conn(fid).unwrap().plan.bridges().collect::<Vec<_>>();
+        assert_eq!(route(&fabric), vec![2, 1]);
         assert!(fabric.repair_bridge(0));
         assert_eq!(fabric.metrics().e2e_reclaimed.get(), 1);
-        let active = fabric.conns.iter().flatten().next().unwrap();
+        assert_eq!(route(&fabric), vec![0], "back on the direct route");
+        let mut events = Vec::new();
+        fabric.drain_connection_events(&mut events);
         assert_eq!(
-            active.plan.bridges().collect::<Vec<_>>(),
-            vec![0],
-            "back on the direct route"
+            events,
+            [
+                ConnectionEvent::Rerouted { fid },
+                ConnectionEvent::Reclaimed { fid }
+            ]
         );
+        assert_resolves(&mut fabric, fid);
+        fabric.run_slots(600);
+        assert!(fabric.observed_e2e_max(fid).is_some());
     }
 
     #[test]
@@ -1985,6 +2053,72 @@ mod tests {
             fabric.metrics().e2e_delivered.get(),
             fabric.metrics().e2e_met.get()
         );
+    }
+
+    #[test]
+    fn rerouting_a_connection_while_its_forward_is_queued_attaches_nothing_to_the_new_route() {
+        // Four rings in a cycle, bridge r joining node 5 of ring r to node
+        // 0 of ring r + 1: ring 0 reaches ring 2 over two bridges either
+        // way round.
+        let mut b = FabricTopology::builder();
+        for _ in 0..4 {
+            b.ring(6);
+        }
+        for r in 0..4u16 {
+            b.bridge(GlobalNodeId::new(r, 5), GlobalNodeId::new((r + 1) % 4, 0));
+        }
+        b.allow_cycles_with(CycleBound::Unbounded);
+        let cfg = FabricConfig::uniform(b.build().unwrap(), 2048, 7).unwrap();
+        let mut fabric = Fabric::new(cfg).unwrap();
+        // One message per 400 slots: at most one is ever in flight.
+        let period = fabric.segment_envs()[0].slot.times(400);
+        let fid = fabric
+            .open_connection(
+                FabricConnectionSpec::unicast(GlobalNodeId::new(0, 2), GlobalNodeId::new(2, 3))
+                    .period(period),
+            )
+            .unwrap();
+        let route: Vec<usize> = fabric.conn(fid).unwrap().plan.bridges().collect();
+        assert_eq!(route.len(), 2);
+        // Stall every bridge's egress until the first message waits at the
+        // route's first bridge, then kill the second: the connection is
+        // rerouted the other way round while its forward still waits.
+        fabric.bridge_cfg.forward_per_slot = 0;
+        let mut waited = 0;
+        while fabric.queues.iter().all(BridgeQueue::is_empty) {
+            fabric.step_slot();
+            waited += 1;
+            assert!(waited < 200, "the forward never reached the bridge");
+        }
+        assert!(fabric.kill_bridge(route[1]));
+        let mut events = Vec::new();
+        fabric.drain_connection_events(&mut events);
+        assert_eq!(events, [ConnectionEvent::Rerouted { fid }]);
+        let detour: Vec<usize> = fabric.conn(fid).unwrap().plan.bridges().collect();
+        assert!(detour.iter().all(|b| !route.contains(b)), "{detour:?}");
+        // The stale forward goes first; the rerouted connection's first
+        // message follows it. When that message completes, nothing may
+        // be left waiting on the new route.
+        fabric.bridge_cfg.forward_per_slot = 1;
+        assert_eq!(fabric.metrics().e2e_delivered.get(), 0);
+        let mut waited = 0;
+        while fabric.metrics().e2e_delivered.get() == 0 {
+            fabric.step_slot();
+            waited += 1;
+            assert!(waited < 800, "the rerouted connection never delivered");
+        }
+        assert_eq!(
+            fabric.metrics().forwarded.get(),
+            3,
+            "the stale one rode too"
+        );
+        let active = fabric.conn(fid).unwrap();
+        assert!(
+            active.inflight.iter().all(VecDeque::is_empty),
+            "the stale forward left a record on the new route"
+        );
+        assert_eq!(fabric.metrics().e2e_met.get(), 1);
+        assert!(fabric.observed_e2e_max(fid).is_some());
     }
 
     #[test]

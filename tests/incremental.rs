@@ -4,13 +4,15 @@
 //! Twin fabrics — one on the warm-started dirty-set certifier, one with
 //! [`FabricConfig::calculus_force_full`] armed — are driven through the
 //! same seeded admit/close/kill/repair command stream. After every command
-//! the admission outcomes and every resident connection's certified
-//! end-to-end bound must match exactly: the incremental solver is a pure
-//! optimisation, never a semantic change.
+//! the admission outcomes, the connection events and every opened
+//! connection's certified end-to-end bound must match exactly: the
+//! incremental solver is a pure optimisation, never a semantic change. A
+//! connection keeps its id through every reroute and reclaim until it is
+//! closed, and a closed id never resolves again.
 //!
 //! [`FabricConfig::calculus_force_full`]: ccr_multiring::FabricConfig::calculus_force_full
 
-use ccr_edf_suite::multiring::FabricConnectionId;
+use ccr_edf_suite::multiring::{ConnectionEvent, FabricConnectionId};
 use ccr_edf_suite::prelude::*;
 use ccr_edf_suite::sim::rng::DetRng;
 
@@ -73,7 +75,10 @@ fn warm_started_fabric_equals_forced_full_reference_under_churn() {
         let mut warm = build(false);
         let mut full = build(true);
         let n_rings = 3u16;
+        // Every opened id not yet closed: open, or revoked by a fault.
         let mut admitted: Vec<FabricConnectionId> = Vec::new();
+        let mut closed: Vec<FabricConnectionId> = Vec::new();
+        let (mut events_warm, mut events_full) = (Vec::new(), Vec::new());
         for op in 0..30u32 {
             let ctx = format!("seed {seed} op {op}");
             match rng.gen_range(0..10u32) {
@@ -91,11 +96,10 @@ fn warm_started_fabric_equals_forced_full_reference_under_churn() {
                 6..=7 if !admitted.is_empty() => {
                     let idx = rng.gen_range(0..admitted.len() as u32) as usize;
                     let fid = admitted.swap_remove(idx);
-                    assert_eq!(
-                        warm.close_connection(fid),
-                        full.close_connection(fid),
-                        "{ctx}: close outcomes diverge"
-                    );
+                    // Open or revoked, the id is its owner's to close.
+                    assert!(warm.close_connection(fid), "{ctx}: warm refuses the close");
+                    assert!(full.close_connection(fid), "{ctx}: full refuses the close");
+                    closed.push(fid);
                 }
                 8 => {
                     let b = rng.gen_range(0..3u32) as usize % warm.topology().bridges().len();
@@ -121,12 +125,25 @@ fn warm_started_fabric_equals_forced_full_reference_under_churn() {
                 full.active_connections(),
                 "{ctx}: resident counts diverge"
             );
-            admitted.retain(|&f| warm.e2e_bound(f).is_some() || full.e2e_bound(f).is_some());
             assert_eq!(
                 bounds_of(&warm, &admitted),
                 bounds_of(&full, &admitted),
                 "{ctx}: certified bounds diverge"
             );
+            let from = events_warm.len();
+            warm.drain_connection_events(&mut events_warm);
+            full.drain_connection_events(&mut events_full);
+            assert_eq!(events_warm, events_full, "{ctx}: connection events diverge");
+            for ev in &events_warm[from..] {
+                let (ConnectionEvent::Rerouted { fid }
+                | ConnectionEvent::Revoked { fid, .. }
+                | ConnectionEvent::Reclaimed { fid }) = *ev;
+                assert!(admitted.contains(&fid), "{ctx}: {ev:?} names no open id");
+            }
+            for &fid in &closed {
+                assert_eq!(warm.e2e_bound(fid), None, "{ctx}: closed {fid:?} resolves");
+                assert_eq!(full.e2e_bound(fid), None, "{ctx}: closed {fid:?} resolves");
+            }
         }
     }
 }
