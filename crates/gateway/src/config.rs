@@ -216,10 +216,22 @@ impl VirtualLink {
 }
 
 /// The full gateway configuration: every virtual link it serves.
+///
+/// [`GatewayConfig::new`] and [`GatewayConfig::parse`] are the only ways
+/// to build one, so every config a gateway opens has passed validation.
+/// A struct literal, which would skip it, does not compile:
+///
+/// ```compile_fail
+/// use ccr_gateway::config::{GatewayConfig, VirtualLink};
+/// use ccr_multiring::topology::GlobalNodeId;
+///
+/// let link = VirtualLink::new(1, GlobalNodeId::new(0, 1), GlobalNodeId::new(1, 3)).burst(0);
+/// let cfg = GatewayConfig { links: vec![link] };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GatewayConfig {
     /// The served links, in admission order.
-    pub links: Vec<VirtualLink>,
+    pub(crate) links: Vec<VirtualLink>,
 }
 
 /// Why a configuration was refused.

@@ -232,7 +232,7 @@ fn add_link_refuses_what_a_config_refuses_before_the_fabric_sees_it() {
     // A valid link still goes through, and errors read as text.
     assert_eq!(gateway.add_link(link(), &mut fabric), Ok(()));
     assert_eq!(fabric.active_connections(), before + 1);
-    let refused = FabricAdmissionError::BridgeOverload { bridge: 0 };
+    let refused = FabricAdmissionError::InvalidSpec("zero period".into());
     assert_eq!(
         LinkChangeError::Refused(refused.clone()).to_string(),
         format!("admission refused: {refused}")

@@ -5,9 +5,8 @@
 //! the per-ring timing environment into one [`ccr_edf::ConnectionSpec`]
 //! per route segment, or explains why no decomposition exists. The
 //! stateful part (actually running each ring's utilisation/demand-bound
-//! test, reserving bridge buffer space, rolling back on mid-route
-//! rejection) lives in [`crate::engine::Fabric::open_connection`], which
-//! drives this planner.
+//! test, certifying, rolling back on mid-route rejection) lives in
+//! [`crate::engine::Fabric::open_connection`], which drives this planner.
 //!
 //! ## Decomposition rule
 //!
@@ -17,8 +16,8 @@
 //! floors already exceed the end-to-end deadline, no split can work and
 //! the connection is rejected as [`FabricAdmissionError::DeadlineTooTight`]
 //! *before* touching any ring. The remaining slack is then divided
-//! proportionally to each ring's slot time (per
-//! [`crate::bridge::decompose_deadline`], exact to the picosecond), so
+//! proportionally to each ring's slot time (per [`decompose_deadline`],
+//! exact to the picosecond), so
 //! slower rings get proportionally looser sub-deadlines. Every segment's
 //! relative deadline is finally clamped to the period, as required by the
 //! per-ring constrained-deadline model (`D ≤ P`).
@@ -32,7 +31,6 @@
 //! machinery beyond this model, which is why the topology builder rejects
 //! them by default.
 
-use crate::bridge::decompose_deadline;
 use crate::topology::{FabricTopology, GlobalNodeId, Segment, TopologyError};
 use ccr_edf::admission::AdmissionError;
 use ccr_edf::analysis::AnalyticModel;
@@ -165,8 +163,8 @@ impl ConnectionPlan {
         self.segments.iter().filter_map(|s| s.segment.bridge)
     }
 
-    /// Directed bridge queues this plan enters (see [`Segment::queue`]),
-    /// in crossing order.
+    /// Bridge directions this plan crosses (see [`Segment::queue`]), in
+    /// crossing order.
     pub fn queues(&self) -> impl Iterator<Item = usize> + '_ {
         self.segments.iter().filter_map(|s| s.segment.queue)
     }
@@ -194,12 +192,6 @@ pub enum FabricAdmissionError {
         /// The ring-level admission error.
         error: AdmissionError,
     },
-    /// The bridge buffer on hop `bridge` has no headroom for another
-    /// resident connection.
-    BridgeOverload {
-        /// Index into the fabric's bridge list.
-        bridge: usize,
-    },
     /// The network-calculus certifier refused the set: with the candidate
     /// added, some flow no longer has a finite certified end-to-end bound
     /// within its deadline (see [`crate::calculus::CalculusAdmission`]).
@@ -217,9 +209,6 @@ impl std::fmt::Display for FabricAdmissionError {
             ),
             FabricAdmissionError::SegmentRejected { segment, error } => {
                 write!(f, "segment #{segment} rejected: {error}")
-            }
-            FabricAdmissionError::BridgeOverload { bridge } => {
-                write!(f, "bridge #{bridge} buffer fully reserved")
             }
             FabricAdmissionError::Calculus(e) => {
                 write!(f, "calculus certification refused: {e}")
@@ -297,6 +286,38 @@ pub fn plan_connection(
         spec: spec.clone(),
         segments: planned,
     })
+}
+
+/// Split an end-to-end relative deadline over `weights.len()` segments,
+/// proportionally to `weights`, such that the budgets sum to exactly
+/// `e2e`. The integer remainder of the division lands on the earliest
+/// segments (one extra picosecond each), which keeps the rule exact and
+/// deterministic.
+///
+/// Returns `None` when there are no segments or every weight is zero.
+pub fn decompose_deadline(e2e: TimeDelta, weights: &[u64]) -> Option<Vec<TimeDelta>> {
+    if weights.is_empty() {
+        return None;
+    }
+    let total: u128 = weights.iter().map(|&w| w as u128).sum();
+    if total == 0 {
+        return None;
+    }
+    let d = e2e.as_ps() as u128;
+    let mut budgets: Vec<u64> = weights
+        .iter()
+        .map(|&w| ((d * w as u128) / total) as u64)
+        .collect();
+    let assigned: u128 = budgets.iter().map(|&b| b as u128).sum();
+    let mut remainder = (d - assigned) as u64;
+    for b in budgets.iter_mut() {
+        if remainder == 0 {
+            break;
+        }
+        *b += 1;
+        remainder -= 1;
+    }
+    Some(budgets.into_iter().map(TimeDelta::from_ps).collect())
 }
 
 fn validate_spec(spec: &FabricConnectionSpec) -> Result<(), FabricAdmissionError> {
@@ -450,5 +471,36 @@ mod tests {
             plan.segments[0].spec.rel_deadline,
             Some(TimeDelta::from_us(60))
         );
+    }
+
+    #[test]
+    fn decomposition_sums_exactly() {
+        let d = TimeDelta::from_ps(1_000_003);
+        let parts = decompose_deadline(d, &[3, 3, 1]).unwrap();
+        let sum: u64 = parts.iter().map(|p| p.as_ps()).sum();
+        assert_eq!(sum, d.as_ps(), "budgets must sum to the e2e deadline");
+        // proportionality: the weight-3 segments get ~3× the weight-1 one
+        assert!(parts[0] >= parts[2]);
+        let ratio = parts[0].as_ps() as f64 / parts[2].as_ps() as f64;
+        assert!((ratio - 3.0).abs() < 1e-3, "ratio {ratio}");
+    }
+
+    #[test]
+    fn decomposition_equal_weights_near_even() {
+        let d = TimeDelta::from_us(100);
+        let parts = decompose_deadline(d, &[1, 1, 1]).unwrap();
+        let sum: u64 = parts.iter().map(|p| p.as_ps()).sum();
+        assert_eq!(sum, d.as_ps());
+        let max = parts.iter().max().unwrap().as_ps();
+        let min = parts.iter().min().unwrap().as_ps();
+        assert!(max - min <= 1, "remainder spread is at most 1 ps per part");
+    }
+
+    #[test]
+    fn decomposition_degenerate_inputs() {
+        assert!(decompose_deadline(TimeDelta::from_us(1), &[]).is_none());
+        assert!(decompose_deadline(TimeDelta::from_us(1), &[0, 0]).is_none());
+        let single = decompose_deadline(TimeDelta::from_us(7), &[5]).unwrap();
+        assert_eq!(single, vec![TimeDelta::from_us(7)]);
     }
 }

@@ -17,14 +17,15 @@
 //!   hop carries the segment's relative deadline as its *class* and the
 //!   solver prices it with per-deadline-class left-over service, never
 //!   looser than blind multiplexing.
-//! * **bridge queues** — one server per directed bridge queue, replacing
-//!   the old constant residents-based crossing delay with a flow-aware
-//!   aggregation curve. The engine's forwarding phase drains up to
-//!   `forward_per_slot` queued messages per fabric slot unconditionally,
-//!   and a message occupies at least one slot, so
-//!   `β(t) = (forward_per_slot / per_slot) · (t − per_slot)⁺` (in the
-//!   egress ring's slot time) is a guaranteed service floor. Queues drain
-//!   FIFO, not EDF, so queue hops are priced blindly (infinite class).
+//! * **bridge directions** — one server per direction of each bridge,
+//!   so a crossing's delay grows with the flows that share it. The
+//!   engine forwards every message in the fabric slot the bridge receives
+//!   it (a bridge port receives at most one per slot), so a hand-off
+//!   never waits;
+//!   `β(t) = (1 / per_slot) · (t − per_slot)⁺` (in the egress ring's
+//!   slot time) is a conservative floor on that service; a tighter one
+//!   would move every bound that crosses a bridge. A hand-off has no EDF
+//!   order, so these hops are priced blindly (infinite class).
 //!
 //! Each admitted connection contributes a token-bucket arrival
 //! `α(t) = e + (e/P)·t` slots along its interleaved ring/queue path.
@@ -44,7 +45,6 @@
 //! everything dirty, which is what the differential suite leans on.
 
 use crate::admission::{ConnectionPlan, FabricConnectionId, SegmentEnv};
-use crate::bridge::BridgeConfig;
 use ccr_calculus::{
     ArrivalCurve, FlowSpec, IncrementalSolver, ServiceCurve, SolveError, SolveReport, SolverSession,
 };
@@ -55,9 +55,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub enum CalculusRejection {
     /// Long-run rates alone overload ring `ring` — no bound exists. (Ring
-    /// indices ≥ the ring count name bridge-queue servers.)
+    /// indices ≥ the ring count name bridge-direction servers.)
     Utilisation {
-        /// Server index (rings first, then bridge queues).
+        /// Server index (rings first, then bridge directions).
         ring: usize,
         /// Aggregate demand (slots per picosecond).
         demand: f64,
@@ -84,7 +84,7 @@ pub enum CalculusRejection {
         deadline: TimeDelta,
     },
     /// A candidate could not be translated into a flow model (degenerate
-    /// period or size, or a bridge queue outside the queue set).
+    /// period or size, or a bridge direction the topology lacks).
     Malformed,
 }
 
@@ -191,11 +191,11 @@ pub struct CalculusAdmission {
 
 impl CalculusAdmission {
     /// Build the certifier from the per-ring timing environments and the
-    /// bridge-queue topology (`queue_egress[q]` = the ring queue `q`
-    /// drains into, as computed by the engine). Returns `None` when an
-    /// environment is degenerate (zero `slot + h_max`), which validated
-    /// ring configurations never produce.
-    pub fn new(envs: &[SegmentEnv], bridge: &BridgeConfig, queue_egress: &[usize]) -> Option<Self> {
+    /// bridge directions (`queue_egress[q]` = the ring direction `q`
+    /// forwards into, [`crate::topology::FabricTopology::queue_egress`]).
+    /// Returns `None` when an environment is degenerate (zero
+    /// `slot + h_max`), which validated ring configurations never produce.
+    pub fn new(envs: &[SegmentEnv], queue_egress: &[usize]) -> Option<Self> {
         let mut per_slot_ps = Vec::with_capacity(envs.len());
         let mut services = Vec::with_capacity(envs.len() + queue_egress.len());
         for env in envs {
@@ -207,10 +207,9 @@ impl CalculusAdmission {
             services.push(ServiceCurve::rate_latency(1.0 / per_slot, latency).ok()?);
             per_slot_ps.push(per_slot);
         }
-        let fps = f64::from(bridge.forward_per_slot.max(1));
         for &egress in queue_egress {
             let per_slot = *per_slot_ps.get(egress)?;
-            services.push(ServiceCurve::rate_latency(fps / per_slot, per_slot).ok()?);
+            services.push(ServiceCurve::rate_latency(1.0 / per_slot, per_slot).ok()?);
         }
         Some(CalculusAdmission {
             solver: IncrementalSolver::new(&services),
@@ -245,8 +244,8 @@ impl CalculusAdmission {
     /// fixed-point pass for the whole batch. Either every candidate is
     /// admitted (and every re-derived bound — old and new flows alike —
     /// stays within its deadline), or the solver state is exactly as
-    /// before the call. Each plan's segments carry the bridge queues it
-    /// enters.
+    /// before the call. Each plan's segments carry the bridge directions
+    /// they cross.
     pub fn admit_batch(
         &mut self,
         batch: &[(FabricConnectionId, &ConnectionPlan)],
@@ -323,9 +322,10 @@ impl CalculusAdmission {
     }
 
     /// Translate a plan into the solver's [`FlowSpec`]: rings and bridge
-    /// queues interleaved along the route, EDF classes on the ring hops
-    /// (the per-segment relative-deadline budget), blind bridge queues,
-    /// no constant hop delays — queueing is priced by the queue servers.
+    /// directions interleaved along the route, EDF classes on the ring
+    /// hops (the per-segment relative-deadline budget), blind bridge hops,
+    /// no constant hop delays — a crossing is priced by its direction's
+    /// server.
     fn flow_from_plan(&self, plan: &ConnectionPlan) -> Result<FlowSpec, CalculusRejection> {
         let period_ps = plan.spec.period.as_ps() as f64;
         let burst = f64::from(plan.spec.size_slots);
@@ -429,8 +429,7 @@ mod tests {
     fn certifies_admits_and_releases_a_chain_flow() {
         let topo = FabricTopology::chain(2, 6);
         let envs = envs(2);
-        let mut calc =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
+        let mut calc = CalculusAdmission::new(&envs, &topo.queue_egress()).unwrap();
         let plan = plan_for(
             &topo,
             &envs,
@@ -456,7 +455,7 @@ mod tests {
     fn over_utilised_ring_is_refused_with_diagnostic() {
         let envs = envs(2);
         let queues = FabricTopology::chain(2, 6).queue_egress();
-        let mut calc = CalculusAdmission::new(&envs, &BridgeConfig::default(), &queues).unwrap();
+        let mut calc = CalculusAdmission::new(&envs, &queues).unwrap();
         // Service rate is 1 slot / 8 µs = 1.25e-7 slots/ps. Two flows at
         // 0.8e-7 each push ring 0 past capacity, so the batch is refused on
         // long-run rates alone and rolls back whole. (Flows this hot cannot
@@ -486,8 +485,7 @@ mod tests {
     fn candidate_breaking_an_existing_certificate_is_refused() {
         let topo = FabricTopology::chain(2, 6);
         let envs = envs(2);
-        let mut calc =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
+        let mut calc = CalculusAdmission::new(&envs, &topo.queue_egress()).unwrap();
         // Admit a flow, then shrink its recorded deadline to its certified
         // bound: any extra cross traffic on its servers pushes the bound
         // past the deadline and must name it as the victim.
@@ -525,8 +523,7 @@ mod tests {
     fn verdicts_are_deterministic_across_recomputation() {
         let topo = FabricTopology::chain(3, 6);
         let envs = envs(3);
-        let base =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
+        let base = CalculusAdmission::new(&envs, &topo.queue_egress()).unwrap();
         let plan = plan_for(
             &topo,
             &envs,
@@ -547,8 +544,7 @@ mod tests {
     fn warm_start_matches_forced_full_reference() {
         let topo = FabricTopology::chain(3, 6);
         let envs = envs(3);
-        let mut warm =
-            CalculusAdmission::new(&envs, &BridgeConfig::default(), &topo.queue_egress()).unwrap();
+        let mut warm = CalculusAdmission::new(&envs, &topo.queue_egress()).unwrap();
         let mut full = warm.clone();
         full.set_force_full(true);
         let mut fid = 0u64;

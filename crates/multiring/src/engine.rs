@@ -20,13 +20,19 @@
 //!    DESIGN.md §8).
 //! 2. **Exchange phase** — each ring's deliveries are read in place from
 //!    its last slot outcome, in ring-index then delivery order. A delivery
-//!    at a bridge port whose connection has further segments is re-queued
-//!    on the bridge's egress [`crate::bridge::BridgeQueue`], carrying its
-//!    end-to-end bookkeeping with it; a delivery at its final destination
-//!    closes the end-to-end record.
-//! 3. **Injection phase** — each queue, in index order, pops up to
-//!    [`crate::bridge::BridgeConfig::forward_per_slot`] earliest-deadline
-//!    forwards and submits them into the egress ring.
+//!    at a bridge port whose connection has further segments is handed
+//!    off to that bridge direction, carrying its end-to-end bookkeeping
+//!    with it; a delivery at its final destination closes the end-to-end
+//!    record.
+//! 3. **Injection phase** — every hand-off of the slot is submitted into
+//!    its egress ring, in bridge-direction order.
+//!
+//! A bridge direction never holds more than one message, and never past
+//! its slot. CCR-EDF grants only link-disjoint transmissions, and a
+//! transmission to a node uses the link into it, so a bridge port receives
+//! at most one message per slot; the injection phase forwards it in the
+//! slot it arrived. A bridge therefore needs no queue, no buffer to
+//! reserve at admission and no drop policy.
 //!
 //! ## Clocks
 //!
@@ -37,15 +43,14 @@
 //! end-to-end quantities are sums of single-ring differences: a segment's
 //! latency runs from the message's entry timestamp (release, or bridge
 //! hand-off, both on the segment's own clock) to its delivery, and the
-//! end-to-end latency is the sum of segment latencies (bridge queueing is
-//! included in the next segment's span). The e2e deadline check compares
-//! that relative sum against the connection's relative e2e deadline.
+//! end-to-end latency is the sum of segment latencies. The e2e deadline
+//! check compares that relative sum against the connection's relative e2e
+//! deadline.
 
 use crate::admission::{
     plan_connection, ConnectionPlan, FabricAdmissionError, FabricConnectionId,
     FabricConnectionSpec, SegmentEnv,
 };
-use crate::bridge::{BridgeConfig, BridgeQueue, PendingForward};
 use crate::calculus::{CalculusAdmission, CalculusReport};
 use crate::fault::{BridgeEventKind, FabricFaultKind, FabricFaultScript};
 use crate::metrics::FabricMetrics;
@@ -157,8 +162,6 @@ pub struct FabricConfig {
     pub topology: FabricTopology,
     /// One ring configuration per topology ring, in ring-id order.
     pub ring_configs: Vec<NetworkConfig>,
-    /// Bridge buffer policy (shared by every bridge direction).
-    pub bridge: BridgeConfig,
     /// Scripted fabric-level fault injection. Ring-local events are
     /// distributed into the per-ring fault scripts at build time (lockstep
     /// keeps ring slot counters equal to the fabric's); bridge kills and
@@ -198,17 +201,10 @@ impl FabricConfig {
         Ok(FabricConfig {
             topology,
             ring_configs,
-            bridge: BridgeConfig::default(),
             fault_script: FabricFaultScript::default(),
             calculus: false,
             calculus_force_full: false,
         })
-    }
-
-    /// Set the bridge buffer policy.
-    pub fn bridge(mut self, b: BridgeConfig) -> Self {
-        self.bridge = b;
-        self
     }
 
     /// Install a fabric fault script.
@@ -248,8 +244,9 @@ enum ConnClass {
     /// Externally injected best-effort traffic
     /// ([`Fabric::open_best_effort`]): placed on a route but never
     /// admitted or certified — it rides ring slots the guaranteed set
-    /// leaves idle and a separate leftover-budget bridge queue, so it can
-    /// never displace a guaranteed message anywhere in the fabric.
+    /// leaves idle, and a bridge forwards it in the slot it arrives like
+    /// any other message, so it can never displace a guaranteed message
+    /// anywhere in the fabric.
     BestEffort,
 }
 
@@ -312,7 +309,7 @@ pub struct EgressDelivery {
     /// messages of one connection keep FIFO order end to end (see
     /// `Inflight`), so this matches the injection order exactly.
     pub seq: u64,
-    /// End-to-end latency accumulated across every segment and queue.
+    /// End-to-end latency accumulated across every segment.
     pub latency: TimeDelta,
     /// Did the delivery meet the connection's e2e deadline?
     pub met_deadline: bool,
@@ -329,8 +326,8 @@ pub enum RevokeReason {
     EndpointDead,
     /// No bridge path avoiding the dead hardware exists.
     NoRoute,
-    /// A route exists but the admission gate (EDF utilisation, bridge
-    /// headroom, or the calculus fixed point) refused it.
+    /// A route exists but the admission gate (EDF utilisation or the
+    /// calculus fixed point) refused it.
     AdmissionRefused,
 }
 
@@ -402,12 +399,26 @@ impl std::fmt::Display for InjectError {
 /// A message in flight on segment `seg_idx` of a connection, awaiting its
 /// delivery record. FIFO per (connection, segment): successive messages of
 /// one connection carry strictly increasing deadlines, so EDF preserves
-/// their order on every ring and queue.
+/// their order on every ring.
 #[derive(Debug, Clone, Copy)]
 struct Inflight {
     /// Segment-entry timestamp on the segment ring's clock (the bridge
-    /// hand-off instant, so the segment span includes queueing delay).
+    /// hand-off instant).
     entered: SimTime,
+    accumulated: TimeDelta,
+}
+
+/// A delivery handed to a bridge for its connection's next segment, held
+/// from the exchange phase to the injection phase of the same fabric slot.
+/// Nothing opens or closes a connection in between, so `entry` still
+/// names its owner when the injection phase reads it.
+#[derive(Debug, Clone, Copy)]
+struct PendingForward {
+    /// Slab entry of the owning connection.
+    entry: usize,
+    /// The segment the message enters.
+    seg_idx: usize,
+    /// End-to-end latency accumulated over the previous segments.
     accumulated: TimeDelta,
 }
 
@@ -416,17 +427,10 @@ pub struct Fabric {
     topo: FabricTopology,
     rings: Vec<RingNetwork>,
     envs: Vec<SegmentEnv>,
-    bridge_cfg: BridgeConfig,
-    /// Two queues per bridge: `2·b` carries a→b traffic, `2·b + 1` b→a.
-    queues: Vec<BridgeQueue>,
-    /// Best-effort twins of `queues`, same layout: served strictly from
-    /// the forward budget the guaranteed queue leaves unused each slot,
-    /// so best-effort forwards can never evict or delay a guaranteed one.
-    be_queues: Vec<BridgeQueue>,
-    /// Egress ring index of each queue.
-    queue_egress: Vec<usize>,
-    /// Connections currently reserving a buffer slot in each queue.
-    queue_resident: Vec<usize>,
+    /// The message each bridge direction received this slot, by direction
+    /// (`2·b` carries a→b traffic, `2·b + 1` b→a). All `None` between
+    /// slots: the injection phase empties it.
+    handoff: Vec<Option<PendingForward>>,
     /// Admitted connections, in a slab whose free entries are reused.
     conns: Vec<Option<ActiveConnection>>,
     /// Slab entry of each connection, indexed by its [`FabricConnectionId`]
@@ -439,7 +443,6 @@ pub struct Fabric {
     metrics: FabricMetrics,
     /// The id the next opened connection gets.
     next_fid: u64,
-    fwd_seq: u64,
     /// Per-ring recovering flags filled by the health scan each slot.
     health_scratch: Vec<bool>,
     /// End-to-end certifier: present when the topology allows cycles with
@@ -543,8 +546,6 @@ impl Fabric {
             .iter()
             .map(|r| SegmentEnv::new(r.analytic()))
             .collect();
-        let n_queues = cfg.topology.n_queues();
-        let queue_egress: Vec<usize> = cfg.topology.queue_egress();
         let n_bridges = cfg.topology.bridges().len();
         let want_calculus =
             cfg.calculus || cfg.topology.cycle_bound() == Some(CycleBound::Calculus);
@@ -552,7 +553,7 @@ impl Fabric {
             // Never silently drop the certifier a cyclic topology relies
             // on: degenerate timing (impossible for validated configs) is
             // a build failure, not a disabled gate.
-            let mut calc = CalculusAdmission::new(&envs, &cfg.bridge, &queue_egress)
+            let mut calc = CalculusAdmission::new(&envs, &cfg.topology.queue_egress())
                 .ok_or(FabricBuildError::DegenerateTiming)?;
             calc.set_force_full(cfg.calculus_force_full);
             Some(calc)
@@ -560,20 +561,15 @@ impl Fabric {
             None
         };
         Ok(Fabric {
+            handoff: vec![None; cfg.topology.n_queues()],
             topo: cfg.topology,
             rings,
             envs,
-            bridge_cfg: cfg.bridge,
-            queues: (0..n_queues).map(|_| BridgeQueue::new()).collect(),
-            be_queues: (0..n_queues).map(|_| BridgeQueue::new()).collect(),
-            queue_egress,
-            queue_resident: vec![0; n_queues],
             conns: Vec::new(),
             by_fid: Vec::new(),
             by_ring_conn: vec![Vec::new(); n_rings as usize],
             metrics: FabricMetrics::new(),
             next_fid: 1,
-            fwd_seq: 0,
             health_scratch: Vec::new(),
             calculus,
             dead_bridges: vec![false; n_bridges],
@@ -670,10 +666,10 @@ impl Fabric {
     }
 
     /// Admit an end-to-end connection: plan the per-segment decomposition,
-    /// check bridge-buffer headroom, then admit every segment on its ring —
-    /// opening the source segment (periodic releases) and reserving
-    /// capacity on the downstream ones. All-or-nothing: a rejection at any
-    /// hop rolls the earlier hops back.
+    /// certify it when the certifier is armed, then admit every segment on
+    /// its ring — opening the source segment (periodic releases) and
+    /// reserving capacity on the downstream ones. All-or-nothing: a
+    /// rejection at any hop rolls the earlier hops back.
     pub fn open_connection(
         &mut self,
         spec: FabricConnectionSpec,
@@ -685,8 +681,8 @@ impl Fabric {
     /// Admit an end-to-end connection whose messages are produced
     /// *outside* the fabric — by a gateway pacing real datagrams in via
     /// [`Fabric::inject`]. Admission is identical to
-    /// [`Fabric::open_connection`] (deadline decomposition, bridge
-    /// headroom, calculus certification), but every segment is only
+    /// [`Fabric::open_connection`] (deadline decomposition, calculus
+    /// certification, per-ring tests), but every segment is only
     /// *reserved*: the source ring schedules no periodic releases, so the
     /// connection carries exactly the traffic injected into it.
     pub fn open_external_connection(
@@ -711,10 +707,10 @@ impl Fabric {
     /// segment is *reserved* (registered with ring admission for
     /// integrity, but holding **no** utilisation and **no** calculus
     /// certificate). Traffic enters via [`Fabric::inject`] exactly like
-    /// an external connection, but rides strictly leftover capacity:
-    /// ring slots the EDF scheduler leaves idle, and bridge forward
-    /// budget the guaranteed queue leaves unused each slot. Best-effort
-    /// load can therefore never displace or delay a certified flow.
+    /// an external connection, but rides strictly leftover capacity: ring
+    /// slots the EDF scheduler leaves idle. A bridge forwards every message
+    /// in the slot it arrives, so best-effort load can never displace or
+    /// delay a certified flow there either.
     pub fn open_best_effort(
         &mut self,
         spec: FabricConnectionSpec,
@@ -747,28 +743,14 @@ impl Fabric {
     /// all-or-nothing. External batches reserve every segment (no periodic
     /// releases anywhere); periodic ones open segment 0 for periodic
     /// generation. Best-effort batches bypass the guaranteed machinery
-    /// entirely: no bridge-buffer reservation, no calculus certification —
-    /// segments are registered with the rings only so routing stays
-    /// consistent.
+    /// entirely: no calculus certification — segments are registered with
+    /// the rings only so routing stays consistent.
     fn admit_plans(
         &mut self,
         fids: &[FabricConnectionId],
         plans: Vec<ConnectionPlan>,
         class: ConnClass,
     ) -> Result<(), FabricAdmissionError> {
-        // Bridge-buffer feasibility, cumulative across the batch: each
-        // resident connection reserves one buffer slot per crossing (one
-        // message per period in flight at a bridge is the steady state
-        // under met deadlines).
-        if class != ConnClass::BestEffort {
-            let mut extra = vec![0usize; self.queue_resident.len()];
-            for q in plans.iter().flat_map(|plan| plan.queues()) {
-                if self.queue_resident[q] + extra[q] >= self.bridge_cfg.capacity {
-                    return Err(FabricAdmissionError::BridgeOverload { bridge: q / 2 });
-                }
-                extra[q] += 1;
-            }
-        }
         // End-to-end certification (always on for cyclic fabrics): one
         // warm-started fixed-point pass certifies the whole batch against
         // the resident set, refusing it unless every flow — resident and
@@ -845,11 +827,6 @@ impl Fabric {
                 set_entry(table, rc.0 as usize, (entry, i));
             }
             set_entry(&mut self.by_fid, fid.0 as usize, entry);
-            if class != ConnClass::BestEffort {
-                for q in plan.queues() {
-                    self.queue_resident[q] += 1;
-                }
-            }
             let inflight = plan.segments.iter().map(|_| VecDeque::new()).collect();
             self.conns[entry] = Some(ActiveConnection {
                 fid,
@@ -865,8 +842,8 @@ impl Fabric {
     }
 
     /// Tear down an end-to-end connection, releasing every ring's capacity
-    /// and the bridge-buffer reservations. A revoked connection only
-    /// leaves the reclaim queue. Returns `false` for unknown ids.
+    /// and its certificate. A revoked connection only leaves the reclaim
+    /// queue. Returns `false` for unknown ids.
     ///
     /// On fault-tracking fabrics, freed capacity is immediately offered to
     /// connections a fault left revoked or detoured: the same two-pass
@@ -896,9 +873,6 @@ impl Fabric {
             self.by_ring_conn[ring][rc.0 as usize] = None;
         }
         if active.class != ConnClass::BestEffort {
-            for q in active.plan.queues() {
-                self.queue_resident[q] -= 1;
-            }
             if let Some(calc) = self.calculus.as_mut() {
                 count_calc_pass(&mut self.metrics, calc.remove(fid));
             }
@@ -1005,11 +979,10 @@ impl Fabric {
             .unwrap_or(false)
     }
 
-    /// Kill a bridge station mid-run: both forwarding queues are flushed,
-    /// its port nodes are failed on their rings, and every end-to-end
-    /// connection routed across it is re-admitted over an alternate bridge
-    /// path when one exists — revoked otherwise. Returns `false` for an
-    /// unknown or already-dead bridge.
+    /// Kill a bridge station mid-run: its port nodes are failed on their
+    /// rings, and every end-to-end connection routed across it is
+    /// re-admitted over an alternate bridge path when one exists — revoked
+    /// otherwise. Returns `false` for an unknown or already-dead bridge.
     pub fn kill_bridge(&mut self, bridge: usize) -> bool {
         self.track_faults = true;
         let killed = self.kill_bridge_impl(bridge);
@@ -1039,15 +1012,6 @@ impl Fabric {
         }
         self.dead_bridges[bridge] = true;
         self.metrics.bridges_killed.incr();
-        // Flush both direction queues — those messages have no path now.
-        for qi in [2 * bridge, 2 * bridge + 1] {
-            while self.queues[qi].pop_earliest().is_some() {
-                self.metrics.fault_dropped_forwards.incr();
-            }
-            while self.be_queues[qi].pop_earliest().is_some() {
-                self.metrics.fault_dropped_forwards.incr();
-            }
-        }
         // The bridge is one physical station with a port on each ring:
         // both ports die with it (which may cascade into further bridges
         // sharing those nodes).
@@ -1322,40 +1286,19 @@ impl Fabric {
         let rings = std::mem::take(&mut self.rings);
         for (r, ring) in rings.iter().enumerate() {
             for d in &ring.last_outcome().deliveries {
-                self.handle_delivery(&rings, r as u16, d);
+                self.handle_delivery(r, d);
             }
         }
         self.rings = rings;
 
-        // Phase 3 — injection, queue-index order. The guaranteed
-        // queue is drained first; best-effort forwards consume only
-        // whatever is left of the per-slot budget, so they can never
-        // delay a certified forward at the bridge.
-        for qi in 0..self.queues.len() {
-            let mut used = 0u32;
-            while used < self.bridge_cfg.forward_per_slot {
-                let Some(pf) = self.queues[qi].pop_earliest() else {
-                    break;
-                };
-                used += 1;
-                self.submit_forward(qi, pf);
-            }
-            while used < self.bridge_cfg.forward_per_slot {
-                let Some(pf) = self.be_queues[qi].pop_earliest() else {
-                    break;
-                };
-                used += 1;
-                self.submit_forward(qi, pf);
+        // Phase 3 — injection, bridge-direction order: every hand-off of
+        // this slot enters its egress ring, so no bridge holds a message
+        // past its slot.
+        for qi in 0..self.handoff.len() {
+            if let Some(pf) = self.handoff[qi].take() {
+                self.submit_forward(pf);
             }
         }
-
-        let peak = self
-            .queues
-            .iter()
-            .map(|q| q.peak_occupancy as u64)
-            .max()
-            .unwrap_or(0);
-        self.metrics.peak_bridge_occupancy = self.metrics.peak_bridge_occupancy.max(peak);
         self.metrics.slots.incr();
     }
 
@@ -1366,28 +1309,21 @@ impl Fabric {
         }
     }
 
-    /// Submit one popped forward into its egress ring — the phase-3
-    /// tail shared by the guaranteed and best-effort queue drains.
-    fn submit_forward(&mut self, qi: usize, pf: PendingForward) {
-        let egress = self.queue_egress[qi];
-        let owner = self.ring_conn_owner(egress, pf.msg.connection);
-        let ring = &mut self.rings[egress];
+    /// Submit one hand-off into its egress ring, entering it at that
+    /// ring's post-step clock — the instant the exchange phase handed it
+    /// off, so a forward never waits at the bridge.
+    fn submit_forward(&mut self, pf: PendingForward) {
+        let active = self.conns[pf.entry]
+            .as_mut()
+            .expect("a forward's owner stays open through its slot");
+        let ring = &mut self.rings[active.plan.segments[pf.seg_idx].segment.ring.0 as usize];
         let now = ring.now();
-        let wait = now.saturating_since(pf.enqueued);
-        ring.submit_message(now, pf.msg);
-        self.metrics.record_forward(wait);
-        // A connection closed or re-admitted while its forward waited no
-        // longer owns the ring connection the message rides: the message
-        // still rides its egress ring, but no record awaits it.
-        if let Some((entry, seg_idx)) = owner {
-            let active = self.conns[entry]
-                .as_mut()
-                .expect("by_ring_conn names live entries");
-            active.inflight[seg_idx].push_back(Inflight {
-                entered: pf.enqueued,
-                accumulated: pf.accumulated,
-            });
-        }
+        ring.submit_message(now, active.message(pf.seg_idx, now));
+        active.inflight[pf.seg_idx].push_back(Inflight {
+            entered: now,
+            accumulated: pf.accumulated,
+        });
+        self.metrics.record_forward();
     }
 
     /// The slab entry and segment index owning ring connection `conn` on
@@ -1397,10 +1333,9 @@ impl Fabric {
     }
 
     /// Route one delivery of ring `ring`: close its end-to-end record or
-    /// queue it at the next bridge. `rings` is the fabric's ring set, read
-    /// for the hand-off clock.
-    fn handle_delivery(&mut self, rings: &[RingNetwork], ring: u16, d: &Delivery) {
-        let Some((entry, seg_idx)) = self.ring_conn_owner(ring as usize, d.msg.connection) else {
+    /// hand it off to the next bridge.
+    fn handle_delivery(&mut self, ring: usize, d: &Delivery) {
+        let Some((entry, seg_idx)) = self.ring_conn_owner(ring, d.msg.connection) else {
             return;
         };
         let active = self.conns[entry]
@@ -1449,24 +1384,27 @@ impl Fabric {
             }
             return;
         };
-        // Hand off to the bridge: timestamp and sub-deadline on the egress
-        // ring's clock.
-        let next = seg_idx + 1;
-        let now = rings[active.plan.segments[next].segment.ring.0 as usize].now();
-        let pending = PendingForward {
-            msg: active.message(next, now),
-            enqueued: now,
-            seq: self.fwd_seq,
+        // Hand off to the bridge; the injection phase of this slot
+        // forwards it.
+        if class != ConnClass::BestEffort {
+            self.metrics.peak_bridge_occupancy = 1;
+        }
+        let displaced = self.handoff[qi].replace(PendingForward {
+            entry,
+            seg_idx: seg_idx + 1,
             accumulated: total,
-        };
-        self.fwd_seq += 1;
-        let (queue, drops) = if class == ConnClass::BestEffort {
-            (&mut self.be_queues[qi], &mut self.metrics.be_bridge_drops)
-        } else {
-            (&mut self.queues[qi], &mut self.metrics.bridge_drops)
-        };
-        if queue.push(pending, &self.bridge_cfg).is_some() {
-            drops.incr();
+        });
+        debug_assert!(
+            displaced.is_none(),
+            "bridge direction {qi} received two messages in one slot"
+        );
+        if let Some(lost) = displaced {
+            let lost_class = self.conns[lost.entry].as_ref().map(|a| a.class);
+            if lost_class == Some(ConnClass::BestEffort) {
+                self.metrics.be_bridge_drops.incr();
+            } else {
+                self.metrics.bridge_drops.incr();
+            }
         }
     }
 }
@@ -1511,7 +1449,7 @@ mod tests {
         assert_eq!(cfg.ring_configs.len(), 3);
         let fabric = Fabric::new(cfg).unwrap();
         assert_eq!(fabric.topology().n_rings(), 3);
-        assert_eq!(fabric.queues.len(), 4); // 2 bridges × 2 directions
+        assert_eq!(fabric.handoff.len(), 4); // 2 bridges × 2 directions
     }
 
     #[test]
@@ -1537,26 +1475,6 @@ mod tests {
             Fabric::new(cfg),
             Err(FabricBuildError::RingSizeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn bridge_buffer_reservation_bounds_admission() {
-        let topo = FabricTopology::chain(2, 6);
-        let mut cfg = FabricConfig::uniform(topo, 2048, 7).unwrap();
-        cfg.bridge.capacity = 2;
-        let mut fabric = Fabric::new(cfg).unwrap();
-        let spec = |src: u16, dst: u16| {
-            FabricConnectionSpec::unicast(GlobalNodeId::new(0, src), GlobalNodeId::new(1, dst))
-                .period(TimeDelta::from_ms(2))
-        };
-        fabric.open_connection(spec(0, 2)).unwrap();
-        fabric.open_connection(spec(1, 3)).unwrap();
-        let err = fabric.open_connection(spec(2, 4)).unwrap_err();
-        assert_eq!(err, FabricAdmissionError::BridgeOverload { bridge: 0 });
-        // closing releases the reservation
-        let ids: Vec<FabricConnectionId> = fabric.conns.iter().flatten().map(|a| a.fid).collect();
-        fabric.close_connection(ids[0]);
-        assert!(fabric.open_connection(spec(2, 4)).is_ok());
     }
 
     #[test]
@@ -1998,15 +1916,24 @@ mod tests {
         assert!(build(FabricFaultScript::new().ring_at(5, RingId(1), lose_token)).is_ok());
     }
 
+    /// Step until connection `fid`'s first message has crossed its route's
+    /// first bridge and rides segment 1's ring.
+    fn step_until_it_rides_segment_1(fabric: &mut Fabric, fid: FabricConnectionId) {
+        let mut waited = 0;
+        while fabric.conn(fid).unwrap().inflight[1].is_empty() {
+            fabric.step_slot();
+            waited += 1;
+            assert!(waited < 200, "the message never crossed the bridge");
+        }
+    }
+
+    /// A connection closed between slots while its message rides the
+    /// egress ring: the message is still delivered there, but no record
+    /// awaits it.
     #[test]
     fn closing_a_connection_while_its_forward_is_queued_leaves_no_record() {
         let topo = FabricTopology::chain(2, 6);
-        let cfg = FabricConfig::uniform(topo, 2048, 7)
-            .unwrap()
-            .bridge(BridgeConfig {
-                forward_per_slot: 1,
-                ..BridgeConfig::default()
-            });
+        let cfg = FabricConfig::uniform(topo, 2048, 7).unwrap();
         let mut fabric = Fabric::new(cfg).unwrap();
         let period = fabric.segment_envs()[0].slot.times(400);
         let spec = |src: u16| {
@@ -2015,26 +1942,18 @@ mod tests {
         };
         let specs: Vec<FabricConnectionSpec> = (1..4).map(spec).collect();
         let fids = fabric.open_connections(&specs).unwrap();
-        // Ring 0 hands the bridge at most one message per slot, which a
-        // budget of one forward drains in the same slot. Stall the bridge's
-        // egress until every connection's first message waits in queue 0
-        // (one release per period each, so three queued means one apiece).
-        fabric.bridge_cfg.forward_per_slot = 0;
-        let mut waited = 0;
-        while fabric.queues[0].len() < fids.len() {
-            fabric.step_slot();
-            waited += 1;
-            assert!(waited < 200, "forwards never backed up");
-        }
-        fabric.bridge_cfg.forward_per_slot = 1;
         let victim = fids[1];
+        step_until_it_rides_segment_1(&mut fabric, victim);
         assert!(fabric.close_connection(victim));
-        while !fabric.queues[0].is_empty() {
-            fabric.step_slot();
-        }
+        // One release per period each: every first message crosses and
+        // lands before the second ones are released.
         fabric.run_slots(100);
-        // The stale forward still rode ring 1, but nothing counted it.
         assert_eq!(fabric.metrics().forwarded.get(), 3);
+        assert_eq!(
+            fabric.ring_metrics(RingId(1)).delivered_rt.get(),
+            3,
+            "the closed connection's message still rode ring 1"
+        );
         assert_eq!(fabric.metrics().e2e_delivered.get(), 2);
         assert_eq!(fabric.observed_e2e_max(victim), None);
         for fid in [fids[0], fids[2]] {
@@ -2055,6 +1974,8 @@ mod tests {
         );
     }
 
+    /// A connection rerouted while its message rides the middle ring of
+    /// its old route: the message leaves no record on the new route.
     #[test]
     fn rerouting_a_connection_while_its_forward_is_queued_attaches_nothing_to_the_new_route() {
         // Four rings in a cycle, bridge r joining node 5 of ring r to node
@@ -2080,26 +2001,17 @@ mod tests {
             .unwrap();
         let route: Vec<usize> = fabric.conn(fid).unwrap().plan.bridges().collect();
         assert_eq!(route.len(), 2);
-        // Stall every bridge's egress until the first message waits at the
-        // route's first bridge, then kill the second: the connection is
-        // rerouted the other way round while its forward still waits.
-        fabric.bridge_cfg.forward_per_slot = 0;
-        let mut waited = 0;
-        while fabric.queues.iter().all(BridgeQueue::is_empty) {
-            fabric.step_slot();
-            waited += 1;
-            assert!(waited < 200, "the forward never reached the bridge");
-        }
+        // Kill the route's second bridge while the first message rides
+        // the middle ring: the connection is rerouted the other way round.
+        step_until_it_rides_segment_1(&mut fabric, fid);
         assert!(fabric.kill_bridge(route[1]));
         let mut events = Vec::new();
         fabric.drain_connection_events(&mut events);
         assert_eq!(events, [ConnectionEvent::Rerouted { fid }]);
         let detour: Vec<usize> = fabric.conn(fid).unwrap().plan.bridges().collect();
         assert!(detour.iter().all(|b| !route.contains(b)), "{detour:?}");
-        // The stale forward goes first; the rerouted connection's first
-        // message follows it. When that message completes, nothing may
-        // be left waiting on the new route.
-        fabric.bridge_cfg.forward_per_slot = 1;
+        // When the rerouted connection's first message completes, nothing
+        // may be left waiting on the new route.
         assert_eq!(fabric.metrics().e2e_delivered.get(), 0);
         let mut waited = 0;
         while fabric.metrics().e2e_delivered.get() == 0 {
@@ -2110,12 +2022,12 @@ mod tests {
         assert_eq!(
             fabric.metrics().forwarded.get(),
             3,
-            "the stale one rode too"
+            "one crossing on the old route, two on the new"
         );
         let active = fabric.conn(fid).unwrap();
         assert!(
             active.inflight.iter().all(VecDeque::is_empty),
-            "the stale forward left a record on the new route"
+            "the old route's message left a record on the new route"
         );
         assert_eq!(fabric.metrics().e2e_met.get(), 1);
         assert!(fabric.observed_e2e_max(fid).is_some());
@@ -2320,7 +2232,7 @@ mod tests {
         assert!(fabric.e2e_bound(fid).is_none());
         fabric.run_slots(200);
         assert_eq!(fabric.metrics().be_delivered.get(), 0);
-        // Injected messages cross the bridge on leftover forward budget.
+        // Injected messages cross the bridge like any other.
         for _ in 0..4 {
             fabric.inject(fid).unwrap();
             fabric.run_slots(200);
@@ -2360,7 +2272,7 @@ mod tests {
             .unwrap();
         let bound = fabric.e2e_bound(rt).expect("certified");
         // Same source ring, same bridge direction — maximal contention
-        // for the guaranteed flow's slots and forward budget.
+        // for the guaranteed flow's slots and bridge direction.
         let be = fabric
             .open_best_effort(
                 FabricConnectionSpec::unicast(GlobalNodeId::new(0, 4), GlobalNodeId::new(1, 5))
@@ -2393,5 +2305,84 @@ mod tests {
         );
         assert_eq!(fabric.metrics().bridge_drops.get(), 0);
         assert!(fabric.metrics().be_delivered.get() > 0);
+    }
+
+    /// A random fabric for the hand-off invariant: a chain of two to four
+    /// rings, or a certified triangle (cyclic), with scripted bridge
+    /// kills and repairs.
+    fn random_fabric(rng: &mut ccr_sim::rng::DetRng, cyclic: bool) -> Fabric {
+        let topo = if cyclic {
+            triangle(8, CycleBound::Calculus)
+        } else {
+            FabricTopology::chain(rng.gen_range(2..=4u16), 8)
+        };
+        let n_bridges = topo.bridges().len();
+        let mut script = FabricFaultScript::new();
+        for _ in 0..2 {
+            let (b, at) = (rng.gen_range(0..n_bridges), rng.gen_range(100..2_000u64));
+            script = script
+                .kill_bridge_at(at, b)
+                .repair_bridge_at(at + rng.gen_range(20..200u64), b);
+        }
+        let cfg = FabricConfig::uniform(topo, 2048, rng.next_u64())
+            .unwrap()
+            .fault_script(script);
+        Fabric::new(cfg).unwrap()
+    }
+
+    #[test]
+    fn no_bridge_direction_holds_a_message_past_its_slot() {
+        let mut rng = ccr_sim::rng::DetRng::new(0x4A4D_0FF5);
+        let (mut forwarded, mut be_delivered, mut external_delivered) = (0, 0, 0);
+        for case in 0..16 {
+            let mut fabric = random_fabric(&mut rng, case % 2 == 1);
+            let slot = fabric.segment_envs()[0].slot;
+            let n_rings = fabric.topology().n_rings();
+            let mut injected = Vec::new();
+            let mut open = Vec::new();
+            for _ in 0..12 {
+                let (sr, dr) = (rng.gen_range(0..n_rings), rng.gen_range(0..n_rings));
+                let spec = FabricConnectionSpec::unicast(
+                    GlobalNodeId::new(sr, rng.gen_range(1..7u16)),
+                    GlobalNodeId::new(dr, rng.gen_range(1..7u16)),
+                )
+                .period(slot.times(rng.gen_range(60..400u64)));
+                let opened = match rng.gen_range(0..3u32) {
+                    0 => fabric.open_connection(spec),
+                    1 => fabric.open_external_connection(spec),
+                    _ => fabric.open_best_effort(spec),
+                };
+                if let Ok(fid) = opened {
+                    open.push(fid);
+                    if fabric.conn(fid).unwrap().class.is_injected() {
+                        injected.push(fid);
+                    }
+                }
+            }
+            for _ in 0..3_000 {
+                for &fid in &injected {
+                    if rng.gen_bool(0.02) {
+                        let _ = fabric.inject(fid);
+                    }
+                }
+                if !open.is_empty() && rng.gen_bool(0.003) {
+                    let fid = open.swap_remove(rng.gen_range(0..open.len()));
+                    assert!(fabric.close_connection(fid));
+                    injected.retain(|&f| f != fid);
+                }
+                fabric.step_slot();
+                assert!(fabric.handoff.iter().all(Option::is_none));
+                let m = fabric.metrics();
+                assert_eq!(m.bridge_drops.get() + m.be_bridge_drops.get(), 0);
+            }
+            let m = fabric.metrics();
+            assert_eq!(m.fault_dropped_forwards.get(), 0);
+            assert!(m.bridges_killed.get() > 0);
+            forwarded += m.forwarded.get();
+            be_delivered += m.be_delivered.get();
+            external_delivered += m.external_delivered.get();
+        }
+        // The sweep crossed bridges with every class of traffic.
+        assert!(forwarded > 0 && be_delivered > 0 && external_delivered > 0);
     }
 }

@@ -3,36 +3,35 @@
 //! The source paper analyses a *single* fibre-ribbon pipeline ring. This
 //! crate scales the model out: several [`ccr_edf::network::RingNetwork`]
 //! instances are composed into a **fabric** by *bridge* stations that sit
-//! on two rings at once, forwarding traffic between them through bounded,
-//! EDF-ordered queues. The pieces:
+//! on two rings at once, forwarding each message into the next ring in the
+//! slot they receive it. The pieces:
 //!
 //! - [`topology`] — rings, bridges, and the one router: the shortest path
 //!   over live bridges, found on demand with deterministic tie-breaks, and
-//!   expanded into segments that record the bridge queues they enter.
+//!   expanded into segments that record the bridge directions they cross.
 //!   Cyclic fabrics are rejected unless the builder opts in via
 //!   [`topology::FabricTopologyBuilder::allow_cycles_with`]; the default
 //!   opt-in, [`topology::CycleBound::Calculus`], arms the engine's
 //!   network-calculus certifier instead of trusting cycles blindly.
 //! - [`calculus`] — the end-to-end certifier over [`ccr_calculus`]: rings
-//!   and bridge queues become rate-latency servers, connections token
+//!   and bridge directions become rate-latency servers, connections token
 //!   buckets, and every admission warm-starts the cyclic fixed point of
 //!   Amari & Mifdaoui's multi-ring analysis on the servers it disturbs,
 //!   refusing candidates that would void any flow's certified delay bound.
-//! - [`bridge`] — per-egress-ring EDF forwarding queues with explicit
-//!   overflow policy, and the proportional per-hop deadline decomposition.
 //! - [`admission`] — the pure end-to-end planner, one for healthy and
 //!   degraded fabrics alike: floors from each ring's analytic worst-case
-//!   latency, slack split proportionally to slot time, one per-ring
+//!   latency, slack split proportionally to slot time (exact to the
+//!   picosecond, [`admission::decompose_deadline`]), one per-ring
 //!   sub-connection per segment, routed around the dead bridges it is
 //!   given.
 //! - [`engine`] — the lockstep fabric stepper: every ring steps one slot
-//!   in place, then bridges exchange between slots; end-to-end admission
-//!   with rollback.
+//!   in place, then bridges hand each delivery into its next ring before
+//!   the slot ends; end-to-end admission with rollback.
 //! - [`fault`] — fabric-level fault scripting: ring-local fault events
 //!   aimed at specific rings plus bridge kills, replayed bit-for-bit; the
 //!   engine reroutes or revokes affected end-to-end connections.
 //! - [`metrics`] — end-to-end latency/deadline accounting, per-segment
-//!   breakdowns, bridge occupancy, and fault/recovery counters, comparable
+//!   breakdowns, bridge crossings, and fault/recovery counters, comparable
 //!   with `==` across runs.
 //!
 //! ```
@@ -55,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod bridge;
 pub mod calculus;
 pub mod engine;
 pub mod fault;
@@ -77,7 +75,6 @@ pub mod prelude {
     pub use crate::admission::{
         FabricAdmissionError, FabricConnectionId, FabricConnectionSpec, SegmentEnv,
     };
-    pub use crate::bridge::BridgeConfig;
     pub use crate::calculus::{CalculusAdmission, CalculusRejection, CalculusReport};
     pub use crate::engine::{
         ConnectionEvent, EgressDelivery, Fabric, FabricBuildError, FabricConfig, InjectError,

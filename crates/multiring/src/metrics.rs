@@ -28,21 +28,26 @@ pub struct FabricMetrics {
     pub e2e_latency: Histogram,
     /// Messages handed across any bridge (one count per crossing).
     pub forwarded: Counter,
-    /// Messages dropped at a full bridge buffer.
+    /// Guaranteed forwards lost at a bridge. A bridge direction receives
+    /// at most one message per slot and forwards it in that slot, so this
+    /// reads 0 by construction; a non-zero value is an engine bug.
     pub bridge_drops: Counter,
-    /// Time messages spent queued inside bridge buffers (ns).
+    /// Time messages waited at a bridge (ns), one sample per forward.
+    /// A bridge forwards in the slot it receives, so every sample is 0.
     pub bridge_wait: Histogram,
     /// Per-hop latency by segment index along the route (ns): entry into
     /// the segment's ring → delivery at the segment exit. Grown on demand
     /// to the longest route observed.
     pub segment_latency: Vec<Histogram>,
-    /// High-water mark across all bridge buffers.
+    /// Most guaranteed messages any bridge direction held at once: 1 once
+    /// a guaranteed message has crossed a bridge, 0 before.
     pub peak_bridge_occupancy: u64,
     /// Bridge stations taken down by fault injection.
     pub bridges_killed: Counter,
     /// Previously killed bridge stations brought back by repair events.
     pub bridges_repaired: Counter,
-    /// Queued forwards lost when a dying bridge's buffers were flushed.
+    /// Forwards lost to a bridge death. A bridge holds no message between
+    /// slots, when faults land, so this reads 0 by construction.
     pub fault_dropped_forwards: Counter,
     /// End-to-end connections re-admitted over an alternate bridge path
     /// after a fault invalidated their route.
@@ -71,7 +76,8 @@ pub struct FabricMetrics {
     /// Release-at-source → final-delivery latency of best-effort
     /// messages (ns).
     pub be_latency: Histogram,
-    /// Best-effort forwards dropped at a full best-effort bridge queue.
+    /// Best-effort forwards lost at a bridge; 0 by construction, like
+    /// [`FabricMetrics::bridge_drops`].
     pub be_bridge_drops: Counter,
     /// Calculus certifications served by a warm-started dirty-set solve.
     pub calc_admit_incremental: Counter,
@@ -175,10 +181,10 @@ impl FabricMetrics {
         }
     }
 
-    /// Record one bridge crossing with its queueing delay.
-    pub fn record_forward(&mut self, wait: TimeDelta) {
+    /// Record one bridge crossing; it waited no time at the bridge.
+    pub fn record_forward(&mut self) {
         self.forwarded.incr();
-        self.bridge_wait.record(wait.as_ps() / 1_000);
+        self.bridge_wait.record(0);
     }
 
     /// Record a final delivery of a best-effort connection.

@@ -7,8 +7,8 @@
 //! graph* (rings are vertices, live bridges are edges) with a deterministic
 //! tie-break, so the same fabric with the same dead bridges always routes
 //! the same way. [`FabricTopology::segments`] expands a route into ring
-//! segments, each recording the bridge and the directed bridge queue it
-//! leaves through.
+//! segments, each recording the bridge it leaves through and the
+//! direction it crosses it in.
 //!
 //! Cyclic inter-ring dependencies — a cycle in the ring graph — are the
 //! hard case of Amari & Mifdaoui ("Enhancing Performance Bounds of
@@ -115,9 +115,10 @@ pub struct Segment {
     pub to: NodeId,
     /// The bridge crossed *after* this segment (`None` on the last one).
     pub bridge: Option<usize>,
-    /// The directed bridge queue that crossing enters, in the engine's
-    /// `2b`/`2b+1` layout ([`FabricTopology::queue_index`]); `None` on the
-    /// last segment.
+    /// The bridge direction that crossing takes, in the `2b`/`2b+1`
+    /// layout ([`FabricTopology::queue_index`]): the engine's hand-off
+    /// slot and the certifier's queue server for it. `None` on the last
+    /// segment.
     pub queue: Option<usize>,
 }
 
@@ -325,15 +326,15 @@ impl FabricTopology {
         &self.bridges
     }
 
-    /// Number of directed bridge queues in the engine's layout: two per
-    /// bridge — queue `2b` carries a→b traffic, `2b+1` carries b→a.
+    /// Number of bridge directions: two per bridge — direction `2b`
+    /// carries a→b traffic, `2b+1` carries b→a.
     pub fn n_queues(&self) -> usize {
         self.bridges.len() * 2
     }
 
-    /// The ring index each directed bridge queue drains into, in the
-    /// engine's `2b`/`2b+1` layout (queue `2b` egresses on bridge `b`'s
-    /// `b`-side ring, queue `2b+1` on its `a`-side ring). This is the
+    /// The ring index each bridge direction forwards into (direction `2b`
+    /// egresses on bridge `b`'s `b`-side ring, `2b+1` on its `a`-side
+    /// ring). This is the
     /// `queue_egress` table [`crate::calculus::CalculusAdmission::new`]
     /// expects, derivable from the topology alone — which is what lets a
     /// synthesizer certify candidates without building fabrics.
@@ -350,7 +351,7 @@ impl FabricTopology {
             .collect()
     }
 
-    /// The directed bridge-queue index crossed when leaving `from_ring`
+    /// The bridge-direction index crossed when leaving `from_ring`
     /// over bridge `bridge` (an index into [`bridges`](Self::bridges)).
     pub fn queue_index(&self, bridge: usize, from_ring: RingId) -> usize {
         if self.bridges[bridge].a.ring == from_ring {

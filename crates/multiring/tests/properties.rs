@@ -15,7 +15,7 @@ mod common;
 
 use ccr_edf::fault::FaultKind;
 use ccr_edf::metrics::Metrics;
-use ccr_multiring::bridge::decompose_deadline;
+use ccr_multiring::admission::decompose_deadline;
 use ccr_multiring::prelude::*;
 use ccr_phys::NodeId;
 use ccr_sim::rng::DetRng;

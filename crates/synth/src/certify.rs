@@ -22,7 +22,7 @@ use crate::matrix::{Criticality, StationId, TrafficMatrix};
 use ccr_edf::analysis::AnalyticModel;
 use ccr_edf::config::NetworkConfig;
 use ccr_multiring::admission::{plan_connection, ConnectionPlan, SegmentEnv};
-use ccr_multiring::prelude::{BridgeConfig, CalculusAdmission, CalculusRejection};
+use ccr_multiring::prelude::{CalculusAdmission, CalculusRejection};
 use ccr_multiring::{
     FabricAdmissionError, FabricConnectionId, FabricConnectionSpec, FabricTopology, GlobalNodeId,
 };
@@ -146,15 +146,13 @@ impl Certifier {
         candidate: &Candidate,
         matrix: &TrafficMatrix,
         envs: Vec<SegmentEnv>,
-        bridge: BridgeConfig,
     ) -> Result<Self, Refusal> {
         if !candidate.shape_ok() || !candidate.connected() {
             return Err(Refusal::Shape);
         }
         let (topo, station_nodes) = candidate.build_topology().map_err(|_| Refusal::Routing)?;
         debug_assert_eq!(envs.len(), topo.n_rings() as usize);
-        let calc =
-            CalculusAdmission::new(&envs, &bridge, &topo.queue_egress()).ok_or(Refusal::Shape)?;
+        let calc = CalculusAdmission::new(&envs, &topo.queue_egress()).ok_or(Refusal::Shape)?;
         let mut cert = Certifier {
             topo,
             station_nodes,
@@ -309,11 +307,9 @@ pub(crate) fn full_reference_bounds(
     candidate: &Candidate,
     matrix: &TrafficMatrix,
     envs: Vec<SegmentEnv>,
-    bridge: BridgeConfig,
 ) -> Result<Vec<(usize, TimeDelta)>, Refusal> {
     let (topo, station_nodes) = candidate.build_topology().map_err(|_| Refusal::Routing)?;
-    let mut calc =
-        CalculusAdmission::new(&envs, &bridge, &topo.queue_egress()).ok_or(Refusal::Shape)?;
+    let mut calc = CalculusAdmission::new(&envs, &topo.queue_egress()).ok_or(Refusal::Shape)?;
     calc.set_force_full(true);
     let mut plans = Vec::new();
     let mut keys = Vec::new();

@@ -5,7 +5,7 @@
 //! criticality class: [`Criticality::Guaranteed`] flows must end up with a
 //! network-calculus certificate on the synthesized fabric,
 //! [`Criticality::BestEffort`] flows only need a route — the engine serves
-//! them from leftover ring slots and bridge budget
+//! them from leftover ring slots
 //! ([`ccr_multiring::engine::Fabric::open_best_effort`]).
 //!
 //! Matrices load from the same dependency-free TOML subset the gateway

@@ -19,7 +19,6 @@ use crate::certify::{
 use crate::matrix::{MatrixError, StationId, TrafficMatrix};
 use crate::report::{RingSummary, SynthReport};
 use ccr_multiring::admission::SegmentEnv;
-use ccr_multiring::prelude::BridgeConfig;
 use ccr_multiring::{FabricConnectionSpec, FabricTopology, GlobalNodeId};
 use ccr_sim::TimeDelta;
 
@@ -45,9 +44,6 @@ pub struct SynthConfig {
     /// Search-time slot payload floor override in bytes (the search
     /// always uses at least the slot floor of `max_ring_nodes`).
     pub slot_bytes: Option<u32>,
-    /// Bridge buffer policy the certification prices against (and the
-    /// synthesized fabric should run with).
-    pub bridge: BridgeConfig,
 }
 
 impl Default for SynthConfig {
@@ -59,7 +55,6 @@ impl Default for SynthConfig {
             utilisation_target: 0.6,
             max_rounds: 8,
             slot_bytes: None,
-            bridge: BridgeConfig::default(),
         }
     }
 }
@@ -156,7 +151,6 @@ pub struct Synthesis {
     /// Per guaranteed flow: (matrix index, bound) from the exact-slot
     /// certification the fabric will actually enforce.
     pub bounds: Vec<(usize, TimeDelta)>,
-    bridge: BridgeConfig,
     /// The uniform pessimistic environment the search certified against.
     search_env: SegmentEnv,
 }
@@ -180,14 +174,13 @@ impl Synthesis {
 
     /// Build a runnable [`ccr_multiring::FabricConfig`] for the
     /// synthesized topology at the exact slot size, with the calculus
-    /// certifier forced on and the bridge policy the search priced.
+    /// certifier forced on.
     pub fn fabric_config(
         &self,
         seed: u64,
     ) -> Result<ccr_multiring::FabricConfig, ccr_multiring::FabricBuildError> {
         let mut cfg =
             ccr_multiring::FabricConfig::uniform(self.topology.clone(), self.slot_bytes, seed)?;
-        cfg.bridge = self.bridge;
         cfg.calculus = true;
         Ok(cfg)
     }
@@ -198,7 +191,7 @@ impl Synthesis {
     /// against.
     pub fn recertify_full(&self) -> Result<Vec<(usize, TimeDelta)>, SynthError> {
         let envs = vec![self.search_env; self.candidate.rings.len()];
-        full_reference_bounds(&self.candidate, &self.matrix, envs, self.bridge).map_err(|_| {
+        full_reference_bounds(&self.candidate, &self.matrix, envs).map_err(|_| {
             SynthError::Exhausted {
                 census: self.report.rejected,
             }
@@ -259,7 +252,7 @@ pub fn synthesize(matrix: &TrafficMatrix, config: &SynthConfig) -> Result<Synthe
     let mut cert;
     let mut repairs = 2 * matrix.stations as u32 + 8;
     loop {
-        match Certifier::new(&cand, matrix, vec![env; cand.rings.len()], config.bridge) {
+        match Certifier::new(&cand, matrix, vec![env; cand.rings.len()]) {
             Ok(c) => {
                 cert = c;
                 break;
@@ -306,30 +299,27 @@ pub fn synthesize(matrix: &TrafficMatrix, config: &SynthConfig) -> Result<Synthe
         while bi < cand.bridges.len() {
             moves_attempted += 1;
             match try_merge(&cand, bi) {
-                Some(merged) => match Certifier::new(
-                    &merged,
-                    matrix,
-                    vec![env; merged.rings.len()],
-                    config.bridge,
-                ) {
-                    Ok(c) => {
-                        extra_calls += cert.calls;
-                        extra_fulls += cert.full_solves;
-                        cert = c;
-                        cand = merged;
-                        moves_accepted += 1;
-                        accepted_this_round = true;
-                        bi = 0; // bridge list changed; restart the sweep
-                    }
-                    Err(r) => {
-                        census.record(&r);
-                        if solver_ran(&r) {
-                            extra_calls += 1;
-                            extra_fulls += 1;
+                Some(merged) => {
+                    match Certifier::new(&merged, matrix, vec![env; merged.rings.len()]) {
+                        Ok(c) => {
+                            extra_calls += cert.calls;
+                            extra_fulls += cert.full_solves;
+                            cert = c;
+                            cand = merged;
+                            moves_accepted += 1;
+                            accepted_this_round = true;
+                            bi = 0; // bridge list changed; restart the sweep
                         }
-                        bi += 1;
+                        Err(r) => {
+                            census.record(&r);
+                            if solver_ran(&r) {
+                                extra_calls += 1;
+                                extra_fulls += 1;
+                            }
+                            bi += 1;
+                        }
                     }
-                },
+                }
                 None => {
                     census.record(&Refusal::Shape);
                     bi += 1;
@@ -429,7 +419,7 @@ pub fn synthesize(matrix: &TrafficMatrix, config: &SynthConfig) -> Result<Synthe
         debug_assert_eq!(sb, exact_sb, "exact slot is above every ring's floor");
         exact_envs.push(renv);
     }
-    let exact = match Certifier::new(&cand, matrix, exact_envs, config.bridge) {
+    let exact = match Certifier::new(&cand, matrix, exact_envs) {
         Ok(c) => c,
         Err(r) => {
             census.record(&r);
@@ -501,7 +491,6 @@ pub fn synthesize(matrix: &TrafficMatrix, config: &SynthConfig) -> Result<Synthe
         slot_bytes: exact_sb,
         search_bounds,
         bounds,
-        bridge: config.bridge,
         search_env: env,
     })
 }
