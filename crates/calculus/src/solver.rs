@@ -84,6 +84,16 @@
 //! dropped [`SolverSession`] pops all of its frames: the candidates leave
 //! and the logged state is copied back, so the solver is exactly as if the
 //! candidates were never tried, with no second solve.
+//!
+//! # Storage
+//!
+//! Flow states sit in one vector, and a key-ordered index maps each key
+//! to its state. A server's member list is sorted by (class, key, hop);
+//! each member names its flow's state, and each state stores its member's
+//! position in every hop's list. An insertion finds its place once by
+//! search; an insertion or removal then renumbers the tail of the list it
+//! changed. So no pass searches a member list, and the dirty flows come
+//! out of one walk over the index, already in key order.
 
 use crate::curve::{backlog_bound, delay_bound, ArrivalCurve, RateLatency, ServiceCurve};
 use core::cmp::Ordering;
@@ -186,7 +196,7 @@ pub struct SolveReport {
 }
 
 /// Why the solver rejected the set.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveError {
     /// A flow's path references a server outside `services` or visits a
     /// server twice, the path/delay/class lengths disagree, a key is
@@ -256,7 +266,9 @@ fn member_cmp(a: &Member, b: &Member) -> Ordering {
         .then(a.hop.cmp(&b.hop))
 }
 
-/// Position of `key`'s hop `hop` in a server's member list.
+/// Position of `key`'s hop `hop` in a server's member list, found by
+/// search: the oracle the final pass checks each stored position against
+/// in debug builds.
 fn member_index(mem: &[Member], spec: &FlowSpec, key: u64, hop: usize) -> usize {
     let m = Member {
         class: spec.classes[hop],
@@ -270,8 +282,10 @@ fn member_index(mem: &[Member], spec: &FlowSpec, key: u64, hop: usize) -> usize 
 
 #[derive(Debug, Clone)]
 struct FlowState {
-    key: u64,
     spec: FlowSpec,
+    /// Index of each hop's member in its server's member list, kept
+    /// current by every insertion and removal there.
+    pos: Vec<u32>,
     /// Arrival curve entering each hop; `arrivals[0]` is the source curve
     /// shifted by `hop_delay[0]` and never changes.
     arrivals: Vec<ArrivalCurve>,
@@ -521,6 +535,13 @@ impl ServerAgg {
             }
             base.compact(MAX_PIECES);
         }
+    }
+}
+
+/// Store the index of every member of `mem[from..]` in its flow's state.
+fn renumber(states: &mut [FlowState], mem: &[Member], from: usize) {
+    for (j, m) in mem.iter().enumerate().skip(from) {
+        states[m.ix as usize].pos[m.hop as usize] = j as u32;
     }
 }
 
@@ -868,6 +889,7 @@ impl IncrementalSolver {
             arrivals.push(spec.arrival.shift_time(acc));
         }
         let ix = self.free.pop().unwrap_or(self.states.len());
+        let mut pos = Vec::with_capacity(n);
         for (hop, &s) in spec.path.iter().enumerate() {
             let m = Member {
                 class: spec.classes[hop],
@@ -876,8 +898,12 @@ impl IncrementalSolver {
                 ix: ix as u32,
             };
             let v = &mut self.members[s];
-            let pos = v.partition_point(|x| member_cmp(x, &m) == Ordering::Less);
-            v.insert(pos, m);
+            let at = v.partition_point(|x| member_cmp(x, &m) == Ordering::Less);
+            v.insert(at, m);
+            // The members after `at` belong to other flows: a path visits
+            // a server once.
+            renumber(&mut self.states, v, at + 1);
+            pos.push(at as u32);
             self.aggs[s].stale = true;
         }
         let bounds = FlowBounds {
@@ -886,8 +912,8 @@ impl IncrementalSolver {
             backlog: 0.0,
         };
         let st = FlowState {
-            key,
             spec,
+            pos,
             arrivals,
             bounds,
             hop_backlogs: vec![0.0; n],
@@ -905,11 +931,12 @@ impl IncrementalSolver {
     /// returns the index of its state, which stays readable until reused.
     fn drop_flow(&mut self, key: u64) -> Option<usize> {
         let ix = self.index.remove(&key)?;
-        let st = &self.states[ix];
-        for (hop, &s) in st.spec.path.iter().enumerate() {
+        for hop in 0..self.states[ix].spec.path.len() {
+            let s = self.states[ix].spec.path[hop];
+            let at = self.states[ix].pos[hop] as usize;
             let v = &mut self.members[s];
-            let pos = member_index(v, &st.spec, key, hop);
-            v.remove(pos);
+            v.remove(at);
+            renumber(&mut self.states, v, at);
             self.aggs[s].stale = true;
         }
         self.free.push(ix);
@@ -969,8 +996,7 @@ impl IncrementalSolver {
                 let saved = &curves[e.curves + h - 1];
                 if !same_bits(&st.arrivals[h], saved) {
                     st.arrivals[h].copy_from(saved);
-                    let s = st.spec.path[h];
-                    self.aggs[s].moved(member_index(&self.members[s], &st.spec, st.key, h));
+                    self.aggs[st.spec.path[h]].moved(st.pos[h] as usize);
                 }
             }
             st.bounds
@@ -1009,7 +1035,8 @@ impl IncrementalSolver {
     }
 
     /// Collect the dirty flows (every flow with a hop on a dirty server)
-    /// and, among them, the iterating ones.
+    /// and, among them, the iterating ones (a dirty hop before the last),
+    /// both in key order: one walk over the resident index.
     fn collect_dirty_flows(&mut self) {
         let Scratch {
             dirty_server,
@@ -1018,20 +1045,18 @@ impl IncrementalSolver {
             ..
         } = &mut self.scratch;
         dirty.clear();
-        for (s, ms) in self.members.iter().enumerate() {
-            if dirty_server[s] {
-                for m in ms {
-                    dirty.push((m.key, m.ix as usize));
-                }
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
         iter.clear();
-        for &(_, ix) in dirty.iter() {
-            let path = &self.states[ix].spec.path;
-            if path[..path.len() - 1].iter().any(|&s| dirty_server[s]) {
+        for (&key, &ix) in &self.index {
+            let (last, before) = self.states[ix]
+                .spec
+                .path
+                .split_last()
+                .expect("a resident path has a hop");
+            if before.iter().any(|&s| dirty_server[s]) {
+                dirty.push((key, ix));
                 iter.push(ix);
+            } else if dirty_server[*last] {
+                dirty.push((key, ix));
             }
         }
     }
@@ -1068,8 +1093,8 @@ impl IncrementalSolver {
         } = &self.scratch;
         for &ix in iter {
             let FlowState {
-                key,
                 spec,
+                pos,
                 arrivals,
                 ..
             } = &mut self.states[ix];
@@ -1083,8 +1108,7 @@ impl IncrementalSolver {
                 acc += spec.hop_delay[h];
                 if h > fd {
                     spec.arrival.shift_time_into(acc, hop_arrival);
-                    let s = spec.path[h];
-                    self.aggs[s].moved(member_index(&self.members[s], spec, *key, h));
+                    self.aggs[spec.path[h]].moved(pos[h] as usize);
                 }
             }
         }
@@ -1231,8 +1255,8 @@ fn sweep_dirty(
     };
     for &ix in iter.iter() {
         let FlowState {
-            key,
             spec,
+            pos,
             arrivals,
             ..
         } = &mut states[ix];
@@ -1241,9 +1265,8 @@ fn sweep_dirty(
             if !dirty_server[s] {
                 continue;
             }
-            let mem = &members[s];
-            let idx = member_index(mem, spec, *key, hop);
-            let edf = pair_service(services[s], &mut aggs[s], idx, mem.len(), bufs)?;
+            let n = members[s].len();
+            let edf = pair_service(services[s], &mut aggs[s], pos[hop] as usize, n, bufs)?;
             let (head, tail) = arrivals.split_at_mut(hop + 1);
             let cur = &head[hop];
             let ok = cur.deconvolve_into(bufs.lo_blind.rate_latency_bound(), &mut bufs.out_a)
@@ -1268,8 +1291,7 @@ fn sweep_dirty(
                 stats.max_rel = stats.max_rel.max((nb - ob).abs() / ob.abs().max(1.0));
                 stats.changed = true;
                 slot.copy_from(&bufs.next);
-                let s2 = spec.path[hop + 1];
-                aggs[s2].moved(member_index(&members[s2], spec, *key, hop + 1));
+                aggs[spec.path[hop + 1]].moved(pos[hop + 1] as usize);
             }
             stats.worst_burst = stats.worst_burst.max(tail[0].burst());
         }
@@ -1323,6 +1345,7 @@ fn resolve(
 /// untouched), then the path aggregates. After an exact fixed point no
 /// arrival moved since the last sweep, so the aggregates are current and
 /// only the cross-class sums no sweep read are folded here.
+// ccr-verify: hot_path
 fn finish_bounds(
     services: &[RateLatency],
     states: &mut [FlowState],
@@ -1351,15 +1374,16 @@ fn finish_bounds(
                 continue;
             }
             let mem = &members[s];
-            let idx = member_index(mem, &st.spec, key, hop);
+            let idx = st.pos[hop] as usize;
+            debug_assert_eq!(idx, member_index(mem, &st.spec, key, hop));
             let edf = pair_service(services[s], &mut aggs[s], idx, mem.len(), bufs)
-                .map_err(|()| diverged.clone())?;
+                .map_err(|()| diverged)?;
             let alpha = &st.arrivals[hop];
-            let mut d = delay_bound(alpha, &bufs.lo_blind).ok_or_else(|| diverged.clone())?;
-            let mut v = backlog_bound(alpha, &bufs.lo_blind).ok_or_else(|| diverged.clone())?;
+            let mut d = delay_bound(alpha, &bufs.lo_blind).ok_or(diverged)?;
+            let mut v = backlog_bound(alpha, &bufs.lo_blind).ok_or(diverged)?;
             if edf {
-                d = d.min(delay_bound(alpha, &bufs.lo_edf).ok_or_else(|| diverged.clone())?);
-                v = v.min(backlog_bound(alpha, &bufs.lo_edf).ok_or_else(|| diverged.clone())?);
+                d = d.min(delay_bound(alpha, &bufs.lo_edf).ok_or(diverged)?);
+                v = v.min(backlog_bound(alpha, &bufs.lo_edf).ok_or(diverged)?);
             }
             st.bounds.hop_delays[hop] = d;
             st.hop_backlogs[hop] = v;
@@ -1405,6 +1429,18 @@ impl SolverSession<'_> {
     /// Read-only view of the underlying solver.
     pub fn solver(&self) -> &IncrementalSolver {
         self.solver
+    }
+
+    /// After an accepted [`admit`](Self::admit): the flows it re-derived,
+    /// with their bounds, in ascending key order. These are the keys of
+    /// its report's `dirty_flows`, read without a lookup per key.
+    pub fn dirty_bounds(&self) -> impl Iterator<Item = (u64, &FlowBounds)> + '_ {
+        let solver = &*self.solver;
+        solver
+            .scratch
+            .dirty
+            .iter()
+            .map(move |&(key, ix)| (key, &solver.states[ix].bounds))
     }
 
     /// Keys admitted through this session so far, in admission order.
@@ -1825,8 +1861,8 @@ mod tests {
                         ix: key as u32,
                     });
                     states.push(FlowState {
-                        key,
                         spec,
+                        pos: vec![0],
                         arrivals: vec![arrival],
                         bounds: FlowBounds {
                             e2e_delay: 0.0,
@@ -1902,6 +1938,134 @@ mod tests {
             q(0.5),
             q(0.99),
             q(1.0)
+        );
+    }
+
+    /// The dirty-flow collection the ordered walk replaced, kept as the
+    /// oracle: every member of every dirty server, sorted by key and
+    /// de-duplicated, then those with a dirty hop before their last.
+    fn sorted_dirty_flows(solver: &IncrementalSolver) -> (Vec<(u64, usize)>, Vec<usize>) {
+        let dirty_server = &solver.scratch.dirty_server;
+        let mut dirty = Vec::new();
+        for (s, ms) in solver.members.iter().enumerate() {
+            if dirty_server[s] {
+                dirty.extend(ms.iter().map(|m| (m.key, m.ix as usize)));
+            }
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        let iter = dirty
+            .iter()
+            .map(|&(_, ix)| ix)
+            .filter(|&ix| {
+                let path = &solver.states[ix].spec.path;
+                path[..path.len() - 1].iter().any(|&s| dirty_server[s])
+            })
+            .collect();
+        (dirty, iter)
+    }
+
+    fn assert_positions(solver: &IncrementalSolver, ctx: &str) {
+        for (s, mem) in solver.members.iter().enumerate() {
+            for (i, m) in mem.iter().enumerate() {
+                let stored = solver.states[m.ix as usize].pos[m.hop as usize];
+                assert_eq!(stored as usize, i, "{ctx}: server {s}, member {i}");
+            }
+        }
+    }
+
+    fn assert_dirty_walk(solver: &IncrementalSolver, ctx: &str) {
+        let (dirty, iter) = sorted_dirty_flows(solver);
+        assert_eq!(solver.scratch.dirty, dirty, "{ctx}: dirty flows");
+        assert_eq!(solver.scratch.iter, iter, "{ctx}: iterating flows");
+    }
+
+    /// 1–3 distinct servers, classes drawn from a small palette so class
+    /// runs repeat and blind (∞) hops mix with finite ones.
+    fn law_flow(rng: &mut ccr_sim::rng::DetRng, n: usize) -> FlowSpec {
+        const CLASSES: [f64; 5] = [12.0, 40.0, 40.0, 75.0, f64::INFINITY];
+        let len = (1 + rng.gen_range(0..3u32) as usize).min(n);
+        let mut path = Vec::with_capacity(len);
+        while path.len() < len {
+            let s = rng.gen_range(0..n as u32) as usize;
+            if !path.contains(&s) {
+                path.push(s);
+            }
+        }
+        let mut hop_delay = vec![0.0];
+        hop_delay.extend((1..len).map(|_| rng.gen_f64() * 3.0));
+        let arrival = tb(0.5 + rng.gen_f64() * 4.0, 0.01 + rng.gen_f64() * 0.14);
+        let mut spec = FlowSpec::blind(path, arrival, hop_delay);
+        spec.classes = (0..len)
+            .map(|_| CLASSES[rng.gen_range(0..CLASSES.len() as u32) as usize])
+            .collect();
+        spec
+    }
+
+    fn law_batch(rng: &mut ccr_sim::rng::DetRng, n: usize) -> Vec<(u64, FlowSpec)> {
+        (0..1 + rng.gen_range(0..3u32))
+            .map(|_| (u64::from(rng.gen_range(0..48u32)), law_flow(rng, n)))
+            .collect()
+    }
+
+    /// Stored member positions and the ordered dirty walk, against a
+    /// search and the sort-and-dedup collection, after every operation:
+    /// single and batch admits with duplicate and resident keys,
+    /// utilisation refusals, sessions whose frames are all dropped, and
+    /// removes of resident, unknown and repeated keys.
+    #[test]
+    fn stored_positions_and_the_dirty_walk_follow_every_operation() {
+        let (mut accepted, mut refused, mut undone, mut removed) = (0, 0, 0, 0);
+        for seed in 0..40u64 {
+            let mut rng = ccr_sim::rng::DetRng::new(0x9051 ^ seed);
+            let n = 3 + rng.gen_range(0..4u32) as usize;
+            let services: Vec<ServiceCurve> = (0..n)
+                .map(|_| rl(0.5 + rng.gen_f64(), rng.gen_f64() * 3.0))
+                .collect();
+            let mut solver = IncrementalSolver::new(&services);
+            for op in 0..60 {
+                let ctx = format!("seed {seed} op {op}");
+                match rng.gen_range(0..5u32) {
+                    0..=1 => match solver.admit(&law_batch(&mut rng, n)) {
+                        Ok(_) => {
+                            accepted += 1;
+                            assert_dirty_walk(&solver, &ctx);
+                        }
+                        Err(SolveError::Utilisation { .. }) => refused += 1,
+                        Err(_) => {}
+                    },
+                    2 => {
+                        let mut session = solver.session();
+                        for frame in 0..2 + rng.gen_range(0..3u32) {
+                            let ctx = format!("{ctx} frame {frame}");
+                            let ok = session.admit(&law_batch(&mut rng, n)).is_ok();
+                            undone += usize::from(ok);
+                            if ok {
+                                assert_dirty_walk(session.solver(), &ctx);
+                            }
+                            assert_positions(session.solver(), &ctx);
+                        }
+                    }
+                    _ => {
+                        let mut keys: Vec<u64> = (0..1 + rng.gen_range(0..3u32))
+                            .map(|_| u64::from(rng.gen_range(0..48u32)))
+                            .collect();
+                        keys.push(keys[0]);
+                        let known = keys.iter().any(|&k| solver.contains(k));
+                        solver.remove(&keys);
+                        if known {
+                            removed += 1;
+                            assert_dirty_walk(&solver, &ctx);
+                        }
+                        assert!(keys.iter().all(|&k| !solver.contains(k)), "{ctx}");
+                    }
+                }
+                assert_positions(&solver, &ctx);
+            }
+        }
+        assert!(
+            accepted > 100 && refused > 10 && undone > 50 && removed > 100,
+            "coverage: {accepted} accepted, {refused} refused, {undone} undone, {removed} removed"
         );
     }
 

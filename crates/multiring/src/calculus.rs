@@ -278,22 +278,25 @@ impl CalculusAdmission {
         // stored bounds, which passed this same gate when they were last
         // derived. Dirty keys ascend: a re-admitted candidate keeps its
         // older id and may be named before a victim (either way a refusal).
-        for &key in &report.dirty_flows {
-            let bound_ps = session
-                .bounds(key)
-                .map(|b| b.e2e_delay)
-                .unwrap_or(f64::INFINITY);
-            let deadline_ps = self
-                .deadlines
-                .get(&key)
-                .copied()
-                .or_else(|| admitted.iter().find(|(k, _)| *k == key).map(|(_, d)| *d))
-                .unwrap_or(f64::INFINITY);
-            if bound_ps > deadline_ps {
-                let candidate = admitted.iter().any(|(k, _)| *k == key);
+        // `deadlines` holds exactly the residents before the batch, so one
+        // ordered merge finds theirs; a dirty key it lacks is a candidate.
+        let mut resident = self.deadlines.iter().peekable();
+        for (key, bounds) in session.dirty_bounds() {
+            while resident.next_if(|&(&k, _)| k < key).is_some() {}
+            let (victim, deadline_ps) = match resident.next_if(|&(&k, _)| k == key) {
+                Some((_, &d)) => (true, d),
+                None => (
+                    false,
+                    admitted
+                        .iter()
+                        .find(|(k, _)| *k == key)
+                        .map_or(f64::INFINITY, |(_, d)| *d),
+                ),
+            };
+            if bounds.e2e_delay > deadline_ps {
                 return Err(CalculusRejection::BoundExceeded {
-                    flow: (!candidate).then_some(FabricConnectionId(key)),
-                    bound: TimeDelta::from_ps_f64_saturating(bound_ps.ceil()),
+                    flow: victim.then_some(FabricConnectionId(key)),
+                    bound: TimeDelta::from_ps_f64_saturating(bounds.e2e_delay.ceil()),
                     deadline: TimeDelta::from_ps_f64_saturating(deadline_ps),
                 });
             }

@@ -21,6 +21,10 @@
 //!    `1 − bound/deadline` across residents: how much certified margin
 //!    the fabric still holds at scale.
 //!
+//! Asserted: every warm certification ran incrementally, the probes both
+//! fabrics opened got equal bounds, and after both churns every
+//! resident's bound on the warm fabric equals the forced-full one.
+//!
 //! CSV artefacts (full runs only; best-effort, skipped on read-only
 //! checkouts):
 //! `results/e20_churn.csv`, `results/e20_headroom.csv`.
@@ -63,11 +67,19 @@ fn build(rings: u16, per_ring: usize, force_full: bool, seed: u64) -> Fabric {
     fabric
 }
 
-/// Open/close churn over rotating rings; returns per-op wall-clock
-/// latencies in microseconds, opens and closes separately.
-fn churn(fabric: &mut Fabric, rings: u16, ops: u32) -> (Vec<f64>, Vec<f64>) {
+/// Per-op wall-clock latencies in microseconds, opens and closes
+/// separately, and each probe's certified bound.
+struct Churn {
+    open_us: Vec<f64>,
+    close_us: Vec<f64>,
+    probe_bounds: Vec<TimeDelta>,
+}
+
+/// Open/close churn over rotating rings.
+fn churn(fabric: &mut Fabric, rings: u16, ops: u32) -> Churn {
     let mut open_us = Vec::with_capacity(ops as usize);
     let mut close_us = Vec::with_capacity(ops as usize);
+    let mut probe_bounds = Vec::with_capacity(ops as usize);
     for op in 0..ops {
         let r = (op % rings as u32) as u16;
         let spec = FabricConnectionSpec::unicast(GlobalNodeId::new(r, 3), GlobalNodeId::new(r, 6))
@@ -75,12 +87,16 @@ fn churn(fabric: &mut Fabric, rings: u16, ops: u32) -> (Vec<f64>, Vec<f64>) {
         let t0 = Instant::now();
         let fid = fabric.open_connection(spec).expect("probe admits");
         open_us.push(t0.elapsed().as_secs_f64() * 1e6);
-        assert!(fabric.e2e_bound(fid).is_some(), "probe is certified");
+        probe_bounds.push(fabric.e2e_bound(fid).expect("probe is certified"));
         let t0 = Instant::now();
         fabric.close_connection(fid);
         close_us.push(t0.elapsed().as_secs_f64() * 1e6);
     }
-    (open_us, close_us)
+    Churn {
+        open_us,
+        close_us,
+        probe_bounds,
+    }
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -134,21 +150,53 @@ pub fn run(opts: &ExpOptions) -> ExperimentResult {
         ],
     );
     let mut warm = build(rings, per_ring, false, 0xE20);
-    let (open_us, close_us) = churn(&mut warm, rings, churn_ops);
-    let warm_open_rate = latency_row(&mut churn_table, "incremental", "open", open_us);
-    latency_row(&mut churn_table, "incremental", "close", close_us);
+    let warm_churn = churn(&mut warm, rings, churn_ops);
+    let warm_open_rate = latency_row(&mut churn_table, "incremental", "open", warm_churn.open_us);
+    latency_row(
+        &mut churn_table,
+        "incremental",
+        "close",
+        warm_churn.close_us,
+    );
 
     let mut full = build(rings, per_ring, true, 0xE20);
-    let (open_us, close_us) = churn(&mut full, rings, full_ops);
-    let full_open_rate = latency_row(&mut churn_table, "full", "open", open_us);
-    latency_row(&mut churn_table, "full", "close", close_us);
+    let full_churn = churn(&mut full, rings, full_ops);
+    let full_open_rate = latency_row(&mut churn_table, "full", "open", full_churn.open_us);
+    latency_row(&mut churn_table, "full", "close", full_churn.close_us);
+
+    // The equivalence verdict, asserted: the warm path certified every
+    // operation incrementally and landed on the forced-full reference's
+    // bounds, for the probes both fabrics opened and for every resident
+    // after both churns.
+    let m = warm.metrics();
+    assert_eq!(
+        m.calc_admit_full.get(),
+        0,
+        "no warm certification re-solved fully"
+    );
+    assert_eq!(
+        m.calc_admit_incremental.get(),
+        u64::from(churn_ops) + 1,
+        "the resident batch and every probe certified incrementally"
+    );
+    assert_eq!(
+        warm_churn.probe_bounds[..full_ops as usize],
+        full_churn.probe_bounds[..],
+        "probe bounds: incremental ≡ full re-solve"
+    );
+    for fid in (1..=residents as u64).map(FabricConnectionId) {
+        assert_eq!(
+            warm.e2e_bound(fid),
+            full.e2e_bound(fid),
+            "resident {fid:?}: incremental ≡ full re-solve"
+        );
+    }
 
     let speedup = warm_open_rate / full_open_rate;
     notes.push(format!(
         "{residents} resident certified connections; open-path speedup \
          incremental vs full re-solve: {speedup:.1}x"
     ));
-    let m = warm.metrics();
     notes.push(format!(
         "warm-started fabric certifications: {} incremental, {} full re-solves",
         m.calc_admit_incremental.get(),
